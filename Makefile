@@ -56,9 +56,9 @@ bench:
 	$(GO) run ./cmd/greedbench -fast -benchjson BENCH_parallel.json
 
 # Hot-path micro-benchmarks (internal/hotpath): ns/op, allocs/op and
-# bytes/op for the five hottest paths plus their legacy baselines,
-# archived as BENCH_hotpath.json.  Exits 1 if a gated zero-allocation
-# path regressed to allocating.
+# bytes/op for the hottest per-user paths and the class-solver headline
+# scales, archived as BENCH_hotpath.json.  Exits 1 if a gated path
+# exceeds its allocation budget (zero for the workspace fast paths).
 bench-micro:
 	$(GO) run ./cmd/greedbench -hotpath BENCH_hotpath.json
 
@@ -75,8 +75,8 @@ bench-events:
 # N users up to 10^6, archived as BENCH_classes.json.  Exits 1 when a
 # scale's ns/op exceeds its ceiling (the solve went O(N)), the warm
 # steady state allocates, the class solve measures slower than the exact
-# solver it aggregates, or the fast arithmetic drifts off the exact
-# per-user answers (Float64bits at K = N and K = 1).
+# solver it aggregates, or the class arithmetic drifts off the exact
+# per-user answers (Float64bits at K = N).
 bench-classes:
 	$(GO) run ./cmd/greedbench -classes BENCH_classes.json
 

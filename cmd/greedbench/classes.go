@@ -12,10 +12,10 @@ import (
 // the same K-class game with the O(K)-per-step class arithmetic; the
 // small scales also run the exact per-user solver on the expanded
 // profile, so BENCH_classes.json carries a measured class-vs-exact
-// speedup rather than a claim.  Before any timing, the fast arithmetic
-// is checked Float64bits-equal to the exact solver at K = N and K = 1
-// (the documented bit-equality contract) — the gate never records the
-// speed of a solver that drifted off the exact answers.
+// speedup rather than a claim.  Before any timing, the class arithmetic
+// is checked Float64bits-equal to the exact solver at K = N (the
+// documented bit-equality contract) — the gate never records the speed
+// of a solver that drifted off the exact answers.
 
 // classScaleRecord is one (K, N) datapoint in BENCH_classes.json.
 type classScaleRecord struct {
@@ -48,8 +48,8 @@ type classReport struct {
 	// compares algorithms on one core, not cores against cores — so the
 	// record is valid on any host, including single-core runners.
 	SpeedupValid bool `json:"speedup_valid"`
-	// BitEqual records the pre-timing differential check: fast class
-	// arithmetic vs the exact solver at K = N and K = 1.
+	// BitEqual records the pre-timing differential check: class
+	// arithmetic vs the exact solver at K = N.
 	BitEqual bool               `json:"bit_equal"`
 	Scales   []classScaleRecord `json:"scales"`
 }
@@ -60,7 +60,7 @@ type classReport struct {
 func gateClasses(r classReport) []string {
 	var fails []string
 	if !r.BitEqual {
-		fails = append(fails, "class solver drifted off the exact per-user answers (K=N / K=1 bit-equality)")
+		fails = append(fails, "class solver drifted off the exact per-user answers (K=N bit-equality)")
 	}
 	for _, s := range r.Scales {
 		if s.NsPerOp > s.NsCeiling {
@@ -149,7 +149,7 @@ func writeClassesJSON(path string, force bool) (int, error) {
 		fmt.Printf("classes bit-equality: FAILED: %v\n", err)
 	} else {
 		report.BitEqual = true
-		fmt.Println("classes bit-equality: fast class arithmetic matches exact solver at K=N and K=1")
+		fmt.Println("classes bit-equality: class arithmetic matches exact solver at K=N")
 	}
 	for _, s := range hotpath.ClassScales() {
 		rec, err := benchClassScale(s)

@@ -28,7 +28,7 @@
 // the class-aggregated Nash solver runs at K classes over N users up to
 // 10^6, its ns/op is checked against each scale's ceiling, its warm
 // steady state against zero allocs/op, and its arithmetic against the
-// exact per-user solver (Float64bits at K = N and K = 1); results land
+// exact per-user solver (Float64bits at K = N); results land
 // in BENCH_classes.json.
 //
 // With -escapes the suite is also skipped: the module is compiled with
@@ -287,15 +287,13 @@ type hotpathRecord struct {
 	Name        string  `json:"name"`
 	Gated       bool    `json:"gated"`
 	Budget      int64   `json:"allocs_budget,omitempty"`
-	Baseline    string  `json:"baseline,omitempty"`
 	NsPerOp     float64 `json:"ns_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
 }
 
 // writeHotpathJSON benchmarks every hot-path case with testing.Benchmark
-// and writes the records — including the legacy baselines, so the file
-// carries the before/after comparison — to path.  The returned exit code
+// and writes the records to path.  The returned exit code
 // is 1 when a gated case exceeded its allocation budget (zero for the
 // workspace fast paths, the audited result-allocation count for the
 // end-to-end cases), else 0.
@@ -309,7 +307,6 @@ func writeHotpathJSON(path string) (int, error) {
 			Name:        c.Name,
 			Gated:       c.Gated,
 			Budget:      c.Budget,
-			Baseline:    c.Baseline,
 			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
 			AllocsPerOp: r.AllocsPerOp(),
 			BytesPerOp:  r.AllocedBytesPerOp(),

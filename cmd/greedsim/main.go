@@ -211,13 +211,13 @@ func runClasses(ctx context.Context, a core.Allocation, spec string, fluid bool,
 	if load := classLoad(cg, cg.Rates()); load >= 1 {
 		fatalIf(fmt.Errorf("class starting rates are infeasible: Σ count·rate = %.4g ≥ 1", load))
 	}
-	res, err := game.SolveNashClassWS(ctx, nil, a, cg, nil, game.ClassNashOptions{})
+	res, err := game.SolveNashClassWS(ctx, nil, a, cg, nil, game.NashOptions{})
 	fatalSolve(err, timeout)
 	printClassPoint(a, cg, res)
 	if !fluid {
 		return
 	}
-	fr, err := game.SolveNashFluid(ctx, a, cg, game.ClassNashOptions{})
+	fr, err := game.SolveNashFluid(ctx, a, cg, game.NashOptions{})
 	fatalSolve(err, timeout)
 	printFluidPoint(cg, res, fr)
 }
@@ -234,7 +234,7 @@ func classLoad(cg game.ClassGame, r []float64) float64 {
 
 // printClassPoint renders a class-aggregated equilibrium, one row per
 // class in canonical order.
-func printClassPoint(a core.Allocation, cg game.ClassGame, res game.ClassNashResult) {
+func printClassPoint(a core.Allocation, cg game.ClassGame, res game.NashResult) {
 	fmt.Printf("%s class-aggregated Nash equilibrium (K=%d classes, N=%d users):\n",
 		a.Name(), cg.K(), cg.N())
 	fmt.Printf("%-6s %9s %-16s %12s %14s %12s\n",
@@ -250,7 +250,7 @@ func printClassPoint(a core.Allocation, cg game.ClassGame, res game.ClassNashRes
 // printFluidPoint renders the N → ∞ fluid equilibrium beside the
 // finite-N class solve: ŷ_j = lim N·ρ_j, so the finite-N column is
 // N·r_j and the two converge as N grows.
-func printFluidPoint(cg game.ClassGame, res game.ClassNashResult, fr game.FluidResult) {
+func printFluidPoint(cg game.ClassGame, res game.NashResult, fr game.FluidResult) {
 	n := float64(cg.N())
 	fmt.Printf("fluid limit (N→∞, scaled ŷ_j = lim N·ρ_j): converged=%v iters=%d maxScaledGain=%.3g\n",
 		fr.Converged, fr.Iters, fr.MaxGain)

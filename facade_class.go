@@ -20,30 +20,6 @@ type Class = game.Class
 // ClassGame is a canonical (sorted, duplicate-merged) list of classes.
 type ClassGame = game.ClassGame
 
-// ClassNashOptions configures SolveNashClass; the embedded NashOptions
-// carry Tol/Damping/MaxIter with the same defaults as SolveNash.
-type ClassNashOptions = game.ClassNashOptions
-
-// ClassNashResult reports a class-aggregated solve: R and C are per
-// class, in canonical class order (ClassGame.ExpandVec expands them to
-// per-user vectors).
-type ClassNashResult = game.ClassNashResult
-
-// ClassWorkspace owns the scratch buffers of a class solve; the zero
-// value is ready and is reused allocation-free across solves.
-type ClassWorkspace = game.ClassWorkspace
-
-// ClassSummation selects the class solver's arithmetic.
-type ClassSummation = game.ClassSummation
-
-// ClassFast runs the O(K)-per-round aggregated arithmetic (the default);
-// ClassMirror expands to per-user vectors and mirrors SolveNash
-// bit-for-bit — the oracle the fast path is tested against.
-const (
-	ClassFast   = game.ClassFast
-	ClassMirror = game.ClassMirror
-)
-
 // ErrBadClass reports an invalid class specification.
 var ErrBadClass = game.ErrBadClass
 
@@ -62,27 +38,34 @@ func AggregateClasses(us Profile, r []Rate) (cg ClassGame, classOf []int, err er
 // decide class membership: equal specs (and bit-equal rates) merge.
 func ClassUtilitySpec(u Utility) string { return game.UtilitySpec(u) }
 
-// NewClassWorkspace returns an empty class workspace (the zero value
-// also works).
-func NewClassWorkspace() *ClassWorkspace { return game.NewClassWorkspace() }
+// Workspace owns the scratch buffers of a solve — per-user or class; the
+// zero value is ready and is reused allocation-free across solves.
+type Workspace = game.Workspace
+
+// NewWorkspace returns an empty solver workspace (the zero value also
+// works).
+func NewWorkspace() *Workspace { return game.NewWorkspace() }
 
 // SolveNashClass runs best-response iteration on the class-aggregated
 // game: one representative per class, each round O(K) for Fair Share.
 // At K classes over N = ΣCount users the cost is independent of N, so a
-// million-user solve prices like a K-user one.
-func SolveNashClass(a Allocation, cg ClassGame, opt ClassNashOptions) (ClassNashResult, error) {
+// million-user solve prices like a K-user one.  NashOptions keep their
+// SolveNash meanings, with Free read per class; the result's R and C are
+// per class, in canonical class order (ClassGame.ExpandVec expands them
+// to per-user vectors).
+func SolveNashClass(a Allocation, cg ClassGame, opt NashOptions) (NashResult, error) {
 	return game.SolveNashClass(a, cg, opt)
 }
 
 // SolveNashClassWS is SolveNashClass under a context with a reusable
 // workspace; r0 overrides the classes' own starting rates when non-nil.
-func SolveNashClassWS(ctx context.Context, ws *ClassWorkspace, a Allocation, cg ClassGame, r0 []Rate, opt ClassNashOptions) (ClassNashResult, error) {
+func SolveNashClassWS(ctx context.Context, ws *Workspace, a Allocation, cg ClassGame, r0 []Rate, opt NashOptions) (NashResult, error) {
 	return game.SolveNashClassWS(ctx, ws, a, cg, r0, opt)
 }
 
 // SolveNashClassInto is the allocation-free form: results land in the
 // caller's rdst/cdst (length K) and the returned result aliases them.
-func SolveNashClassInto(ctx context.Context, ws *ClassWorkspace, a Allocation, cg ClassGame, r0 []Rate, opt ClassNashOptions, rdst, cdst []float64) (ClassNashResult, error) {
+func SolveNashClassInto(ctx context.Context, ws *Workspace, a Allocation, cg ClassGame, r0 []Rate, opt NashOptions, rdst, cdst []float64) (NashResult, error) {
 	return game.SolveNashClassInto(ctx, ws, a, cg, r0, opt, rdst, cdst)
 }
 
@@ -105,6 +88,6 @@ var (
 // directly in scaled units — the heavy-traffic operating point a large
 // finite-N solve converges to.  Class counts set the population shares;
 // the absolute N only matters when unscaling.
-func SolveNashFluid(ctx context.Context, a Allocation, cg ClassGame, opt ClassNashOptions) (FluidResult, error) {
+func SolveNashFluid(ctx context.Context, a Allocation, cg ClassGame, opt NashOptions) (FluidResult, error) {
 	return game.SolveNashFluid(ctx, a, cg, opt)
 }

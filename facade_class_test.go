@@ -26,7 +26,7 @@ func TestFacadeClassSolve(t *testing.T) {
 		t.Fatalf("K=%d N=%d classOf=%v", cg.K(), cg.N(), classOf)
 	}
 	fs := greednet.NewFairShare()
-	cres, err := greednet.SolveNashClass(fs, cg, greednet.ClassNashOptions{})
+	cres, err := greednet.SolveNashClass(fs, cg, greednet.NashOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,14 +57,14 @@ func TestFacadeFluidMatchesLargeN(t *testing.T) {
 		t.Fatal(err)
 	}
 	fs := greednet.NewFairShare()
-	fr, err := greednet.SolveNashFluid(context.Background(), fs, cg, greednet.ClassNashOptions{})
+	fr, err := greednet.SolveNashFluid(context.Background(), fs, cg, greednet.NashOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !fr.Converged {
 		t.Fatal("fluid solve did not converge")
 	}
-	cres, err := greednet.SolveNashClass(fs, cg, greednet.ClassNashOptions{})
+	cres, err := greednet.SolveNashClass(fs, cg, greednet.NashOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestFacadeFluidMatchesLargeN(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := greednet.SolveNashFluid(context.Background(), fs, bad, greednet.ClassNashOptions{}); err == nil {
+	if _, err := greednet.SolveNashFluid(context.Background(), fs, bad, greednet.NashOptions{}); err == nil {
 		t.Error("fluid solve of a log-utility class should fail with ErrFluidUtility")
 	}
 }

@@ -102,9 +102,16 @@ func sameBitsVec(a, b []float64) bool {
 func TestCongestionIntoBitIdenticalToLegacy(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var ws core.Workspace
-	dst := make([]float64, 16)
-	for trial := 0; trial < 3000; trial++ {
+	dst := make([]float64, 64)
+	for trial := 0; trial <= 3000; trial++ {
 		r := fuzzRates(rng)
+		if trial == 3000 {
+			// A fixed feasible 64-user profile, unsorted, with exact ties.
+			r = make([]float64, 64)
+			for i := range r {
+				r[i] = (0.3 + 0.5*float64(i%7)/7) / 64
+			}
+		}
 		want := legacyFairShareCongestion(r)
 		if got := (FairShare{}).Congestion(r); !sameBitsVec(got, want) {
 			t.Fatalf("FairShare.Congestion(%v) = %v, want %v", r, got, want)
@@ -125,46 +132,6 @@ func TestCongestionIntoBitIdenticalToLegacy(t *testing.T) {
 		}
 		if got := b.CongestionInto(&ws, dst[:len(r)], r); !sameBitsVec(got, wantB) {
 			t.Fatalf("Blend.CongestionInto(%v) = %v, want %v", r, got, wantB)
-		}
-	}
-}
-
-// The incremental evaluator must reproduce the full evaluation bit for bit
-// for every probe rate, insertion position, and tie pattern — this is the
-// property that lets BestResponse swap it in without changing any solve.
-func TestFairShareBRDifferential(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	var br FairShareBR
-	fs := FairShare{}
-	for trial := 0; trial < 1500; trial++ {
-		r := fuzzRates(rng)
-		n := len(r)
-		i := rng.Intn(n)
-		br.Reset(r, i)
-		for probe := 0; probe < 12; probe++ {
-			var x float64
-			switch probe % 4 {
-			case 0:
-				x = 1e-9 + rng.Float64()*(1-2e-9)
-			case 1:
-				// Exact tie with another user's rate.
-				x = r[rng.Intn(n)]
-			case 2:
-				x = r[i]
-			default:
-				x = rng.Float64() * 1.5
-			}
-			rr := core.WithRate(r, i, x)
-			wantC := fs.CongestionOf(rr, i)
-			if gotC := br.CongestionOf(x); !sameBits(gotC, wantC) {
-				t.Fatalf("r=%v i=%d x=%v: CongestionOf = %v, want %v", r, i, x, gotC, wantC)
-			}
-			want1, want2 := fs.OwnDerivs(rr, i)
-			got1, got2 := br.OwnDerivs(x)
-			if !sameBits(got1, want1) || !sameBits(got2, want2) {
-				t.Fatalf("r=%v i=%d x=%v: OwnDerivs = (%v,%v), want (%v,%v)",
-					r, i, x, got1, got2, want1, want2)
-			}
 		}
 	}
 }
@@ -244,18 +211,5 @@ func TestCongestionIntoZeroAllocs(t *testing.T) {
 		Blend{Theta: 0.5}.CongestionInto(&ws, dst, r)
 	}); got != 0 {
 		t.Errorf("Blend.CongestionInto allocs/op = %v, want 0", got)
-	}
-}
-
-func TestFairShareBRZeroAllocs(t *testing.T) {
-	r := []float64{0.11, 0.07, 0.07, 0.23, 0.02, 0.13, 0.05, 0.17}
-	var br FairShareBR
-	br.Reset(r, 3) // warm the buffers
-	if got := testing.AllocsPerRun(200, func() {
-		br.Reset(r, 3)
-		br.CongestionOf(0.1)
-		br.OwnDerivs(0.1)
-	}); got != 0 {
-		t.Errorf("warm FairShareBR Reset+probe allocs/op = %v, want 0", got)
 	}
 }

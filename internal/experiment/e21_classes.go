@@ -14,7 +14,8 @@ import (
 // population grows: K = 4 linear classes over N = 64 → 10^6 users.  At
 // each N the class solve must sit on the exact equilibrium (verified
 // directly where the exact solve is affordable; the solver's own K = N
-// and K = 1 bit-equality tests cover the arithmetic beyond that), and
+// bit-equality and K < N tolerance tests cover the arithmetic beyond
+// that), and
 // the scaled finite-N rates N·r_j must sit on the fluid equilibrium's
 // ŷ_j — the error curve exact → aggregated → fluid.  The serial
 // mechanism's scaled equilibrium is N-invariant for fixed class
@@ -63,7 +64,7 @@ func E21ClassAggregation() Experiment {
 		if err != nil {
 			return Verdict{}, err
 		}
-		fl, err := game.SolveNashFluid(ctx, alloc.FairShare{}, cgRef, game.ClassNashOptions{})
+		fl, err := game.SolveNashFluid(ctx, alloc.FairShare{}, cgRef, game.NashOptions{})
 		if err != nil {
 			return Verdict{}, err
 		}
@@ -75,13 +76,13 @@ func E21ClassAggregation() Experiment {
 		var fluidErrs []float64
 		tb := newTable(w)
 		tb.row("N", "iters", "max|r_class − r_exact|", "max rel|N·r − ŷ| (fluid)")
-		ws := game.NewClassWorkspace()
+		ws := game.NewWorkspace()
 		for _, n := range ns {
 			cg, err := classGameAt(n)
 			if err != nil {
 				return Verdict{}, err
 			}
-			res, err := game.SolveNashClassWS(ctx, ws, alloc.FairShare{}, cg, nil, game.ClassNashOptions{})
+			res, err := game.SolveNashClassWS(ctx, ws, alloc.FairShare{}, cg, nil, game.NashOptions{})
 			if err != nil {
 				return Verdict{}, err
 			}

@@ -57,10 +57,12 @@ func BestResponse(a core.Allocation, u core.Utility, r []core.Rate, i int, opt B
 // allocate transient scratch).  Results are bit-identical to BestResponse
 // for every allocation:
 //
-//   - Under Fair Share the ~64 grid + golden-section probes go through the
-//     incremental evaluator — one O(N log N) Reset, then O(log N) per probe
-//     instead of a full sort + vector evaluation — whose values equal the
-//     full evaluation bit for bit (see alloc.FairShareBR).
+//   - Fair Share, Proportional and Square search on their class
+//     arithmetic with every multiplicity one — a per-user game is the
+//     class game whose classes each have one member.  Under Fair Share
+//     the ~64 grid + golden-section probes go through the incremental
+//     deviator evaluator (one O(N log N) Reset, then O(log N) per probe),
+//     whose values equal the full evaluation bit for bit.
 //   - Disciplines providing core.AllocationInto evaluate into the
 //     workspace's congestion buffer with the same arithmetic as their
 //     allocating path.
@@ -69,42 +71,141 @@ func BestResponse(a core.Allocation, u core.Utility, r []core.Rate, i int, opt B
 //
 //lint:hotpath
 func BestResponseWS(ws *Workspace, a core.Allocation, u core.Utility, r []core.Rate, i int, opt BROptions) (x, val float64) {
-	opt = opt.withDefaults()
 	if ws == nil {
 		ws = NewWorkspace() //lint:allow allocfree nil-workspace convenience fallback; hot callers (SolveNashWS, sweeps) pass a real workspace
 	}
-	if _, ok := a.(alloc.FairShare); ok {
-		br := &ws.fsbr
-		br.Reset(r, i)
-		h := func(x float64) float64 { //lint:allow allocfree non-escaping closure: maximizeGrid only calls it, so it stays on the stack (the allocs_per_op gate pins this)
-			return u.Value(x, br.CongestionOf(x))
-		}
-		return maximizeGrid(h, opt.Lo, opt.Hi, opt.GridPoints, opt.Tol)
-	}
-	rr := ws.rates(len(r))
-	copy(rr, r)
-	if ai, ok := a.(core.AllocationInto); ok {
-		dst := ws.congestion(len(r))
-		h := func(x float64) float64 { //lint:allow allocfree non-escaping closure: maximizeGrid only calls it, so it stays on the stack (the allocs_per_op gate pins this)
-			rr[i] = x
-			return u.Value(x, ai.CongestionInto(&ws.aws, dst, rr)[i])
-		}
-		return maximizeGrid(h, opt.Lo, opt.Hi, opt.GridPoints, opt.Tol)
-	}
-	h := func(x float64) float64 { //lint:allow allocfree non-escaping closure: maximizeGrid only calls it, so it stays on the stack (the allocs_per_op gate pins this)
-		rr[i] = x
-		return u.Value(x, a.CongestionOf(rr, i))
-	}
-	return maximizeGrid(h, opt.Lo, opt.Hi, opt.GridPoints, opt.Tol)
+	return ws.bestResponse(kernelOf(a), a, u, r, ws.units(len(r)), i, opt)
 }
 
-// maximizeGrid is a local copy of the robust grid+golden maximizer to keep
-// this package's hot path allocation-free.
-func maximizeGrid(f func(float64) float64, a, b float64, n int, tol float64) (float64, float64) {
+// bestResponse maximizes player d's payoff over its own rate, the other
+// players holding r, on the discipline's class arithmetic (kernel k) or,
+// for a per-user game under a generic discipline, through a.
+//
+// When counts[d] > 1 the single-deviator optimum is applied to every
+// member of the class at once, so an unrestricted search diverges: the
+// moment one class vacates capacity, a lone deviator's best response can
+// rationally jump far above the pack, and the whole class following en
+// masse floods the network.  The search interval is therefore clamped to
+// twice the current top rate (the finite-N analogue of the fluid
+// solver's default ŷ bound) and to class-aggregate feasibility — the
+// whole class moving to x must keep total load below capacity.  Neither
+// clamp binds at a best-response fixed point (a fixed point has
+// br = r_d ≤ top < 2·top and total load < 1), and a player with
+// multiplicity one keeps the caller's exact bounds, which is what makes
+// the per-user solve the K = N class solve.
+//
+//lint:hotpath
+func (ws *Workspace) bestResponse(k kernel, a core.Allocation, u core.Utility, r []core.Rate, counts []int, d int, opt BROptions) (x, val float64) {
+	opt = opt.withDefaults()
+	if counts[d] > 1 {
+		top, others := 0.0, 0.0
+		for j := range r {
+			if float64(r[j]) > top {
+				top = float64(r[j])
+			}
+			if j != d {
+				others += float64(counts[j]) * float64(r[j])
+			}
+		}
+		hi := opt.Hi
+		if c := 2 * top; c < hi {
+			hi = c
+		}
+		if c := (1 - others) / float64(counts[d]); c < hi {
+			hi = c
+		}
+		if floor := 2 * opt.Lo; hi < floor {
+			hi = floor
+		}
+		opt.Hi = hi
+		if k == proportional {
+			return ws.propSymBR(u, r, counts, d, opt)
+		}
+	}
+	e := &ws.eval
+	e.k, e.u, e.r, e.counts, e.d = k, u, r, counts, d
+	switch k {
+	case fairShare:
+		ws.fs.Reset(r, counts, d)
+		e.fs = &ws.fs
+	case generic:
+		e.a, e.aws = a, &ws.aws
+		e.ai, _ = a.(core.AllocationInto)
+		e.rr = ws.rates(len(r))
+		copy(e.rr, r)
+		e.cong = ws.congestion(len(r))
+	}
+	return maximize(e, opt.Lo, opt.Hi, opt.GridPoints, opt.Tol)
+}
+
+// propSymBR returns the within-class self-consistent best response
+// under the proportional allocation: the symmetric rate x at which one
+// member's single-deviator optimum, with its classmates also at x,
+// equals x.  The proportional discipline has no own-rate insulation — a
+// member's congestion reacts to the class total, not its own rate — so
+// the plain single-deviator update amplifies through the multiplicity
+// (aggregate slope ≈ −γ'·m) and best-response iteration cycles for any
+// fixed damping.  Solving the symmetric fixed point per update removes
+// the amplification while keeping exactly the same equilibria: at the
+// fixed point a lone deviation from the class profile is already
+// optimal, which is the Nash condition, and players of multiplicity one
+// never reach this path so the per-user arithmetic is untouched.
+//
+// ψ(x) = BR(x) − x is monotone decreasing (more classmate load lowers
+// the member optimum), so bisection over the clamped interval is safe;
+// ψ < 0 everywhere collapses to Lo (the class exits) and ψ > 0
+// everywhere to Hi (the feasibility clamp binds).
+//
+//lint:hotpath
+func (ws *Workspace) propSymBR(u core.Utility, r []core.Rate, counts []int, d int, opt BROptions) (x, val float64) {
+	e := &ws.eval
+	e.k, e.u, e.r, e.counts, e.d = proportional, u, r, counts, d
+	old := r[d]
+	lo, hi := opt.Lo, opt.Hi
+	for it := 0; it < 64 && hi-lo > opt.Tol; it++ {
+		mid := lo + (hi-lo)/2
+		r[d] = mid
+		br, _ := maximize(e, opt.Lo, opt.Hi, opt.GridPoints, opt.Tol)
+		if br > mid {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	x = lo + (hi-lo)/2
+	r[d] = x
+	_, val = maximize(e, opt.Lo, opt.Hi, opt.GridPoints, opt.Tol)
+	r[d] = old
+	return x, val
+}
+
+// objective is a one-dimensional payoff the best-response search
+// climbs.
+type objective interface {
+	payoff(x float64) float64
+}
+
+// objectiveFunc adapts a plain function to objective for callers off the
+// hot path (Stackelberg's leader search, the fluid deviator).
+type objectiveFunc func(float64) float64
+
+func (f objectiveFunc) payoff(x float64) float64 { return f(x) }
+
+// maximize is the one best-response line search: an even grid of n+1
+// probes over [a, b] seeds a golden-section refinement of the best grid
+// cell, which keeps the search robust to the −Inf plateaus allocations
+// produce outside their finite region.  When the refinement ends on −Inf
+// although the grid found a finite payoff — the feasible interval is
+// narrower than a grid cell, both golden probes fell past it, and the
+// bracket walked to the cell's infeasible right edge — the grid's best
+// point is returned instead.
+//
+//lint:hotpath
+func maximize(f objective, a, b float64, n int, tol float64) (float64, float64) {
 	h := (b - a) / float64(n)
 	bestI, bestF := 0, math.Inf(-1)
 	for i := 0; i <= n; i++ {
-		if v := f(a + float64(i)*h); v > bestF {
+		if v := f.payoff(a + float64(i)*h); v > bestF {
 			bestF, bestI = v, i
 		}
 	}
@@ -119,20 +220,24 @@ func maximizeGrid(f func(float64) float64, a, b float64, n int, tol float64) (fl
 	const invPhi = 0.6180339887498949
 	c := hi - invPhi*(hi-lo)
 	d := lo + invPhi*(hi-lo)
-	fc, fd := f(c), f(d)
+	fc, fd := f.payoff(c), f.payoff(d)
 	for hi-lo > tol {
 		if fc > fd {
 			hi, d, fd = d, c, fc
 			c = hi - invPhi*(hi-lo)
-			fc = f(c)
+			fc = f.payoff(c)
 		} else {
 			lo, c, fc = c, d, fd
 			d = lo + invPhi*(hi-lo)
-			fd = f(d)
+			fd = f.payoff(d)
 		}
 	}
 	x := lo + (hi-lo)/2
-	return x, f(x)
+	fx := f.payoff(x)
+	if math.IsInf(fx, -1) && !math.IsInf(bestF, -1) {
+		return a + float64(bestI)*h, bestF
+	}
+	return x, fx
 }
 
 // BestResponseNewton computes user i's best response by running Newton's
@@ -155,9 +260,9 @@ func BestResponseNewtonWS(ws *Workspace, a core.Allocation, us core.Profile, r [
 		ws = NewWorkspace()
 	}
 	var fdc, payoffAt func(x float64) float64
-	if _, ok := a.(alloc.FairShare); ok {
-		br := &ws.fsbr
-		br.Reset(r, i)
+	if kernelOf(a) == fairShare {
+		br := &ws.fs
+		br.Reset(r, ws.units(len(r)), i)
 		fdc = func(x float64) float64 {
 			c := br.CongestionOf(x)
 			if math.IsInf(c, 1) {
@@ -232,15 +337,7 @@ func BestResponseNewtonWS(ws *Workspace, a core.Allocation, us core.Profile, r [
 // deviating from r: max_x U_i(x, C_i(r|x)) − U_i(r_i, C_i(r)).  A point is
 // an (ε-)Nash equilibrium iff every user's gain is ≤ ε.
 func DeviationGain(a core.Allocation, u core.Utility, r []core.Rate, i int, opt BROptions) float64 {
-	return deviationGainWS(nil, a, u, r, i, opt)
-}
-
-// deviationGainWS is DeviationGain on solver-owned scratch, bit-identical
-// through the same fast paths as BestResponseWS.
-func deviationGainWS(ws *Workspace, a core.Allocation, u core.Utility, r []core.Rate, i int, opt BROptions) float64 {
-	if ws == nil {
-		ws = NewWorkspace()
-	}
+	ws := NewWorkspace()
 	_, best := BestResponseWS(ws, a, u, r, i, opt)
 	return best - u.Value(r[i], alloc.CongestionOfInto(a, &ws.aws, ws.congestion(len(r)), r, i))
 }

@@ -195,12 +195,14 @@ func (cg ClassGame) ExpandVec(dst []float64, v []float64) []float64 {
 	return dst
 }
 
-// memberStart returns the canonical expansion index of class j's first
-// member.
-func (cg ClassGame) memberStart(j int) int {
-	s := 0
-	for l := 0; l < j; l++ {
-		s += cg.Classes[l].Count
+// expandFree writes a per-class Free mask out to per-user positions in
+// canonical member-major order.
+func (cg ClassGame) expandFree(free []bool) []bool {
+	out := make([]bool, 0, cg.N())
+	for j, c := range cg.Classes {
+		for m := 0; m < c.Count; m++ {
+			out = append(out, free[j])
+		}
 	}
-	return s
+	return out
 }

@@ -70,9 +70,15 @@ func TestExpandVec(t *testing.T) {
 	}
 }
 
+// fullEval hides a discipline's concrete type while forwarding its
+// core.AllocationInto fast path, so SolveNashWS on it evaluates every
+// best-response probe through the full CongestionInto: an oracle that
+// shares no kernel with the class arithmetic it checks.
+type fullEval struct{ core.AllocationInto }
+
 // bitEqualSolve asserts the class result matches the exact per-user result
 // Float64bits-for-Float64bits at each class's first expanded member.
-func bitEqualSolve(t *testing.T, name string, cg ClassGame, cres ClassNashResult, xres NashResult) {
+func bitEqualSolve(t *testing.T, name string, cg ClassGame, cres, xres NashResult) {
 	t.Helper()
 	if cres.Converged != xres.Converged || cres.Iters != xres.Iters {
 		t.Fatalf("%s: converged/iters (%v, %d) vs exact (%v, %d)",
@@ -91,11 +97,13 @@ func bitEqualSolve(t *testing.T, name string, cg ClassGame, cres ClassNashResult
 }
 
 // TestSolveNashClassFastBitEqualKN pins the by-construction claim: with
-// every user its own class (K = N), the fast class arithmetic degenerates
-// to the exact per-user expression sequence, so SolveNashClassWS is
-// Float64bits-equal to SolveNashWS on the expanded profile — rates,
-// congestions, iteration counts, and the deviation audit — under both
-// update schemes, across the aggregated-discipline matrix.
+// every user its own class (K = N), the class arithmetic degenerates to
+// the exact per-user expression sequence, so SolveNashClassWS is
+// Float64bits-equal to the per-user solve of the expanded profile —
+// rates, congestions, iteration counts, and the deviation audit — under
+// both update schemes, across the disciplines with class arithmetic.
+// The per-user side runs on fullEval, so every probe there is a full
+// congestion evaluation rather than the class kernel under test.
 func TestSolveNashClassFastBitEqualKN(t *testing.T) {
 	ctx := context.Background()
 	for _, n := range []int{3, 8, 64} {
@@ -118,11 +126,11 @@ func TestSolveNashClassFastBitEqualKN(t *testing.T) {
 		for _, a := range classDisciplines() {
 			for _, scheme := range []UpdateScheme{GaussSeidel, Jacobi} {
 				opt := NashOptions{Scheme: scheme, MaxIter: 80}
-				xres, err := SolveNashWS(ctx, nil, a, xus, xr, opt)
+				xres, err := SolveNashWS(ctx, nil, fullEval{a.(core.AllocationInto)}, xus, xr, opt)
 				if err != nil {
 					t.Fatal(err)
 				}
-				cres, err := SolveNashClassWS(ctx, nil, a, cg, nil, ClassNashOptions{NashOptions: opt})
+				cres, err := SolveNashClassWS(ctx, nil, a, cg, nil, opt)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -139,52 +147,11 @@ func TestSolveNashClassFastBitEqualKN(t *testing.T) {
 	}
 }
 
-// TestSolveNashClassMirrorBitEqualK1 pins the mirror-expanded mode: with
-// all users in one class (K = 1), ClassMirror delegates to the per-user
-// machinery on the expansion and is Float64bits-equal to SolveNashWS —
-// including at N = 256, where fl's position-dependent rounding makes
-// same-class members drift by ulps and pure class arithmetic could not
-// reproduce the exact bits.
-func TestSolveNashClassMirrorBitEqualK1(t *testing.T) {
-	ctx := context.Background()
-	for _, n := range []int{4, 64, 256} {
-		cg, err := NewClassGame([]Class{
-			{U: utility.NewLinear(1, 0.4), Rate: 0.3 / float64(n), Count: n},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		xus, xr := cg.Expand()
-		for _, a := range classDisciplines() {
-			for _, scheme := range []UpdateScheme{GaussSeidel, Jacobi} {
-				maxIter := 80
-				if n == 256 {
-					maxIter = 25 // both sides share the cap; equality is per-iterate
-				}
-				opt := NashOptions{Scheme: scheme, MaxIter: maxIter}
-				xres, err := SolveNashWS(ctx, nil, a, xus, xr, opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				cres, err := SolveNashClassWS(ctx, nil, a, cg, nil,
-					ClassNashOptions{NashOptions: opt, Summation: ClassMirror})
-				if err != nil {
-					t.Fatal(err)
-				}
-				name := a.Name() + "/K1/mirror"
-				bitEqualSolve(t, name, cg, cres, xres)
-				if math.Float64bits(cres.MaxGain) != math.Float64bits(xres.MaxGain) {
-					t.Errorf("%s: MaxGain %x != exact %x", name, cres.MaxGain, xres.MaxGain)
-				}
-			}
-		}
-	}
-}
-
-// TestSolveNashClassFastNearExactMultiplicities checks the fast contract
-// at real multiplicities: the collapsed within-class chain steps only
-// perturb sums at rounding level, so the fast equilibrium must sit within
-// solver tolerance of the exact equilibrium of the expansion.
+// TestSolveNashClassFastNearExactMultiplicities checks the class
+// arithmetic at real multiplicities: the collapsed within-class chain
+// steps only perturb sums at rounding level, so the class equilibrium
+// must sit within solver tolerance of the exact equilibrium of the
+// expansion.
 func TestSolveNashClassFastNearExactMultiplicities(t *testing.T) {
 	ctx := context.Background()
 	cg, err := NewClassGame([]Class{
@@ -201,7 +168,7 @@ func TestSolveNashClassFastNearExactMultiplicities(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cres, err := SolveNashClassWS(ctx, nil, a, cg, nil, ClassNashOptions{})
+	cres, err := SolveNashClassWS(ctx, nil, a, cg, nil, NashOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +183,7 @@ func TestSolveNashClassFastNearExactMultiplicities(t *testing.T) {
 		pos += c.Count
 	}
 	if cres.MaxGain > 1e-4 {
-		t.Errorf("fast equilibrium leaves deviation gain %g", cres.MaxGain)
+		t.Errorf("class equilibrium leaves deviation gain %g", cres.MaxGain)
 	}
 }
 
@@ -241,8 +208,7 @@ func TestSolveNashClassLargeMultiplicityStable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := SolveNashClassWS(ctx, nil, alloc.FairShare{}, cg, nil,
-		ClassNashOptions{NashOptions: NashOptions{Tol: 1e-9}})
+	res, err := SolveNashClassWS(ctx, nil, alloc.FairShare{}, cg, nil, NashOptions{Tol: 1e-9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +240,7 @@ func TestSolveNashClassFreeHoldsClasses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := ClassNashOptions{NashOptions: NashOptions{Free: []bool{false, true}}}
+	opt := NashOptions{Free: []bool{false, true}}
 	res, err := SolveNashClass(alloc.FairShare{}, cg, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -300,7 +266,7 @@ func TestSolveNashClassCancel(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	cres, cerr := SolveNashClassWS(ctx, nil, alloc.FairShare{}, cg, nil, ClassNashOptions{})
+	cres, cerr := SolveNashClassWS(ctx, nil, alloc.FairShare{}, cg, nil, NashOptions{})
 	if cerr == nil {
 		t.Fatal("expected cancellation error")
 	}
@@ -310,8 +276,8 @@ func TestSolveNashClassCancel(t *testing.T) {
 }
 
 // TestSolveNashClassGenericDisciplineMirrors checks that disciplines
-// without class-aggregated arithmetic (Blend) run mirror-expanded even
-// when ClassFast is requested, matching SolveNashWS on the expansion.
+// without class arithmetic (Blend) fall back to solving the expansion
+// per user, matching SolveNashWS on it bit for bit.
 func TestSolveNashClassGenericDisciplineMirrors(t *testing.T) {
 	ctx := context.Background()
 	cg, err := NewClassGame([]Class{
@@ -328,7 +294,7 @@ func TestSolveNashClassGenericDisciplineMirrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cres, err := SolveNashClassWS(ctx, nil, a, cg, nil, ClassNashOptions{NashOptions: opt})
+	cres, err := SolveNashClassWS(ctx, nil, a, cg, nil, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

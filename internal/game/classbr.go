@@ -3,35 +3,46 @@ package game
 import (
 	"math"
 
+	"greednet/internal/alloc"
 	"greednet/internal/core"
 	"greednet/internal/mm1"
 )
 
-// classFairShareBR evaluates one deviating member's Fair Share congestion
-// in a class-aggregated game — the class analogue of alloc.FairShareBR,
-// with the same prefix-sum design over K rate blocks instead of N users:
-// Reset is O(K log K), each CongestionOf/OwnDerivs probe is O(log K),
-// and nothing allocates once the buffers have reached K's size.
+// fairShareBR evaluates one deviating player's Fair Share congestion as
+// its rate varies with every other player held fixed — the access
+// pattern of a best-response line search, which probes ~64 grid points
+// plus a golden-section tail per call.  Players are classes with
+// multiplicities; a per-user game is the case where every multiplicity
+// is one.  Reset sorts the K rate blocks once in O(K log K) and
+// precomputes the prefix sums and the serial cost chain; each
+// CongestionOf/OwnDerivs probe then finds the deviator's insertion point
+// by binary search and finishes in O(1) — O(log K) per probe instead of
+// a full O(N log N) re-evaluation, with zero allocations once the
+// buffers have reached K's size.
 //
 // Block arithmetic follows the summation-order contract of DESIGN.md §13:
 // a class of multiplicity m at rate ρ starting at sorted position s
 // contributes one load step x = fl(float64(n−s+1)·ρ + σ) and one cost
 // step (g(x) − g_prev)/float64(n−s+1), and advances the prefix by
 // σ ← fl(σ + float64(m)·ρ).  At m = 1 both fl(1·ρ) = ρ and the single
-// step coincide exactly with the per-user chain, so at K = N the
-// evaluator is bit-identical to alloc.FairShareBR by construction; at
-// m > 1 the within-class chain steps (which agree only to rounding in
-// the exact solver) are collapsed into the first member's step.
-type classFairShareBR struct {
+// step coincide exactly with the per-user chain of
+// alloc.FairShare.CongestionInto, and ties break by player index exactly
+// as its stable argsort orders them, so at unit multiplicities every
+// probe is bit-identical to a full evaluation (the differential tests
+// pin this); at m > 1 the within-class chain steps (which agree only to
+// rounding in the expansion) are collapsed into the first member's step.
+type fairShareBR struct {
 	n  int // total users Σ counts, including the deviator
-	d  int // the deviating class's canonical index
+	d  int // the deviating player's index
 	nb int // number of nonempty blocks among the others
 
-	keys   []float64 // scratch: block rates in canonical-class order
-	brate  []float64 // block rates, stably sorted ascending
-	borig  []int     // canonical class index of each sorted block
-	bcount []int     // member count of each sorted block (deviator excluded)
-	bstart []int     // 1-based others-position of each block's first member; bstart[nb] = n
+	keys  []float64 // scratch: block rates in player order
+	owner []int     // scratch: player index of each gathered block
+	brate []float64 // block rates, stably sorted ascending
+	borig []int     // player index of each sorted block
+	// bstart[j] is the 1-based others-position of sorted block j's first
+	// member; bstart[nb] = n.
+	bstart []int
 	// sigma[j] = prefix sum through the first j blocks, advanced per the
 	// contract; filled for every j even past the flood point (OwnDerivs
 	// needs the prefix regardless).
@@ -48,13 +59,14 @@ type classFairShareBR struct {
 	ws core.Workspace
 }
 
-// Reset prepares the evaluator for the deviating class d of the per-class
-// rate vector r with multiplicities counts.  The deviator is the class's
-// first member in canonical expansion order, so its own class enters the
-// blocks with multiplicity counts[d]−1 (dropped entirely at zero).
+// Reset prepares the evaluator for the deviating player d of the
+// per-player rate vector r with multiplicities counts.  The deviator is
+// its class's first member in expansion order, so its own class enters
+// the blocks with multiplicity counts[d]−1 (dropped entirely at zero).
+// d = −1 keeps every player at full multiplicity (no deviator).
 //
 //lint:hotpath
-func (b *classFairShareBR) Reset(r []core.Rate, counts []int, d int) {
+func (b *fairShareBR) Reset(r []core.Rate, counts []int, d int) {
 	kk := len(r)
 	n := 0
 	for _, m := range counts {
@@ -63,9 +75,9 @@ func (b *classFairShareBR) Reset(r []core.Rate, counts []int, d int) {
 	b.n, b.d = n, d
 	if cap(b.keys) < kk {
 		b.keys = make([]float64, kk)
+		b.owner = make([]int, kk)
 		b.brate = make([]float64, kk)
 		b.borig = make([]int, kk)
-		b.bcount = make([]int, kk)
 		b.gx = make([]float64, kk)
 		b.cacc = make([]float64, kk)
 	}
@@ -73,12 +85,11 @@ func (b *classFairShareBR) Reset(r []core.Rate, counts []int, d int) {
 		b.bstart = make([]int, kk+1)
 		b.sigma = make([]float64, kk+1)
 	}
-	// Gather the nonempty other-blocks in canonical order: every class,
-	// with the deviating class's multiplicity reduced by one.
+	// Gather the nonempty other-blocks in player order: every player,
+	// with the deviating player's multiplicity reduced by one.
 	nb := 0
 	b.keys = b.keys[:kk]
-	b.borig = b.borig[:kk]
-	b.bcount = b.bcount[:kk]
+	b.owner = b.owner[:kk]
 	for j := 0; j < kk; j++ {
 		m := counts[j]
 		if j == d {
@@ -88,48 +99,35 @@ func (b *classFairShareBR) Reset(r []core.Rate, counts []int, d int) {
 			continue
 		}
 		b.keys[nb] = r[j]
-		b.borig[nb] = j
-		b.bcount[nb] = m
+		b.owner[nb] = j
 		nb++
 	}
-	// Compact scratch views sized to the block count.
 	b.nb = nb
 	b.keys = b.keys[:nb]
 	b.brate = b.brate[:nb]
+	b.borig = b.borig[:nb]
 	b.gx = b.gx[:nb]
 	b.cacc = b.cacc[:nb]
 	b.bstart = b.bstart[:nb+1]
 	b.sigma = b.sigma[:nb+1]
 
-	// Stable argsort of the blocks by rate: ties keep canonical-class
-	// order, exactly as a stable per-user sort orders the expansion.
+	// Stable argsort of the blocks by rate: ties keep player order,
+	// exactly as a stable per-user sort orders the expansion.  Walking
+	// the permutation lays out the sorted blocks, their first-member
+	// positions and the prefix sums in one pass.
 	perm := b.ws.Ascending(b.keys)
-	for k, p := range perm {
-		b.brate[k] = b.keys[p]
-	}
-	// Permute borig/bcount along perm.  In-place reads would race writes,
-	// so stage through gx/cacc — float scratch the chain pass below
-	// rewrites anyway; class indices and counts are far below 2^53, so
-	// the float round trip is exact.
-	for k, p := range perm {
-		b.gx[k] = float64(b.bcount[p])
-		b.cacc[k] = float64(b.borig[p])
-	}
-	for k := 0; k < nb; k++ {
-		b.bcount[k] = int(b.gx[k])
-		b.borig[k] = int(b.cacc[k])
-	}
-
 	b.bstart[0] = 1
-	for k := 0; k < nb; k++ {
-		b.bstart[k+1] = b.bstart[k] + b.bcount[k]
-	}
-
 	b.sigma[0] = 0
-	prefix := 0.0
-	for k := 0; k < nb; k++ {
-		prefix += float64(b.bcount[k]) * b.brate[k]
-		b.sigma[k+1] = prefix
+	for k, p := range perm {
+		j := b.owner[p]
+		m := counts[j]
+		if j == d {
+			m--
+		}
+		b.brate[k] = b.keys[p]
+		b.borig[k] = j
+		b.bstart[k+1] = b.bstart[k] + m
+		b.sigma[k+1] = b.sigma[k] + float64(m)*b.brate[k]
 	}
 
 	b.floodPos = n + 1
@@ -152,10 +150,10 @@ func (b *classFairShareBR) Reset(r []core.Rate, counts []int, d int) {
 
 // precedes reports whether sorted block j comes wholly before the deviator
 // in the stable ascending order when the deviator sends x.  All members of
-// a block share a rate and a canonical class, so a block precedes or
-// follows as a unit; ties break by canonical class index — the deviator is
-// its class's first member, so even its own residual block follows it.
-func (b *classFairShareBR) precedes(j int, x float64) bool {
+// a block share a rate and a player index, so a block precedes or follows
+// as a unit; ties break by player index — the deviator is its class's
+// first member, so even its own residual block follows it.
+func (b *fairShareBR) precedes(j int, x float64) bool {
 	o := b.brate[j]
 	if o < x {
 		return true
@@ -168,7 +166,7 @@ func (b *classFairShareBR) precedes(j int, x float64) bool {
 
 // blockPos returns the index of the first sorted block that does not
 // precede the deviator sending x (nb when all do), by binary search.
-func (b *classFairShareBR) blockPos(x float64) int {
+func (b *fairShareBR) blockPos(x float64) int {
 	lo, hi := 0, b.nb
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
@@ -182,15 +180,16 @@ func (b *classFairShareBR) blockPos(x float64) int {
 }
 
 // CongestionOf returns the deviating member's Fair Share congestion when
-// it sends x and every other class holds its Reset rate — O(log K), zero
-// allocations, bit-identical to alloc.FairShareBR at K = N.
+// it sends x and every other player holds its Reset rate — O(log K),
+// zero allocations, bit-identical to FairShare{}.CongestionOf(r|ᵈx, d)
+// at unit multiplicities.
 //
 //lint:hotpath
-func (b *classFairShareBR) CongestionOf(x core.Rate) core.Congestion {
+func (b *fairShareBR) CongestionOf(x core.Rate) core.Congestion {
 	j := b.blockPos(x)
 	k := b.bstart[j]
 	if k > b.floodPos {
-		// A class before the deviator already saturated the chain.
+		// A block before the deviator already saturated the chain.
 		return math.Inf(1)
 	}
 	xk := float64(b.n-k+1)*x + b.sigma[j]
@@ -205,33 +204,33 @@ func (b *classFairShareBR) CongestionOf(x core.Rate) core.Congestion {
 	return prevC + (gk-prevG)/float64(b.n-k+1)
 }
 
-// OwnDerivs returns (∂C/∂x, ∂²C/∂x²) for the deviating member at x, the
-// class analogue of alloc.FairShareBR.OwnDerivs.
+// OwnDerivs returns (∂C/∂x, ∂²C/∂x²) for the deviating member at x —
+// bit-identical to FairShare{}.OwnDerivs(r|ᵈx, d) at unit multiplicities.
 //
 //lint:hotpath
-func (b *classFairShareBR) OwnDerivs(x core.Rate) (float64, float64) {
+func (b *fairShareBR) OwnDerivs(x core.Rate) (float64, float64) {
 	j := b.blockPos(x)
 	k := b.bstart[j]
 	xk := float64(b.n-k+1)*x + b.sigma[j]
 	return mm1.GPrime(xk), float64(b.n-k+1) * mm1.GPrime2(xk)
 }
 
-// classFairShareCongestion writes each class's Fair Share congestion (its
-// first member's, under the §13 contract) into dst, running the block
-// chain once over all K classes with full multiplicities — O(K log K),
-// allocation-free given a prepared evaluator's scratch.  At K = N the
-// chain degenerates to alloc.FairShare.CongestionInto's per-user chain
-// and is bit-identical to it.
+// congestion writes each player's Fair Share congestion (its first
+// member's, under the §13 contract) into dst, running the block chain
+// once over all K players with full multiplicities — O(K log K),
+// allocation-free given a prepared evaluator's scratch.  At unit
+// multiplicities the chain is alloc.FairShare.CongestionInto's per-user
+// chain and is bit-identical to it.
 //
 //lint:hotpath
-func (b *classFairShareBR) classFairShareCongestion(dst []core.Congestion, r []core.Rate, counts []int) {
+func (b *fairShareBR) congestion(dst []core.Congestion, r []core.Rate, counts []int) {
 	// Reuse Reset's block machinery with no deviator: d = −1 keeps every
-	// class at full multiplicity (no index matches), and Reset's chain
-	// pass has already accumulated each block's cost share in cacc.
+	// player at full multiplicity, and Reset's chain pass has already
+	// accumulated each block's cost share in cacc.
 	b.Reset(r, counts, -1)
 	for k := 0; k < b.nb; k++ {
 		if b.bstart[k] >= b.floodPos {
-			// This and all larger-rate classes are flooded.
+			// This and all larger-rate blocks are flooded.
 			for m := k; m < b.nb; m++ {
 				dst[b.borig[m]] = math.Inf(1)
 			}
@@ -241,11 +240,11 @@ func (b *classFairShareBR) classFairShareCongestion(dst []core.Congestion, r []c
 	}
 }
 
-// classPropSum accumulates Σ multiplicity-weighted rates in canonical
-// class order with the deviating class's first member sending x — the
-// class form of mm1.Sum over the expansion, exact at K = N where every
+// propSum accumulates Σ multiplicity-weighted rates in player order with
+// the deviating player's first member sending x — the class form of
+// mm1.Sum over the expansion, exact at unit multiplicities where every
 // fl(1·ρ) = ρ reproduces the per-user term sequence.
-func classPropSum(r []core.Rate, counts []int, d int, x float64) float64 {
+func propSum(r []core.Rate, counts []int, d int, x float64) float64 {
 	s := 0.0
 	for j := 0; j < len(r); j++ {
 		if j == d {
@@ -260,20 +259,20 @@ func classPropSum(r []core.Rate, counts []int, d int, x float64) float64 {
 	return s
 }
 
-// classPropCongestionOf is the deviating member's proportional (FIFO)
+// propCongestionOf is the deviating member's proportional (FIFO)
 // congestion x/(1−s), mirroring alloc.Proportional.CongestionInto's
 // saturation test.
-func classPropCongestionOf(r []core.Rate, counts []int, d int, x float64) core.Congestion {
-	s := classPropSum(r, counts, d, x)
+func propCongestionOf(r []core.Rate, counts []int, d int, x float64) core.Congestion {
+	s := propSum(r, counts, d, x)
 	if s >= 1 {
 		return math.Inf(1)
 	}
 	return x / (1 - s)
 }
 
-// classPropCongestion writes each class's proportional congestion into
-// dst: s sums fl(count·rate) in canonical order, then C_j = r_j/(1−s).
-func classPropCongestion(dst []core.Congestion, r []core.Rate, counts []int) {
+// propCongestion writes each player's proportional congestion into dst:
+// s sums fl(count·rate) in player order, then C_j = r_j/(1−s).
+func propCongestion(dst []core.Congestion, r []core.Rate, counts []int) {
 	s := 0.0
 	for j := range r {
 		s += float64(counts[j]) * r[j]
@@ -288,4 +287,67 @@ func classPropCongestion(dst []core.Congestion, r []core.Rate, counts []int) {
 	for j, rj := range r {
 		dst[j] = rj / dd
 	}
+}
+
+// kernel names the class arithmetic a discipline has, chosen from its
+// concrete type.  Disciplines without one (generic) are evaluated
+// per user through the core.Allocation interface, and class games under
+// them are solved by expanding them per user.
+type kernel int
+
+const (
+	generic kernel = iota
+	fairShare
+	proportional
+	square
+)
+
+// kernelOf maps an allocation to its class arithmetic.
+func kernelOf(a core.Allocation) kernel {
+	switch a.(type) {
+	case alloc.FairShare:
+		return fairShare
+	case alloc.Proportional:
+		return proportional
+	case alloc.Square:
+		return square
+	}
+	return generic
+}
+
+// brEval is the payoff of one deviating player as its rate varies: a
+// concrete evaluator held in the workspace rather than a captured
+// closure, so the //lint:hotpath allocfree contract holds without
+// audited exceptions.  The kernels evaluate on the class arithmetic; the
+// generic case probes the full allocation at r|ᵈx (per-user games only).
+type brEval struct {
+	k      kernel
+	u      core.Utility
+	r      []core.Rate
+	counts []int
+	d      int
+	fs     *fairShareBR
+
+	a    core.Allocation
+	ai   core.AllocationInto // a's workspace fast path, when it has one
+	aws  *core.Workspace
+	rr   []core.Rate // r with the deviator's entry overwritten per probe
+	cong []core.Congestion
+}
+
+//lint:hotpath
+func (e *brEval) payoff(x float64) float64 {
+	switch e.k {
+	case fairShare:
+		return e.u.Value(x, e.fs.CongestionOf(x))
+	case proportional:
+		return e.u.Value(x, propCongestionOf(e.r, e.counts, e.d, x))
+	case square:
+		return e.u.Value(x, x*x)
+	}
+	e.rr[e.d] = x
+	if e.ai != nil {
+		return e.u.Value(x, e.ai.CongestionInto(e.aws, e.cong, e.rr)[e.d])
+	}
+	return e.u.Value(x, e.a.CongestionOf(e.rr, e.d))
 }

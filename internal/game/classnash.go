@@ -2,315 +2,24 @@ package game
 
 import (
 	"context"
-	"math"
 
-	"greednet/internal/alloc"
 	"greednet/internal/core"
 )
 
-// ClassSummation selects the arithmetic a class solve runs on.
-type ClassSummation int
-
-const (
-	// ClassFast (the default) runs O(K) class arithmetic per step under
-	// the DESIGN.md §13 summation-order contract: a class of multiplicity
-	// m contributes fl(float64(m)·ρ) per prefix advance and one chain
-	// step at its first member's position.  At K = N (all multiplicities
-	// one) the contract degenerates to the per-user expression sequence,
-	// so results are bit-identical to SolveNashWS by construction; at
-	// m > 1 they agree to rounding.
-	ClassFast ClassSummation = iota
-	// ClassMirror expands the game internally and drives the per-user
-	// machinery (BestResponseWS and friends) with class-synchronized
-	// updates: every member of a class moves together, but all sums run
-	// in expanded per-user order.  Under the Jacobi scheme this is
-	// bit-identical to SolveNashWS whenever the start is symmetric within
-	// classes (all members of a class share one best-response problem),
-	// which is how the K = 1 differential tests pin bit-equality.  Costs
-	// O(N) memory and time — the fidelity reference, not the fast path.
-	ClassMirror
-)
-
-// ClassNashOptions configures SolveNashClass.  The embedded NashOptions
-// keep their meanings with Free read per class (length K).
-type ClassNashOptions struct {
-	NashOptions
-	// Summation selects ClassFast (default) or ClassMirror arithmetic.
-	// Disciplines without a class-aggregated evaluator (anything other
-	// than FairShare/Proportional/Square) always run mirror-expanded.
-	Summation ClassSummation
-}
-
-// ClassNashResult reports a class-aggregated Nash solve.  R and C are per
-// class, in the game's canonical class order; expand them with
-// ClassGame.ExpandVec when per-user vectors are needed.
-type ClassNashResult struct {
-	// R and C are the final per-class rates and congestions.
-	R, C []float64
-	// Converged is true when the rate change fell below Tol.
-	Converged bool
-	// Iters is the number of best-response rounds performed.
-	Iters int
-	// MaxGain is the largest remaining per-class unilateral deviation
-	// gain at R (audited at each class's first member).
-	MaxGain float64
-}
-
-// ClassWorkspace owns every scratch buffer a class-aggregated solve
-// needs.  The zero value is ready; buffers grow to the largest K (and,
-// on mirror/generic paths only, the largest N) seen and are then reused
-// allocation-free, the same contract as Workspace.
-type ClassWorkspace struct {
-	iterBuf, nextBuf []float64
-	countsBuf        []int
-	startsBuf        []int
-	freeBuf          []bool
-	cdst             []float64
-
-	cfsbr classFairShareBR
-	eval  classEval
-
-	// Mirror/generic paths expand into per-user buffers and reuse the
-	// per-user solver workspace.  Never touched by the fast path, so a
-	// fast N = 10^6 solve stays at O(K) memory.
-	xr  []float64
-	xus core.Profile
-	g   Workspace
-}
-
-// NewClassWorkspace returns an empty workspace; buffers materialize on
-// first use.
-func NewClassWorkspace() *ClassWorkspace { return &ClassWorkspace{} }
-
-func (ws *ClassWorkspace) floats(buf *[]float64, n int) []float64 {
-	if cap(*buf) < n {
-		*buf = make([]float64, n)
-	}
-	*buf = (*buf)[:n]
-	return *buf
-}
-
-func (ws *ClassWorkspace) ints(buf *[]int, n int) []int {
-	if cap(*buf) < n {
-		*buf = make([]int, n)
-	}
-	*buf = (*buf)[:n]
-	return *buf
-}
-
-func (ws *ClassWorkspace) bools(n int) []bool {
-	if cap(ws.freeBuf) < n {
-		ws.freeBuf = make([]bool, n)
-	}
-	ws.freeBuf = ws.freeBuf[:n]
-	return ws.freeBuf
-}
-
-// classEval is the closure-free payoff evaluator the class grid search
-// maximizes: a concrete struct with a direct method instead of a captured
-// closure, so the //lint:hotpath allocfree contract holds without any
-// audited exceptions.
-type classEval struct {
-	kind   int // 0 FairShare, 1 Proportional, 2 Square
-	u      core.Utility
-	fs     *classFairShareBR
-	r      []core.Rate
-	counts []int
-	d      int
-}
-
-func (e *classEval) payoff(x float64) float64 {
-	switch e.kind {
-	case 0:
-		return e.u.Value(x, e.fs.CongestionOf(x))
-	case 1:
-		return e.u.Value(x, classPropCongestionOf(e.r, e.counts, e.d, x))
-	default:
-		return e.u.Value(x, x*x)
-	}
-}
-
-// maximizeGridEval is maximizeGrid specialized to the concrete evaluator
-// — expression-for-expression the same search (bit-identical probe
-// sequence), with direct method calls in place of the func value so the
-// hot path stays free of capturing closures.
-//
-//lint:hotpath
-func maximizeGridEval(e *classEval, a, b float64, n int, tol float64) (float64, float64) {
-	h := (b - a) / float64(n)
-	bestI, bestF := 0, math.Inf(-1)
-	for i := 0; i <= n; i++ {
-		if v := e.payoff(a + float64(i)*h); v > bestF {
-			bestF, bestI = v, i
-		}
-	}
-	lo := a + float64(bestI-1)*h
-	if bestI == 0 {
-		lo = a
-	}
-	hi := a + float64(bestI+1)*h
-	if bestI == n {
-		hi = b
-	}
-	const invPhi = 0.6180339887498949
-	c := hi - invPhi*(hi-lo)
-	d := lo + invPhi*(hi-lo)
-	fc, fd := e.payoff(c), e.payoff(d)
-	for hi-lo > tol {
-		if fc > fd {
-			hi, d, fd = d, c, fc
-			c = hi - invPhi*(hi-lo)
-			fc = e.payoff(c)
-		} else {
-			lo, c, fc = c, d, fd
-			d = lo + invPhi*(hi-lo)
-			fd = e.payoff(d)
-		}
-	}
-	x := lo + (hi-lo)/2
-	return x, e.payoff(x)
-}
-
-// classBestResponseWS maximizes class d's (first member's) payoff over
-// its own rate on the fast class arithmetic.  Only the three aggregated
-// disciplines reach it; the solver routes everything else through the
-// mirror-expanded per-user path.
-//
-// When counts[d] > 1 the single-deviator optimum is applied to every
-// member of the class at once, so an unrestricted search diverges: the
-// moment one class vacates capacity, a lone deviator's best response can
-// rationally jump far above the pack, and the whole class following en
-// masse floods the network.  The search interval is therefore clamped to
-// twice the current top rate (the finite-N analogue of the fluid
-// solver's default ŷ bound) and to class-aggregate feasibility — the
-// whole class moving to x must keep total load below capacity.  Neither
-// clamp binds at a best-response fixed point (a fixed point has
-// br = r_d ≤ top < 2·top and total load < 1), and a class with
-// multiplicity one keeps the caller's exact bounds, preserving the
-// K = N bit-equality with the per-user solver.
-//
-//lint:hotpath
-func classBestResponseWS(ws *ClassWorkspace, kind int, u core.Utility, r []core.Rate, counts []int, d int, opt BROptions) (x, val float64) {
-	opt = opt.withDefaults()
-	if counts[d] > 1 {
-		top, others := 0.0, 0.0
-		for j := range r {
-			if float64(r[j]) > top {
-				top = float64(r[j])
-			}
-			if j != d {
-				others += float64(counts[j]) * float64(r[j])
-			}
-		}
-		hi := opt.Hi
-		if c := 2 * top; c < hi {
-			hi = c
-		}
-		if c := (1 - others) / float64(counts[d]); c < hi {
-			hi = c
-		}
-		if floor := 2 * opt.Lo; hi < floor {
-			hi = floor
-		}
-		opt.Hi = hi
-		if kind == 1 {
-			return classPropSymBR(ws, u, r, counts, d, opt)
-		}
-	}
-	e := &ws.eval
-	e.kind, e.u, e.r, e.counts, e.d = kind, u, r, counts, d
-	if kind == 0 {
-		ws.cfsbr.Reset(r, counts, d)
-		e.fs = &ws.cfsbr
-	}
-	return maximizeGridEval(e, opt.Lo, opt.Hi, opt.GridPoints, opt.Tol)
-}
-
-// classPropSymBR returns the within-class self-consistent best response
-// under the proportional allocation: the symmetric rate x at which one
-// member's single-deviator optimum, with its classmates also at x,
-// equals x.  The proportional discipline has no own-rate insulation — a
-// member's congestion reacts to the class total, not its own rate — so
-// the plain single-deviator update amplifies through the multiplicity
-// (aggregate slope ≈ −γ'·m) and best-response iteration cycles for any
-// fixed damping.  Solving the symmetric fixed point per update removes
-// the amplification while keeping exactly the same equilibria: at the
-// fixed point a lone deviation from the class profile is already
-// optimal, which is the Nash condition, and classes of multiplicity one
-// never reach this path so the K = N per-user arithmetic is untouched.
-//
-// ψ(x) = BR(x) − x is monotone decreasing (more classmate load lowers
-// the member optimum), so bisection over the clamped interval is safe;
-// ψ < 0 everywhere collapses to Lo (the class exits) and ψ > 0
-// everywhere to Hi (the feasibility clamp binds).
-//
-//lint:hotpath
-func classPropSymBR(ws *ClassWorkspace, u core.Utility, r []core.Rate, counts []int, d int, opt BROptions) (x, val float64) {
-	e := &ws.eval
-	e.kind, e.u, e.r, e.counts, e.d = 1, u, r, counts, d
-	old := r[d]
-	lo, hi := opt.Lo, opt.Hi
-	for it := 0; it < 64 && hi-lo > opt.Tol; it++ {
-		mid := lo + (hi-lo)/2
-		r[d] = mid
-		br, _ := maximizeGridEval(e, opt.Lo, opt.Hi, opt.GridPoints, opt.Tol)
-		if br > mid {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	x = lo + (hi-lo)/2
-	r[d] = x
-	_, val = maximizeGridEval(e, opt.Lo, opt.Hi, opt.GridPoints, opt.Tol)
-	r[d] = old
-	return x, val
-}
-
-// classCongestionInto writes the per-class congestion of the point r on
-// the fast class arithmetic.
-//
-//lint:hotpath
-func classCongestionInto(ws *ClassWorkspace, kind int, dst []core.Congestion, r []core.Rate, counts []int) {
-	switch kind {
-	case 0:
-		ws.cfsbr.classFairShareCongestion(dst, r, counts)
-	case 1:
-		classPropCongestion(dst, r, counts)
-	default:
-		for j, rj := range r {
-			dst[j] = rj * rj
-		}
-	}
-}
-
-// fastKind maps an allocation to its fast class evaluator, or −1 when no
-// class-aggregated arithmetic exists and the solve must mirror-expand.
-func fastKind(a core.Allocation) int {
-	switch a.(type) {
-	case alloc.FairShare:
-		return 0
-	case alloc.Proportional:
-		return 1
-	case alloc.Square:
-		return 2
-	}
-	return -1
-}
-
 // SolveNashClass runs class-aggregated best-response iteration on cg from
 // its own rates.  See SolveNashClassWS.
-func SolveNashClass(a core.Allocation, cg ClassGame, opt ClassNashOptions) (ClassNashResult, error) {
+func SolveNashClass(a core.Allocation, cg ClassGame, opt NashOptions) (NashResult, error) {
 	return SolveNashClassWS(context.Background(), nil, a, cg, nil, opt)
 }
 
 // SolveNashClassWS is the workspace form: r0 (nil means cg's own rates)
 // is the per-class starting vector, ws may be nil for transient scratch,
-// and the returned R/C are freshly allocated.  Results are bit-identical
-// to SolveNashClassInto, which it delegates to.
-func SolveNashClassWS(ctx context.Context, ws *ClassWorkspace, a core.Allocation, cg ClassGame, r0 []core.Rate, opt ClassNashOptions) (ClassNashResult, error) {
+// opt.Free (if set) has one entry per class, and the returned R/C are
+// freshly allocated per-class vectors.  Results are bit-identical to
+// SolveNashClassInto, which it delegates to.
+func SolveNashClassWS(ctx context.Context, ws *Workspace, a core.Allocation, cg ClassGame, r0 []core.Rate, opt NashOptions) (NashResult, error) {
 	if ws == nil {
-		ws = NewClassWorkspace()
+		ws = NewWorkspace()
 	}
 	if r0 == nil {
 		r0 = cg.Rates()
@@ -319,191 +28,73 @@ func SolveNashClassWS(ctx context.Context, ws *ClassWorkspace, a core.Allocation
 	return SolveNashClassInto(ctx, ws, a, cg, r0, opt, make([]float64, k), make([]float64, k))
 }
 
-// SolveNashClassInto is the zero-allocation core: rdst and cdst (length
+// SolveNashClassInto is the zero-allocation form: rdst and cdst (length
 // K) receive the final per-class rates and congestions and are returned
-// as the result's R and C.  With a warm workspace and a fast-path
-// discipline the steady state performs no heap allocation — the
-// BENCH_classes.json gate pins allocs/op = 0 at N = 10^6, K = 8.
+// as the result's R and C.  With a warm workspace and a discipline with
+// class arithmetic (Fair Share, Proportional, Square) the steady state
+// performs no heap allocation — the BENCH_classes.json gate pins
+// allocs/op = 0 at N = 10^6, K = 8.
 //
-// The iteration structure mirrors SolveNashWS round for round: the same
-// scheme semantics, damping expression, ∞-norm convergence test, ctx
-// poll per round and per audit step, and the same post-convergence
-// deviation audit — so at K = N the fast path reproduces the exact
-// solver bit for bit, rounds included.
-func SolveNashClassInto(ctx context.Context, ws *ClassWorkspace, a core.Allocation, cg ClassGame, r0 []core.Rate, opt ClassNashOptions, rdst, cdst []float64) (ClassNashResult, error) {
+// It runs the same round loop as SolveNashWS, with one player per class
+// standing for Count identical members, so a round costs O(K log K)
+// whatever N is; a per-user solve is the case K = N.  Disciplines with
+// no class arithmetic fall back to solving the expanded game per user
+// (O(N)) and report each class at its first member.
+func SolveNashClassInto(ctx context.Context, ws *Workspace, a core.Allocation, cg ClassGame, r0 []core.Rate, opt NashOptions, rdst, cdst []float64) (NashResult, error) {
 	k := cg.K()
 	if len(r0) != k || len(rdst) != k || len(cdst) != k {
-		return ClassNashResult{}, ErrNoProfile
+		return NashResult{}, ErrNoProfile
 	}
 	if k == 0 {
-		return ClassNashResult{}, ErrBadClass
+		return NashResult{}, ErrBadClass
 	}
-	kind := fastKind(a)
-	mirror := opt.Summation == ClassMirror || kind < 0
-	if mirror {
-		// The mirror path allocates by design (it runs the per-user
-		// solver on the expansion); only the fast core below is on the
-		// zero-allocation contract.
-		return solveNashClassMirror(ctx, ws, a, cg, r0, opt, rdst, cdst)
+	kind := kernelOf(a)
+	if kind == generic {
+		return solveNashClassExpanded(ctx, ws, a, cg, r0, opt, rdst, cdst)
 	}
-	return solveNashClassFast(ctx, ws, kind, cg, r0, opt, rdst, cdst)
+	return solveNashClassKernel(ctx, ws, kind, a, cg, r0, opt, rdst, cdst)
 }
 
-// solveNashClassFast is the zero-allocation fast core behind
-// SolveNashClassInto: all state lives in the workspace and the per-class
-// dsts, so the steady state performs no heap allocation.
+// solveNashClassKernel stages the class multiplicities and utilities in
+// the workspace and runs the shared round loop on the class arithmetic.
 //
 //lint:hotpath
-func solveNashClassFast(ctx context.Context, ws *ClassWorkspace, kind int, cg ClassGame, r0 []core.Rate, opt ClassNashOptions, rdst, cdst []float64) (ClassNashResult, error) {
+func solveNashClassKernel(ctx context.Context, ws *Workspace, kind kernel, a core.Allocation, cg ClassGame, r0 []core.Rate, opt NashOptions, rdst, cdst []float64) (NashResult, error) {
 	k := cg.K()
-	// Defaults, with Free staged in workspace scratch instead of
-	// NashOptions.withDefaults's fresh slice.
-	if opt.MaxIter <= 0 {
-		opt.MaxIter = 500
+	if cap(ws.counts) < k {
+		ws.counts = make([]int, k)
+		ws.us = make(core.Profile, k)
 	}
-	if opt.Tol <= 0 {
-		opt.Tol = 1e-7
-	}
-	if opt.Damping <= 0 || opt.Damping > 1 {
-		opt.Damping = 1
-	}
-	free := opt.Free
-	if free == nil {
-		free = ws.bools(k)
-		for j := range free {
-			free[j] = true
-		}
-	}
-
-	counts := ws.ints(&ws.countsBuf, k)
+	counts, us := ws.counts[:k], ws.us[:k]
 	for j, c := range cg.Classes {
-		counts[j] = c.Count
+		counts[j], us[j] = c.Count, c.U
 	}
-	r := ws.floats(&ws.iterBuf, k)
-	copy(r, r0)
-	next := ws.floats(&ws.nextBuf, k)
-
-	iters := 0
-	converged := false
-	for iters = 1; iters <= opt.MaxIter; iters++ {
-		if err := core.CtxErr(ctx); err != nil {
-			// Abandoned mid-solve: report the last iterate's rates and
-			// the rounds completed; C is not owed for an unaccepted point.
-			copy(rdst, r)
-			return ClassNashResult{R: rdst, Iters: iters - 1}, err
-		}
-		maxDelta := 0.0
-		switch opt.Scheme {
-		case Jacobi:
-			copy(next, r)
-			for d := 0; d < k; d++ {
-				if !free[d] {
-					continue
-				}
-				br, _ := classBestResponseWS(ws, kind, cg.Classes[d].U, r, counts, d, opt.BR)
-				next[d] = (1-opt.Damping)*r[d] + opt.Damping*br
-			}
-			for d := 0; d < k; d++ {
-				if delta := math.Abs(next[d] - r[d]); delta > maxDelta {
-					maxDelta = delta
-				}
-			}
-			copy(r, next)
-		default: // GaussSeidel
-			for d := 0; d < k; d++ {
-				if !free[d] {
-					continue
-				}
-				br, _ := classBestResponseWS(ws, kind, cg.Classes[d].U, r, counts, d, opt.BR)
-				nr := (1-opt.Damping)*r[d] + opt.Damping*br
-				if delta := math.Abs(nr - r[d]); delta > maxDelta {
-					maxDelta = delta
-				}
-				r[d] = nr
-			}
-		}
-		if maxDelta <= opt.Tol {
-			converged = true
-			break
-		}
-	}
-
-	copy(rdst, r)
-	classCongestionInto(ws, kind, cdst, rdst, counts)
-	res := ClassNashResult{R: rdst, C: cdst, Converged: converged, Iters: iters}
-	for d := 0; d < k; d++ {
-		if !free[d] {
-			continue
-		}
-		if err := core.CtxErr(ctx); err != nil {
-			// Mid-audit: the solve finished, MaxGain covers only the
-			// classes audited so far — a lower bound, as in SolveNashWS.
-			return res, err
-		}
-		_, best := classBestResponseWS(ws, kind, cg.Classes[d].U, rdst, counts, d, opt.BR)
-		if g := best - cg.Classes[d].U.Value(rdst[d], cdst[d]); g > res.MaxGain {
-			res.MaxGain = g
-		}
-	}
-	return res, nil
+	return ws.solve(ctx, ws.finite(kind, a, us, counts, opt.BR), r0, opt, rdst, cdst)
 }
 
-// solveNashClassMirror is the mirror-expanded solve: the class game is
-// expanded into per-user workspace buffers and handed verbatim to
-// SolveNashWS, so every round, probe, convergence test, and audit is the
-// exact per-user computation — Float64bits-equal to solving the expanded
-// profile directly, by construction, for every scheme and discipline.
-// The per-class view reports each class's first member: rounding can
-// split same-class members by an ulp mid-iteration (Proportional's sums
-// are position-dependent), and the first member in canonical order is
-// the deterministic representative.  O(N) time and memory — the
-// fidelity reference the differential tests compare the fast path to,
-// not a fast path itself.
-func solveNashClassMirror(ctx context.Context, ws *ClassWorkspace, a core.Allocation, cg ClassGame, r0 []core.Rate, opt ClassNashOptions, rdst, cdst []float64) (ClassNashResult, error) {
-	k := cg.K()
-	n := cg.N()
-	starts := ws.ints(&ws.startsBuf, k)
-	xr := ws.floats(&ws.xr, n)
-	if cap(ws.xus) < n {
-		ws.xus = make(core.Profile, n)
-	}
-	xus := ws.xus[:n]
-	s := 0
-	for j, c := range cg.Classes {
-		if err := core.CtxErr(ctx); err != nil {
-			return ClassNashResult{}, err
-		}
-		starts[j] = s
-		for m := 0; m < c.Count; m++ {
-			xr[s] = r0[j]
-			xus[s] = c.U
-			s++
-		}
-	}
-	xopt := opt.NashOptions
+// solveNashClassExpanded is the fallback for disciplines without class
+// arithmetic: the game is expanded to its N members and solved per user
+// by SolveNashWS, and each class reports its first member in canonical
+// expansion order (rounding can split same-class members by an ulp
+// mid-iteration; the first member is the deterministic representative).
+// O(N) time and memory.
+func solveNashClassExpanded(ctx context.Context, ws *Workspace, a core.Allocation, cg ClassGame, r0 []core.Rate, opt NashOptions, rdst, cdst []float64) (NashResult, error) {
+	us, _ := cg.Expand()
+	xr := cg.ExpandVec(make([]float64, len(us)), r0)
 	if opt.Free != nil {
-		xfree := ws.bools(n)
-		for j, c := range cg.Classes {
-			if err := core.CtxErr(ctx); err != nil {
-				return ClassNashResult{}, err
-			}
-			for m := 0; m < c.Count; m++ {
-				xfree[starts[j]+m] = opt.Free[j]
-			}
-		}
-		xopt.Free = xfree
+		opt.Free = cg.expandFree(opt.Free)
 	}
-	res, err := SolveNashWS(ctx, &ws.g, a, xus, xr, xopt)
-	for j := 0; j < k; j++ {
-		if starts[j] < len(res.R) {
-			rdst[j] = res.R[starts[j]]
+	res, err := SolveNashWS(ctx, ws, a, us, xr, opt)
+	out := NashResult{R: rdst, Converged: res.Converged, Iters: res.Iters, MaxGain: res.MaxGain}
+	pos := 0
+	for j, c := range cg.Classes {
+		rdst[j] = res.R[pos]
+		if res.C != nil {
+			cdst[j] = res.C[pos]
 		}
+		pos += c.Count
 	}
-	out := ClassNashResult{R: rdst, Converged: res.Converged, Iters: res.Iters, MaxGain: res.MaxGain}
 	if res.C != nil {
-		for j := 0; j < k; j++ {
-			cdst[j] = res.C[starts[j]]
-		}
 		out.C = cdst
 	}
 	return out, err

@@ -183,12 +183,13 @@ func fluidLinear(cg ClassGame) ([]utility.Linear, error) {
 
 // SolveNashFluid solves the heavy-traffic equilibrium of cg's class
 // structure: fractions α_j = Count_j/N and scaled starts ŷ_j = N·Rate_j
-// are read from the game, and best-response iteration runs entirely in
-// scaled units, so the answer is independent of N for fixed fractions
-// and volumes.  Options keep their SolveNashClass meanings with Tol and
-// BR bounds interpreted in ŷ-space (BR.Hi defaults to twice the current
-// top scaled rate rather than the per-user 1−1e-9).
-func SolveNashFluid(ctx context.Context, a core.Allocation, cg ClassGame, opt ClassNashOptions) (FluidResult, error) {
+// are read from the game, and best-response iteration — the same round
+// loop as SolveNash — runs entirely in scaled units, so the answer is
+// independent of N for fixed fractions and volumes.  Options keep their
+// SolveNashClass meanings with Tol and BR bounds interpreted in ŷ-space
+// (BR.Hi defaults to twice the current top scaled rate rather than the
+// per-user 1−1e-9).
+func SolveNashFluid(ctx context.Context, a core.Allocation, cg ClassGame, opt NashOptions) (FluidResult, error) {
 	k := cg.K()
 	if k == 0 {
 		return FluidResult{}, ErrBadClass
@@ -205,22 +206,6 @@ func SolveNashFluid(ctx context.Context, a core.Allocation, cg ClassGame, opt Cl
 	if err != nil {
 		return FluidResult{}, err
 	}
-	if opt.MaxIter <= 0 {
-		opt.MaxIter = 500
-	}
-	if opt.Tol <= 0 {
-		opt.Tol = 1e-7
-	}
-	if opt.Damping <= 0 || opt.Damping > 1 {
-		opt.Damping = 1
-	}
-	free := opt.Free
-	if free == nil {
-		free = make([]bool, k)
-		for j := range free {
-			free[j] = true
-		}
-	}
 	n := float64(cg.N())
 	alpha := make([]float64, k)
 	y := make([]float64, k)
@@ -228,103 +213,58 @@ func SolveNashFluid(ctx context.Context, a core.Allocation, cg ClassGame, opt Cl
 		alpha[j] = float64(c.Count) / n
 		y[j] = n * c.Rate
 	}
+	ws := NewWorkspace()
 	if prop {
+		free := opt.Free
+		if free == nil {
+			free = ws.allFree(k)
+		}
 		return solveFluidProportional(lus, alpha, y, free), nil
 	}
+	res, err := ws.solve(ctx, &fluidGame{lus: lus, alpha: alpha, br: opt.BR}, y, opt, y, make([]float64, k))
+	return FluidResult{Y: res.R, Chat: res.C, Converged: res.Converged, Iters: res.Iters, MaxGain: res.MaxGain}, err
+}
 
-	payoff := func(d int, yv, chat float64) float64 {
-		return lus[d].A*yv - lus[d].Gamma*chat
-	}
-	devCongestion := func(d int, yv float64) float64 {
-		return buildFluidChain(alpha, y).deviator(d, yv)
-	}
-	bestResponse := func(d int) float64 {
-		br := opt.BR
-		if br.Lo <= 0 {
-			br.Lo = 1e-9
-		}
-		if br.Hi <= 0 {
-			top := 1.0
-			for _, v := range y {
-				if v > top {
-					top = v
-				}
-			}
-			br.Hi = 2 * top
-		}
-		if br.GridPoints <= 0 {
-			br.GridPoints = 64
-		}
-		if br.Tol <= 0 {
-			br.Tol = 1e-10
-		}
-		chain := buildFluidChain(alpha, y)
-		h := func(x float64) float64 {
-			return payoff(d, x, chain.deviator(d, x))
-		}
-		x, _ := maximizeGrid(h, br.Lo, br.Hi, br.GridPoints, br.Tol)
-		return x
-	}
+// fluidGame is the Fair Share fluid limit as a responder: players are
+// classes at scaled rates ŷ with population fractions α, each a
+// zero-mass deviator against the block chain, paid A·ŷ − γ·ĉ.
+type fluidGame struct {
+	lus   []utility.Linear
+	alpha []float64
+	br    BROptions
+}
 
-	next := make([]float64, k)
-	iters := 0
-	converged := false
-	for iters = 1; iters <= opt.MaxIter; iters++ {
-		if err := core.CtxErr(ctx); err != nil {
-			return FluidResult{Y: y, Iters: iters - 1}, err
-		}
-		maxDelta := 0.0
-		switch opt.Scheme {
-		case Jacobi:
-			copy(next, y)
-			for d := 0; d < k; d++ {
-				if !free[d] {
-					continue
-				}
-				br := bestResponse(d)
-				next[d] = (1-opt.Damping)*y[d] + opt.Damping*br
-			}
-			for d := 0; d < k; d++ {
-				if delta := math.Abs(next[d] - y[d]); delta > maxDelta {
-					maxDelta = delta
-				}
-			}
-			copy(y, next)
-		default: // GaussSeidel
-			for d := 0; d < k; d++ {
-				if !free[d] {
-					continue
-				}
-				br := bestResponse(d)
-				ny := (1-opt.Damping)*y[d] + opt.Damping*br
-				if delta := math.Abs(ny - y[d]); delta > maxDelta {
-					maxDelta = delta
-				}
-				y[d] = ny
-			}
-		}
-		if maxDelta <= opt.Tol {
-			converged = true
-			break
-		}
+func (g *fluidGame) bestResponse(d int, y []float64) (float64, float64) {
+	br := g.br
+	if br.Lo <= 0 {
+		br.Lo = 1e-9
 	}
+	if br.Hi <= 0 {
+		top := 1.0
+		for _, v := range y {
+			if v > top {
+				top = v
+			}
+		}
+		br.Hi = 2 * top
+	}
+	if br.GridPoints <= 0 {
+		br.GridPoints = 64
+	}
+	if br.Tol <= 0 {
+		br.Tol = 1e-10
+	}
+	chain := buildFluidChain(g.alpha, y)
+	dev := func(x float64) float64 { return g.value(d, x, chain.deviator(d, x)) }
+	return maximize(objectiveFunc(dev), br.Lo, br.Hi, br.GridPoints, br.Tol)
+}
 
-	chat := make([]float64, k)
-	buildFluidChain(alpha, y).classChat(chat)
-	res := FluidResult{Y: y, Chat: chat, Converged: converged, Iters: iters}
-	for d := 0; d < k; d++ {
-		if !free[d] {
-			continue
-		}
-		if err := core.CtxErr(ctx); err != nil {
-			return res, err
-		}
-		br := bestResponse(d)
-		if g := payoff(d, br, devCongestion(d, br)) - payoff(d, y[d], chat[d]); g > res.MaxGain {
-			res.MaxGain = g
-		}
-	}
-	return res, nil
+func (g *fluidGame) value(d int, yv, chat float64) float64 {
+	return g.lus[d].A*yv - g.lus[d].Gamma*chat
+}
+
+func (g *fluidGame) congestion(dst, y []float64) {
+	buildFluidChain(g.alpha, y).classChat(dst)
 }
 
 // solveFluidProportional computes the closed-form proportional fluid

@@ -41,7 +41,7 @@ func TestFluidMatchesClassLargeN(t *testing.T) {
 	} {
 		n := 1 << 14
 		cg := fluidFixture(t, n)
-		fres, err := SolveNashFluid(ctx, tc.a, cg, ClassNashOptions{})
+		fres, err := SolveNashFluid(ctx, tc.a, cg, NashOptions{})
 		if err != nil {
 			t.Fatalf("%s: fluid: %v", tc.name, err)
 		}
@@ -51,8 +51,8 @@ func TestFluidMatchesClassLargeN(t *testing.T) {
 		// Tol must clear the per-user rate scale (~1e-5 at this N) but
 		// stay above the golden-section BR jitter (BR.Tol = 1e-10).
 		// Damping tempers the proportional whole-class overshoot cycle
-		// (see the ClassNashOptions docs); it is harmless for fair share.
-		copt := ClassNashOptions{NashOptions: NashOptions{Tol: 1e-9, Damping: 0.5, MaxIter: 2000}}
+		// (see propSymBR); it is harmless for fair share.
+		copt := NashOptions{Tol: 1e-9, Damping: 0.5, MaxIter: 2000}
 		cres, err := SolveNashClassWS(ctx, nil, tc.a, cg, nil, copt)
 		if err != nil {
 			t.Fatalf("%s: class: %v", tc.name, err)
@@ -83,11 +83,11 @@ func TestFluidMatchesClassLargeN(t *testing.T) {
 // at every N.
 func TestFluidNInvariance(t *testing.T) {
 	ctx := context.Background()
-	a, err := SolveNashFluid(ctx, alloc.FairShare{}, fluidFixture(t, 1024), ClassNashOptions{})
+	a, err := SolveNashFluid(ctx, alloc.FairShare{}, fluidFixture(t, 1024), NashOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := SolveNashFluid(ctx, alloc.FairShare{}, fluidFixture(t, 1<<20), ClassNashOptions{})
+	b, err := SolveNashFluid(ctx, alloc.FairShare{}, fluidFixture(t, 1<<20), NashOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,11 +114,11 @@ func TestFluidRejectsUnsupported(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := SolveNashFluid(ctx, alloc.FairShare{}, logGame, ClassNashOptions{}); err != ErrFluidUtility {
+	if _, err := SolveNashFluid(ctx, alloc.FairShare{}, logGame, NashOptions{}); err != ErrFluidUtility {
 		t.Fatalf("log utility: got %v, want ErrFluidUtility", err)
 	}
 	cg := fluidFixture(t, 8)
-	if _, err := SolveNashFluid(ctx, alloc.Square{}, cg, ClassNashOptions{}); err != ErrFluidAlloc {
+	if _, err := SolveNashFluid(ctx, alloc.Square{}, cg, NashOptions{}); err != ErrFluidAlloc {
 		t.Fatalf("square: got %v, want ErrFluidAlloc", err)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 
+	"greednet/internal/alloc"
 	"greednet/internal/core"
 	"greednet/internal/numeric"
 	"greednet/internal/parallel"
@@ -24,7 +25,8 @@ const (
 	Jacobi
 )
 
-// NashOptions configures SolveNash.
+// NashOptions configures the Nash solvers — per-user (SolveNash), class
+// (SolveNashClass) and fluid (SolveNashFluid) alike.
 type NashOptions struct {
 	// Scheme is the update order; default GaussSeidel.
 	Scheme UpdateScheme
@@ -39,13 +41,14 @@ type NashOptions struct {
 	Damping float64
 	// BR configures each inner best-response search.
 	BR BROptions
-	// Free, when non-nil, marks which users self-optimize; users with
+	// Free, when non-nil, marks which players self-optimize — one entry
+	// per user, or per class in a class solve; players with
 	// Free[i] == false hold their initial rate (the paper's non-optimizing
 	// users / subsystems).
 	Free []bool
 }
 
-func (o NashOptions) withDefaults(n int) NashOptions {
+func (o NashOptions) withDefaults() NashOptions {
 	if o.MaxIter <= 0 {
 		o.MaxIter = 500
 	}
@@ -55,25 +58,22 @@ func (o NashOptions) withDefaults(n int) NashOptions {
 	if o.Damping <= 0 || o.Damping > 1 {
 		o.Damping = 1
 	}
-	if o.Free == nil {
-		o.Free = make([]bool, n)
-		for i := range o.Free {
-			o.Free[i] = true
-		}
-	}
 	return o
 }
 
 // NashResult reports the outcome of a Nash solve.
 type NashResult struct {
-	// R and C are the final rates and congestions.
+	// R and C are the final rates and congestions: per user, or per class
+	// in canonical class order for a class solve (ClassGame.ExpandVec
+	// expands them to per-user vectors).
 	R, C []float64
 	// Converged is true when the rate change fell below Tol.
 	Converged bool
 	// Iters is the number of best-response rounds performed.
 	Iters int
 	// MaxGain is the largest remaining unilateral deviation gain at R, a
-	// direct certificate of (ε-)Nash-ness.
+	// direct certificate of (ε-)Nash-ness (audited at each class's first
+	// member in a class solve).
 	MaxGain float64
 }
 
@@ -106,6 +106,10 @@ func SolveNashCtx(ctx context.Context, a core.Allocation, us core.Profile, r0 []
 // Stackelberg inner loops).  The returned R and C are freshly allocated;
 // only scratch lives in the workspace.  Results are bit-identical to
 // SolveNashCtx, which delegates here.
+//
+// A per-user game is the class game whose every class has one member:
+// the solve runs the class solver's round loop with unit multiplicities,
+// so both share every line of arithmetic.
 func SolveNashWS(ctx context.Context, ws *Workspace, a core.Allocation, us core.Profile, r0 []core.Rate, opt NashOptions) (NashResult, error) {
 	n := len(r0)
 	if len(us) != n {
@@ -114,47 +118,84 @@ func SolveNashWS(ctx context.Context, ws *Workspace, a core.Allocation, us core.
 	if ws == nil {
 		ws = NewWorkspace()
 	}
-	opt = opt.withDefaults(n)
-	r := ws.iterate(n)
+	g := ws.finite(kernelOf(a), a, us, ws.units(n), opt.BR)
+	return ws.solve(ctx, g, r0, opt, make([]float64, n), make([]float64, n))
+}
+
+// responder is a game as the best-response round loop sees it: players
+// d = 0..K−1 — users, classes, or the fluid limit's scaled classes —
+// each with a best response to the current iterate and a payoff at a
+// (rate, congestion) pair.
+type responder interface {
+	// bestResponse returns player d's best response to r and its payoff.
+	bestResponse(d int, r []float64) (x, val float64)
+	// value is player d's payoff at rate x and congestion c.
+	value(d int, x, c float64) float64
+	// congestion writes every player's congestion at r into dst.
+	congestion(dst, r []float64)
+}
+
+// solve is the one best-response round loop, shared by the per-user,
+// class and fluid solvers: Gauss–Seidel or Jacobi rounds from r0 with
+// damping r ← (1−d)·r + d·BR, stopping when the ∞-norm rate change falls
+// to Tol, with ctx polled once per round; then the congestion report and
+// the deviation audit, MaxGain = max over free players of best response
+// payoff minus current payoff.  rdst and cdst (one entry per player)
+// receive the final point and are returned as R and C.
+//
+// On cancellation mid-rounds it returns the last iterate's rates and the
+// rounds completed, with C nil (the point was never accepted, so no
+// congestion report is owed for it); cancellation mid-audit returns the
+// finished solve with MaxGain covering only the players audited so far —
+// a lower bound.
+//
+//lint:hotpath
+func (ws *Workspace) solve(ctx context.Context, g responder, r0 []float64, opt NashOptions, rdst, cdst []float64) (NashResult, error) {
+	k := len(r0)
+	opt = opt.withDefaults()
+	free := opt.Free
+	if free == nil {
+		free = ws.allFree(k)
+	}
+	ws.iter = growFloats(ws.iter, k)
+	ws.next = growFloats(ws.next, k)
+	r, next := ws.iter, ws.next
 	copy(r, r0)
-	next := ws.nextVec(n)
 	iters := 0
 	converged := false
 	for iters = 1; iters <= opt.MaxIter; iters++ {
 		if err := core.CtxErr(ctx); err != nil {
-			// Abandoned mid-solve: report the last iterate's rates and the
-			// rounds completed; C stays nil (the point was never accepted,
-			// so no congestion report is owed for it).
-			return NashResult{R: append([]float64(nil), r...), Iters: iters - 1}, err
+			copy(rdst, r)
+			return NashResult{R: rdst, Iters: iters - 1}, err
 		}
 		maxDelta := 0.0
 		switch opt.Scheme {
 		case Jacobi:
 			copy(next, r)
-			for i := 0; i < n; i++ {
-				if !opt.Free[i] {
+			for d := 0; d < k; d++ {
+				if !free[d] {
 					continue
 				}
-				br, _ := BestResponseWS(ws, a, us[i], r, i, opt.BR)
-				next[i] = (1-opt.Damping)*r[i] + opt.Damping*br
+				br, _ := g.bestResponse(d, r)
+				next[d] = (1-opt.Damping)*r[d] + opt.Damping*br
 			}
-			for i := 0; i < n; i++ {
-				if d := math.Abs(next[i] - r[i]); d > maxDelta {
-					maxDelta = d
+			for d := 0; d < k; d++ {
+				if delta := math.Abs(next[d] - r[d]); delta > maxDelta {
+					maxDelta = delta
 				}
 			}
 			copy(r, next)
 		default: // GaussSeidel
-			for i := 0; i < n; i++ {
-				if !opt.Free[i] {
+			for d := 0; d < k; d++ {
+				if !free[d] {
 					continue
 				}
-				br, _ := BestResponseWS(ws, a, us[i], r, i, opt.BR)
-				nr := (1-opt.Damping)*r[i] + opt.Damping*br
-				if d := math.Abs(nr - r[i]); d > maxDelta {
-					maxDelta = d
+				br, _ := g.bestResponse(d, r)
+				nr := (1-opt.Damping)*r[d] + opt.Damping*br
+				if delta := math.Abs(nr - r[d]); delta > maxDelta {
+					maxDelta = delta
 				}
-				r[i] = nr
+				r[d] = nr
 			}
 		}
 		if maxDelta <= opt.Tol {
@@ -162,36 +203,70 @@ func SolveNashWS(ctx context.Context, ws *Workspace, a core.Allocation, us core.
 			break
 		}
 	}
-	res := NashResult{
-		R:         append([]float64(nil), r...),
-		C:         a.Congestion(r), //lint:allow feasguard reports C(r) at the solved point; the Allocation contract defines it (with +Inf) on all of R+^n
-		Converged: converged,
-		Iters:     iters,
-	}
-	for i := 0; i < n; i++ {
-		if !opt.Free[i] {
+	copy(rdst, r)
+	g.congestion(cdst, rdst)
+	res := NashResult{R: rdst, C: cdst, Converged: converged, Iters: iters}
+	for d := 0; d < k; d++ {
+		if !free[d] {
 			continue
 		}
 		if err := core.CtxErr(ctx); err != nil {
-			// Abandoned mid-audit: each gain check runs a full best-response
-			// search, so this loop is as cancelable as the rounds above.  The
-			// solve itself finished — res is valid — but MaxGain covers only
-			// the players audited so far, so it is a lower bound.
 			return res, err
 		}
-		if g := deviationGainWS(ws, a, us[i], res.R, i, opt.BR); g > res.MaxGain {
-			res.MaxGain = g
+		_, best := g.bestResponse(d, rdst)
+		if gain := best - g.value(d, rdst[d], cdst[d]); gain > res.MaxGain {
+			res.MaxGain = gain
 		}
 	}
 	return res, nil
+}
+
+// finiteGame is a finite game as a responder: players with multiplicities
+// counts (all one for a per-user game), searched on the discipline's
+// class arithmetic or, under a generic discipline, per user through a.
+type finiteGame struct {
+	ws     *Workspace
+	k      kernel
+	a      core.Allocation
+	us     core.Profile
+	counts []int
+	br     BROptions
+}
+
+// finite points the workspace's responder at one game.
+func (ws *Workspace) finite(k kernel, a core.Allocation, us core.Profile, counts []int, br BROptions) *finiteGame {
+	g := &ws.game
+	g.ws, g.k, g.a, g.us, g.counts, g.br = ws, k, a, us, counts, br
+	return g
+}
+
+//lint:hotpath
+func (g *finiteGame) bestResponse(d int, r []float64) (float64, float64) {
+	return g.ws.bestResponse(g.k, g.a, g.us[d], r, g.counts, d, g.br)
+}
+
+func (g *finiteGame) value(d int, x, c float64) float64 { return g.us[d].Value(x, c) }
+
+//lint:hotpath
+func (g *finiteGame) congestion(dst, r []float64) {
+	switch g.k {
+	case fairShare:
+		g.ws.fs.congestion(dst, r, g.counts)
+	case proportional:
+		propCongestion(dst, r, g.counts)
+	case square:
+		for j, rj := range r {
+			dst[j] = rj * rj
+		}
+	default:
+		alloc.CongestionInto(g.a, &g.ws.aws, dst, r) //lint:allow feasguard reports C(r) at the solved point; the Allocation contract defines it (with +Inf) on all of R+^n
+	}
 }
 
 // NashTrajectory records the rate vectors visited by best-response
 // iteration (including the start), up to maxRounds rounds, without any
 // convergence requirement.  Useful for plotting and stability experiments.
 func NashTrajectory(a core.Allocation, us core.Profile, r0 []core.Rate, opt NashOptions, maxRounds int) [][]float64 {
-	n := len(r0)
-	opt = opt.withDefaults(n)
 	opt.MaxIter = 1
 	// One workspace serves every round; each round's SolveNashWS returns a
 	// freshly allocated R, so the trajectory can keep it directly instead

@@ -82,7 +82,7 @@ func SolveStackelberg(a core.Allocation, us core.Profile, leader int, r0 []core.
 		copy(warm, res.R)
 		return us[leader].Value(x, alloc.CongestionOfInto(a, &ws.aws, ws.congestion(n), res.R, leader))
 	}
-	x, _ := maximizeGrid(value, 1e-6, 1-1e-6, opt.Grid, opt.Tol)
+	x, _ := maximize(objectiveFunc(value), 1e-6, 1-1e-6, opt.Grid, opt.Tol)
 
 	copy(start, warm)
 	start[leader] = x

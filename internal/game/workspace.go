@@ -1,16 +1,19 @@
 package game
 
 import (
-	"greednet/internal/alloc"
 	"greednet/internal/core"
 )
 
-// Workspace is the solver-owned scratch behind the WS entry points
-// (BestResponseWS, BestResponseNewtonWS, SolveNashWS).  One workspace
-// amortizes every per-call allocation of a solve — the r|ⁱx probe vector,
-// the congestion destination, the Nash iterate buffers, the allocation
-// layer's sort permutations, and the incremental Fair Share evaluator —
-// so a warm best-response search performs zero heap allocations.
+// Workspace is the solver-owned scratch behind every WS entry point —
+// BestResponseWS, BestResponseNewtonWS, SolveNashWS and the class solves
+// SolveNashClassWS/SolveNashClassInto.  One workspace amortizes every
+// per-call allocation of a solve — the Nash iterate buffers, the player
+// multiplicities, the Fair Share deviator evaluator and the allocation
+// layer's sort permutations, and (for disciplines without class
+// arithmetic) the r|ⁱx probe vector and congestion destination — so a
+// warm best-response search, and a warm class solve at any N, performs
+// zero heap allocations.  Buffers grow to the largest player count seen
+// and are reused thereafter.
 //
 // A nil *Workspace means "allocate transient scratch"; the plain entry
 // points (BestResponse, SolveNash, …) delegate with nil, which keeps one
@@ -18,12 +21,21 @@ import (
 // Workspaces are not safe for concurrent use: parallel drivers own one per
 // solve (MultiStartNash) or per worker.
 type Workspace struct {
-	rr   []float64 // the r|ⁱx probe vector of a best-response search
-	cong []float64 // congestion destination for AllocationInto
-	iter []float64 // Nash fixed-point iterate
+	iter []float64 // Nash fixed-point iterate, one entry per player
 	next []float64 // Jacobi round buffer
-	aws  core.Workspace
-	fsbr alloc.FairShareBR
+	free []bool    // the all-free default of NashOptions.Free
+	// ones holds unit multiplicities: a per-user game is the class game
+	// whose every class has one member.
+	ones []int
+	// counts and us are a class solve's multiplicities and utilities.
+	counts []int
+	us     core.Profile
+	rr     []float64 // the r|ⁱx probe vector of a generic best-response search
+	cong   []float64 // congestion destination for AllocationInto
+	aws    core.Workspace
+	fs     fairShareBR
+	eval   brEval
+	game   finiteGame
 }
 
 // NewWorkspace returns an empty workspace; buffers grow on first use and
@@ -48,12 +60,24 @@ func (w *Workspace) congestion(n int) []float64 {
 	return w.cong
 }
 
-func (w *Workspace) iterate(n int) []float64 {
-	w.iter = growFloats(w.iter, n)
-	return w.iter
+// units returns n unit multiplicities.
+func (w *Workspace) units(n int) []int {
+	if cap(w.ones) < n {
+		w.ones = make([]int, n)
+		for j := range w.ones {
+			w.ones[j] = 1
+		}
+	}
+	return w.ones[:n]
 }
 
-func (w *Workspace) nextVec(n int) []float64 {
-	w.next = growFloats(w.next, n)
-	return w.next
+// allFree returns an n-player mask with every player free.
+func (w *Workspace) allFree(n int) []bool {
+	if cap(w.free) < n {
+		w.free = make([]bool, n)
+		for j := range w.free {
+			w.free[j] = true
+		}
+	}
+	return w.free[:n]
 }

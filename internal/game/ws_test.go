@@ -13,8 +13,9 @@ import (
 
 // legacyBestResponse is the pre-workspace implementation, copied verbatim:
 // a fresh r|ⁱx vector per call and a full CongestionOf evaluation per
-// probe.  It shares maximizeGrid and withDefaults with the live code, so
-// any difference in results isolates the congestion fast paths.
+// probe, searched by legacyMaximizeGrid.  It shares only withDefaults
+// with the live code, so the oracle cannot move when the live search
+// does.
 func legacyBestResponse(a core.Allocation, u core.Utility, r []core.Rate, i int, opt BROptions) (x, val float64) {
 	opt = opt.withDefaults()
 	rr := append([]float64(nil), r...)
@@ -22,7 +23,44 @@ func legacyBestResponse(a core.Allocation, u core.Utility, r []core.Rate, i int,
 		rr[i] = x
 		return u.Value(x, a.CongestionOf(rr, i))
 	}
-	return maximizeGrid(h, opt.Lo, opt.Hi, opt.GridPoints, opt.Tol)
+	return legacyMaximizeGrid(h, opt.Lo, opt.Hi, opt.GridPoints, opt.Tol)
+}
+
+// legacyMaximizeGrid is the grid-seeded golden-section search as it stood
+// before the −Inf refinement fallback, frozen as part of the oracle.
+func legacyMaximizeGrid(f func(float64) float64, a, b float64, n int, tol float64) (float64, float64) {
+	h := (b - a) / float64(n)
+	bestI, bestF := 0, math.Inf(-1)
+	for i := 0; i <= n; i++ {
+		if v := f(a + float64(i)*h); v > bestF {
+			bestF, bestI = v, i
+		}
+	}
+	lo := a + float64(bestI-1)*h
+	if bestI == 0 {
+		lo = a
+	}
+	hi := a + float64(bestI+1)*h
+	if bestI == n {
+		hi = b
+	}
+	const invPhi = 0.6180339887498949
+	c := hi - invPhi*(hi-lo)
+	d := lo + invPhi*(hi-lo)
+	fc, fd := f(c), f(d)
+	for hi-lo > tol {
+		if fc > fd {
+			hi, d, fd = d, c, fc
+			c = hi - invPhi*(hi-lo)
+			fc = f(c)
+		} else {
+			lo, c, fc = c, d, fd
+			d = lo + invPhi*(hi-lo)
+			fd = f(d)
+		}
+	}
+	x := lo + (hi-lo)/2
+	return x, f(x)
 }
 
 // legacyBestResponseNewton is the pre-workspace Newton solver, copied
@@ -98,9 +136,19 @@ func fuzzProfileRates(rng *rand.Rand) ([]core.Rate, core.Profile) {
 	return r, us
 }
 
+// rates64 is a fixed feasible 64-user profile, unsorted, with exact ties.
+func rates64() []core.Rate {
+	r := make([]core.Rate, 64)
+	for i := range r {
+		r[i] = (0.3 + 0.5*float64(i%7)/7) / 64
+	}
+	return r
+}
+
 // BestResponseWS (and through it BestResponse and the Nash solvers) must
 // return bit-identical (x, val) to the pre-workspace implementation for
-// every allocation family, including through a reused warm workspace.
+// every allocation family, including through a reused warm workspace —
+// on fuzzed small games and on a fixed 64-user profile with ties.
 func TestBestResponseWSBitIdenticalToLegacy(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	ws := NewWorkspace()
@@ -111,9 +159,16 @@ func TestBestResponseWSBitIdenticalToLegacy(t *testing.T) {
 		alloc.Square{},
 		opaque{alloc.FairShare{}}, // generic slow-path branch
 	}
-	for trial := 0; trial < 120; trial++ {
+	for trial := 0; trial <= 120; trial++ {
 		r, us := fuzzProfileRates(rng)
 		i := rng.Intn(len(r))
+		if trial == 120 {
+			r, i = rates64(), 5
+			us = make(core.Profile, len(r))
+			for j := range us {
+				us[j] = utility.NewLinear(1, 0.25)
+			}
+		}
 		for _, a := range allocs {
 			wantX, wantV := legacyBestResponse(a, us[i], r, i, BROptions{})
 			gotX, gotV := BestResponseWS(ws, a, us[i], r, i, BROptions{})

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"greednet/internal/alloc"
+	"greednet/internal/core"
 	"greednet/internal/game"
 	"greednet/internal/utility"
 )
@@ -73,12 +74,12 @@ func ClassGameFor(k, n int) (game.ClassGame, error) {
 // below the per-member rate scale even at N = 10^6 (0.4/N = 4e-7), yet
 // above the ≈1e-10 argmax noise of the inner golden-section searches, so
 // every scale converges instead of jittering at the tolerance floor.
-func ClassNashOpts() game.ClassNashOptions {
-	return game.ClassNashOptions{NashOptions: game.NashOptions{
+func ClassNashOpts() game.NashOptions {
+	return game.NashOptions{
 		Tol:     1e-9,
 		Damping: 0.5,
 		MaxIter: 2000,
-	}}
+	}
 }
 
 // ClassBench owns the warm state for repeated solves of one scale: the
@@ -86,10 +87,10 @@ func ClassNashOpts() game.ClassNashOptions {
 // pure steady-state cost the allocation gate measures.
 type ClassBench struct {
 	cg         game.ClassGame
-	ws         *game.ClassWorkspace
+	ws         *game.Workspace
 	r0         []float64
 	rdst, cdst []float64
-	opt        game.ClassNashOptions
+	opt        game.NashOptions
 }
 
 // NewClassBench builds the warm harness for a scale and runs one solve
@@ -102,7 +103,7 @@ func NewClassBench(s ClassScale) (*ClassBench, error) {
 	k := cg.K()
 	cb := &ClassBench{
 		cg:   cg,
-		ws:   game.NewClassWorkspace(),
+		ws:   game.NewWorkspace(),
 		r0:   cg.Rates(),
 		rdst: make([]float64, k),
 		cdst: make([]float64, k),
@@ -120,7 +121,7 @@ func NewClassBench(s ClassScale) (*ClassBench, error) {
 
 // Solve runs one full class-aggregated Nash solve from the family start.
 // With the harness warm this is allocation-free.
-func (cb *ClassBench) Solve() (game.ClassNashResult, error) {
+func (cb *ClassBench) Solve() (game.NashResult, error) {
 	return game.SolveNashClassInto(context.Background(), cb.ws, alloc.FairShare{}, cb.cg, cb.r0, cb.opt, cb.rdst, cb.cdst)
 }
 
@@ -130,61 +131,52 @@ func (cb *ClassBench) Solve() (game.ClassNashResult, error) {
 // the ExactCompare scales pay for it.
 func (cb *ClassBench) ExactSolve() (game.NashResult, error) {
 	us, r0 := cb.cg.Expand()
-	return game.SolveNashWS(context.Background(), game.NewWorkspace(), alloc.FairShare{}, us, r0, cb.opt.NashOptions)
+	return game.SolveNashWS(context.Background(), game.NewWorkspace(), alloc.FairShare{}, us, r0, cb.opt)
 }
 
-// ClassBitEquality verifies the fast class arithmetic against the exact
-// per-user solver at the two scales where bit-equality is the contract:
-// K = N (every class multiplicity one — the summation-order contract
-// degenerates to the per-user expression sequence) and K = 1 (one
-// symmetric class).  It returns nil when every solved rate and
-// congestion is Float64bits-equal, and a description of the first
-// mismatch otherwise.  greedbench -classes runs this before timing, so
-// BENCH_classes.json never records the speed of a solver that drifted
-// off the exact answers.
+// fullEval hides alloc.FairShare's concrete type while forwarding its
+// core.AllocationInto fast path, so the per-user solver evaluates every
+// best-response probe through the full Fair Share congestion vector —
+// an oracle that shares no kernel with the class arithmetic it checks.
+type fullEval struct{ core.AllocationInto }
+
+// ClassBitEquality verifies the class arithmetic against the exact
+// per-user solver at K = N, where bit-equality is the contract: with
+// every class multiplicity one the summation-order contract degenerates
+// to the per-user expression sequence.  The per-user side runs on
+// fullEval, so the check compares the class kernels against full
+// evaluations.  It returns nil when every solved rate and congestion,
+// the iteration count and the convergence flag match Float64bits for
+// Float64bits, and a description of the first mismatch otherwise.
+// greedbench -classes runs this before timing, so BENCH_classes.json
+// never records the speed of a solver that drifted off the exact
+// answers.
 func ClassBitEquality() error {
 	const n = 64
-	for _, k := range []int{n, 1} {
-		cg, err := ClassGameFor(k, n)
-		if err != nil {
-			return err
+	cg, err := ClassGameFor(n, n)
+	if err != nil {
+		return err
+	}
+	opt := ClassNashOpts()
+	cres, err := game.SolveNashClassWS(context.Background(), nil, alloc.FairShare{}, cg, nil, opt)
+	if err != nil {
+		return err
+	}
+	us, r0 := cg.Expand()
+	xres, err := game.SolveNashWS(context.Background(), nil, fullEval{alloc.FairShare{}}, us, r0, opt)
+	if err != nil {
+		return err
+	}
+	if cres.Converged != xres.Converged || cres.Iters != xres.Iters {
+		return fmt.Errorf("hotpath: K=N=%d converged/iters (%v, %d) vs exact (%v, %d)",
+			n, cres.Converged, cres.Iters, xres.Converged, xres.Iters)
+	}
+	for j := range cg.Classes {
+		if math.Float64bits(cres.R[j]) != math.Float64bits(xres.R[j]) {
+			return fmt.Errorf("hotpath: K=N=%d class %d rate: class %v, exact %v", n, j, cres.R[j], xres.R[j])
 		}
-		opt := ClassNashOpts()
-		if k == 1 {
-			// A multiplicity-n class carries fl's position-dependent
-			// rounding in the expansion, which pure class arithmetic
-			// cannot reproduce bit for bit; the mirror mode runs the
-			// per-user machinery with class-synchronized updates and is
-			// the documented bit-equality contract at K = 1.
-			opt.Summation = game.ClassMirror
-		}
-		cres, err := game.SolveNashClassWS(context.Background(), nil, alloc.FairShare{}, cg, nil, opt)
-		if err != nil {
-			return err
-		}
-		us, r0 := cg.Expand()
-		xres, err := game.SolveNashWS(context.Background(), nil, alloc.FairShare{}, us, r0, opt.NashOptions)
-		if err != nil {
-			return err
-		}
-		if cres.Converged != xres.Converged || cres.Iters != xres.Iters {
-			return fmt.Errorf("hotpath: K=%d N=%d converged/iters (%v, %d) vs exact (%v, %d)",
-				k, n, cres.Converged, cres.Iters, xres.Converged, xres.Iters)
-		}
-		// The class result reports each class at its first member in
-		// canonical expansion order — the same positions the in-tree
-		// differential tests pin (mid-iteration rounding can split
-		// same-class members by an ulp, so members past the first are
-		// tolerance-equal, not bit-equal).
-		pos := 0
-		for j, c := range cg.Classes {
-			if math.Float64bits(cres.R[j]) != math.Float64bits(xres.R[pos]) {
-				return fmt.Errorf("hotpath: K=%d N=%d class %d rate: class %v, exact %v", k, n, j, cres.R[j], xres.R[pos])
-			}
-			if math.Float64bits(cres.C[j]) != math.Float64bits(xres.C[pos]) {
-				return fmt.Errorf("hotpath: K=%d N=%d class %d congestion: class %v, exact %v", k, n, j, cres.C[j], xres.C[pos])
-			}
-			pos += c.Count
+		if math.Float64bits(cres.C[j]) != math.Float64bits(xres.C[j]) {
+			return fmt.Errorf("hotpath: K=N=%d class %d congestion: class %v, exact %v", n, j, cres.C[j], xres.C[j])
 		}
 	}
 	return nil

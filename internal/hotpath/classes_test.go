@@ -28,8 +28,8 @@ func classChecks(t *testing.T) map[string]func() {
 }
 
 // TestClassBitEquality runs the differential check greedbench -classes
-// gates on: fast class arithmetic Float64bits-equal to the exact
-// per-user solver at K = N and (via the mirror mode) K = 1.
+// gates on: class arithmetic Float64bits-equal to the exact per-user
+// solver at K = N.
 func TestClassBitEquality(t *testing.T) {
 	if err := ClassBitEquality(); err != nil {
 		t.Fatal(err)

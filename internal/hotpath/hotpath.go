@@ -9,23 +9,17 @@
 // fast paths, a small audited number for end-to-end cases whose results
 // are freshly allocated by contract (SolveNashWS's R and C, des.Run's
 // result vectors).  A gated case measuring above its budget is a perf
-// regression and fails the emitter.  Cases with a Baseline name the
-// legacy implementation benchmarked alongside them, so the JSON artifact
-// carries the before/after comparison (the ≥5× allocs/op acceptance
-// criterion) instead of a bare number.
+// regression and fails the emitter.
 package hotpath
 
 import (
 	"context"
-	"math"
-	"sort"
 	"testing"
 
 	"greednet/internal/alloc"
 	"greednet/internal/core"
 	"greednet/internal/des"
 	"greednet/internal/game"
-	"greednet/internal/mm1"
 	"greednet/internal/utility"
 )
 
@@ -41,8 +35,6 @@ type Case struct {
 	// allocations their contracts require (fresh result vectors), so any
 	// *new* allocation on the path still trips the gate.
 	Budget int64
-	// Baseline, when non-empty, names the legacy case this one replaced.
-	Baseline string
 	// Bench runs the benchmark; it must call b.ReportAllocs so the
 	// programmatic testing.Benchmark results carry allocation counts.
 	Bench func(b *testing.B)
@@ -65,9 +57,8 @@ func rates64() []float64 {
 func Cases() []Case {
 	cases := []Case{
 		{
-			Name:     "fairshare_congestion_into_n64",
-			Gated:    true,
-			Baseline: "fairshare_congestion_legacy_n64",
+			Name:  "fairshare_congestion_into_n64",
+			Gated: true,
 			Bench: func(b *testing.B) {
 				r := rates64()
 				if !core.Feasible(r) {
@@ -80,17 +71,6 @@ func Cases() []Case {
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					(alloc.FairShare{}).CongestionInto(&ws, dst, r)
-				}
-			},
-		},
-		{
-			Name: "fairshare_congestion_legacy_n64",
-			Bench: func(b *testing.B) {
-				r := rates64()
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					legacyFairShareCongestion(r)
 				}
 			},
 		},
@@ -112,9 +92,8 @@ func Cases() []Case {
 			},
 		},
 		{
-			Name:     "bestresponse_fairshare_ws_n64",
-			Gated:    true,
-			Baseline: "bestresponse_fairshare_legacy_n64",
+			Name:  "bestresponse_fairshare_ws_n64",
+			Gated: true,
 			Bench: func(b *testing.B) {
 				r := rates64()
 				var u core.Utility = utility.NewLinear(1, 0.25)
@@ -128,25 +107,12 @@ func Cases() []Case {
 			},
 		},
 		{
-			Name: "bestresponse_fairshare_legacy_n64",
-			Bench: func(b *testing.B) {
-				r := rates64()
-				var u core.Utility = utility.NewLinear(1, 0.25)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					legacyBestResponse(u, r, 5)
-				}
-			},
-		},
-		{
 			Name: "solvenash_fairshare_n8",
-			// Per solve: the returned R (append) and C (fresh Congestion
-			// vector) the NashResult contract promises, plus the few
-			// fixed-size pieces behind them.  Everything else rides the
-			// workspace; a 6th allocation means scratch started escaping.
+			// Per solve: the freshly allocated R and C the NashResult
+			// contract promises.  Everything else rides the workspace; a
+			// 3rd allocation means scratch started escaping.
 			Gated:  true,
-			Budget: 5,
+			Budget: 2,
 			Bench: func(b *testing.B) {
 				us := utility.Identical(utility.NewLinear(1, 0.25), 8)
 				r0 := make([]float64, 8)
@@ -190,92 +156,4 @@ func Cases() []Case {
 		},
 	}
 	return append(cases, classCases()...)
-}
-
-// legacyFairShareCongestion is the pre-workspace Fair Share evaluation,
-// kept as the benchmark baseline: fresh sort.SliceStable argsort plus a
-// fresh output vector per call.
-func legacyFairShareCongestion(r []float64) []float64 {
-	n := len(r)
-	out := make([]float64, n)
-	if n == 0 {
-		return out
-	}
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return r[idx[a]] < r[idx[b]] })
-	prefix := 0.0
-	prevG := 0.0
-	c := 0.0
-	for k := 1; k <= n; k++ {
-		i := idx[k-1]
-		xk := float64(n-k+1)*r[i] + prefix
-		gk := mm1.G(xk)
-		if math.IsInf(gk, 1) {
-			for m := k; m <= n; m++ {
-				out[idx[m-1]] = math.Inf(1)
-			}
-			return out
-		}
-		c += (gk - prevG) / float64(n-k+1)
-		out[i] = c
-		prevG = gk
-		prefix += r[i]
-	}
-	return out
-}
-
-// legacyBestResponse is the pre-workspace best-response search, kept as
-// the benchmark baseline: a fresh r|ⁱx copy per call and a full Fair
-// Share evaluation (fresh sort, fresh vectors) per probe, with the same
-// grid+golden schedule and defaults as the live solver.
-func legacyBestResponse(u core.Utility, r []core.Rate, i int) (float64, float64) {
-	rr := append([]float64(nil), r...)
-	h := func(x float64) float64 {
-		rr[i] = x
-		return u.Value(x, legacyFairShareCongestion(rr)[i])
-	}
-	const lo, hi = 1e-9, 1 - 1e-9
-	const grid = 64
-	const tol = 1e-10
-	return maximizeGrid(h, lo, hi, grid, tol)
-}
-
-// maximizeGrid is the grid-seeded golden-section maximizer, copied from
-// the solver so the legacy baseline probes on the identical schedule.
-func maximizeGrid(f func(float64) float64, a, b float64, n int, tol float64) (float64, float64) {
-	h := (b - a) / float64(n)
-	bestI, bestF := 0, math.Inf(-1)
-	for i := 0; i <= n; i++ {
-		if v := f(a + float64(i)*h); v > bestF {
-			bestF, bestI = v, i
-		}
-	}
-	lo := a + float64(bestI-1)*h
-	if bestI == 0 {
-		lo = a
-	}
-	hi := a + float64(bestI+1)*h
-	if bestI == n {
-		hi = b
-	}
-	const invPhi = 0.6180339887498949
-	c := hi - invPhi*(hi-lo)
-	d := lo + invPhi*(hi-lo)
-	fc, fd := f(c), f(d)
-	for hi-lo > tol {
-		if fc > fd {
-			hi, d, fd = d, c, fc
-			c = hi - invPhi*(hi-lo)
-			fc = f(c)
-		} else {
-			lo, c, fc = c, d, fd
-			d = lo + invPhi*(hi-lo)
-			fd = f(d)
-		}
-	}
-	x := lo + (hi-lo)/2
-	return x, f(x)
 }

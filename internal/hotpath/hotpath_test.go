@@ -2,7 +2,6 @@ package hotpath
 
 import (
 	"context"
-	"math"
 	"testing"
 
 	"greednet/internal/alloc"
@@ -87,30 +86,7 @@ func TestGatedCasesWithinAllocBudget(t *testing.T) {
 	}
 }
 
-// The legacy baselines must still compute the same answers as the live
-// fast paths — a baseline that drifted would make the before/after
-// comparison in BENCH_hotpath.json meaningless.
-func TestLegacyBaselinesStillAgree(t *testing.T) {
-	r := rates64()
-
-	want := (alloc.FairShare{}).Congestion(r)
-	got := legacyFairShareCongestion(r)
-	for i := range want {
-		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-			t.Fatalf("fair share congestion[%d]: legacy %v, live %v", i, got[i], want[i])
-		}
-	}
-
-	var u core.Utility = utility.NewLinear(1, 0.25)
-	wx, wv := game.BestResponse(alloc.FairShare{}, u, r, 5, game.BROptions{})
-	gx, gv := legacyBestResponse(u, r, 5)
-	if math.Float64bits(gx) != math.Float64bits(wx) || math.Float64bits(gv) != math.Float64bits(wv) {
-		t.Fatalf("best response: legacy (%v, %v), live (%v, %v)", gx, gv, wx, wv)
-	}
-}
-
-// Case metadata must be coherent: names unique and non-empty, and every
-// Baseline reference must resolve to a registered case.
+// Case metadata must be coherent: names unique and non-empty.
 func TestCaseMetadata(t *testing.T) {
 	names := make(map[string]bool)
 	for _, c := range Cases() {
@@ -121,10 +97,5 @@ func TestCaseMetadata(t *testing.T) {
 			t.Fatalf("duplicate case name %q", c.Name)
 		}
 		names[c.Name] = true
-	}
-	for _, c := range Cases() {
-		if c.Baseline != "" && !names[c.Baseline] {
-			t.Fatalf("case %q references unknown baseline %q", c.Name, c.Baseline)
-		}
 	}
 }

@@ -8,8 +8,8 @@ package lint
 // FuncFact values: when package P is analyzed, the facts of every package
 // it imports are already available (the vettool protocol hands them over
 // as vetx files; the standalone driver analyzes packages in dependency
-// order), so a summary like "alloc.FairShareBR.Reset does not allocate"
-// flows to callers without re-analyzing alloc.
+// order), so a summary like "alloc.FairShare.CongestionInto does not
+// allocate" flows to callers without re-analyzing alloc.
 //
 // The approximations, chosen so analyzers err toward fewer findings:
 //
@@ -135,10 +135,10 @@ type CallSite struct {
 // with its local summary and outgoing static edges.
 type FuncInfo struct {
 	// Key is the package-qualified fact key, e.g.
-	// "greednet/internal/alloc.(FairShareBR).Reset".
+	// "greednet/internal/alloc.(FairShare).CongestionInto".
 	Key string
 	// Display is the short human form used in messages, e.g.
-	// "alloc.(FairShareBR).Reset".
+	// "alloc.(FairShare).CongestionInto".
 	Display string
 	Decl    *ast.FuncDecl
 	Obj     *types.Func

@@ -164,7 +164,7 @@ func hqr(a *Matrix) ([]complex128, error) {
 	ev := make([]complex128, 0, n)
 	anorm := 0.0
 	for i := 0; i < n; i++ {
-		for j := maxInt(i-1, 0); j < n; j++ {
+		for j := max(i-1, 0); j < n; j++ {
 			anorm += math.Abs(a.At(i, j))
 		}
 	}

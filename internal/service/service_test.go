@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -14,6 +16,7 @@ import (
 	"time"
 
 	"greednet/internal/core"
+	"greednet/internal/mm1"
 )
 
 // fakeClock is a mutable, goroutine-safe time source for the tests.
@@ -653,4 +656,53 @@ func slicesEqual(a, b []string) bool {
 		}
 	}
 	return true
+}
+
+// TestSolveLargePopulationFeasible admits 512 clients with four utility
+// specs and rates uniform in [0.2, 0.95)/N, and checks that the 2xx solve
+// body is an M/M/1-feasible point (Σc = g(Σr)) inside the Theorem 8
+// protection bound c_i ≤ r_i/(1−N·r_i).  At this size a client's
+// feasible best-response interval is narrower than one search grid cell;
+// the search once returned a "converged" all-+Inf profile there, which
+// encoding/json cannot render, leaving a 200 with an empty body.  An
+// N = 512 solve takes seconds under the race detector, so the solve
+// timeout, the request deadline and the stall watchdog are all raised.
+func TestSolveLargePopulationFeasible(t *testing.T) {
+	const n = 512
+	const budget = 2 * time.Minute
+	s := New(Options{Workers: 1, SolveTimeout: budget, DefaultDeadline: budget, MaxDeadline: budget, StallAfter: budget})
+	s.Start()
+	defer func() {
+		if err := s.Shutdown(context.Background()); err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+	}()
+	h := s.Handler()
+	specs := []string{"linear:1,4", "linear:1,2", "log:2,1", "sqrt:1,2"}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < n; i++ {
+		update(t, h, fmt.Sprintf("c%04d", i), (0.2+0.75*rng.Float64())/n, specs[i%len(specs)])
+	}
+	var sol SolveResponse
+	req := SolveRequest{Client: "c0000", DeadlineMS: budget.Milliseconds()}
+	if code := doJSON(t, h, "POST", "/v1/solve", req, &sol); code != http.StatusOK {
+		t.Fatalf("solve: status %d", code)
+	}
+	if !sol.Converged || len(sol.R) != n || len(sol.C) != n {
+		t.Fatalf("bad solve: converged %v, %d rates, %d congestions", sol.Converged, len(sol.R), len(sol.C))
+	}
+	sr, sc := 0.0, 0.0
+	for i := range sol.R {
+		sr += sol.R[i]
+		sc += sol.C[i]
+		if bound := mm1.ProtectionBound(n, sol.R[i]); sol.C[i] > bound*(1+1e-9) {
+			t.Errorf("client %s: c = %v above its protection bound %v (r = %v)", sol.Clients[i], sol.C[i], bound, sol.R[i])
+		}
+	}
+	if !(sr < 1) {
+		t.Fatalf("Σr = %v, want < 1", sr)
+	}
+	if g := mm1.G(sr); math.Abs(sc-g) > 1e-9*g {
+		t.Errorf("Σc = %v, g(Σr) = %v", sc, g)
+	}
 }
