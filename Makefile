@@ -104,12 +104,16 @@ escapes-update:
 	rm -f BENCH_escapes.json
 	$(GO) run ./cmd/greedbench -escapes BENCH_escapes.json
 
-# Short fuzz smoke over the allocation invariants; CI runs this on every
-# push, longer local runs via FUZZTIME=5m make fuzz.
+# Short smoke over every fuzz target in the module, FUZZTIME each; CI runs
+# this on every push (its only fuzz list), longer local runs via
+# FUZZTIME=5m make fuzz.
 fuzz:
 	$(GO) test ./internal/alloc -run='^$$' -fuzz=FuzzFairShareInvariants -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/alloc -run='^$$' -fuzz=FuzzTablePriorityGMatchesFairShareAtCV1 -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/chaos -run='^$$' -fuzz=FuzzAllocationPassThrough -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/core -run='^$$' -fuzz=FuzzAscendingSequence -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/game -run='^$$' -fuzz=FuzzAggregateExpand -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/service -run='^$$' -fuzz=FuzzDecodeUpdate -fuzztime=$(FUZZTIME)
 
 clean:
 	rm -rf bin

@@ -1,6 +1,9 @@
 package core
 
-import "sort"
+import (
+	"math"
+	"sort"
+)
 
 // Workspace is reusable scratch memory for the allocation fast paths.  A
 // solver owns one workspace, threads it through every CongestionInto /
@@ -26,7 +29,8 @@ type Workspace struct {
 // argSorter is the workspace-resident sort.Interface behind Ascending.
 // Keeping it a struct field (rather than building a closure per call) lets
 // sort.Stable receive an interface without allocating: the *argSorter
-// pointer fits the interface word directly.
+// pointer fits the interface word directly.  Between calls idx keeps the
+// last permutation Ascending returned, which the next call repairs.
 type argSorter struct {
 	keys []float64
 	idx  []int
@@ -36,21 +40,40 @@ func (s *argSorter) Len() int           { return len(s.idx) }
 func (s *argSorter) Less(a, b int) bool { return s.keys[s.idx[a]] < s.keys[s.idx[b]] }
 func (s *argSorter) Swap(a, b int)      { s.idx[a], s.idx[b] = s.idx[b], s.idx[a] }
 
+// repairBudget caps the insertion pass that repairs the previous
+// permutation at repairBudget·n element moves; past it the keys are too
+// far from the last order to beat a sort from scratch.
+const repairBudget = 2
+
 // Ascending returns the permutation that stably sorts keys ascending —
 // idx[k] is the original index of the k-th smallest key, ties in original
 // order.  The stable permutation of a given key vector is unique, so the
-// result is bit-identical to a sort.SliceStable argsort of the same keys.
+// result is bit-identical to a sort.SliceStable argsort of the same keys
+// and does not depend on earlier calls.  The cost does: when keys has the
+// same length as the previous call's, Ascending repairs the previous
+// permutation with one insertion pass under the (key, index) order, which
+// is the stable order whenever no key is NaN.  A Gauss–Seidel round, whose
+// consecutive best responses see key vectors that differ in one entry,
+// thus pays O(n) per call instead of O(n log n).  A NaN key (whose
+// "stable order" is whatever sort.Stable's merges make of it), a length
+// change, or a pass past repairBudget·n moves sorts from scratch.
+//
 // The returned slice is workspace-owned scratch, valid until the next
-// Ascending call; keys is read but never retained.
+// Ascending call; callers must not modify it, since the next call starts
+// from it.  keys is read but never retained.
 func (w *Workspace) Ascending(keys []float64) []int {
 	if w == nil {
 		w = new(Workspace) //lint:allow allocfree nil-workspace transient-scratch fallback; hot callers pass a real workspace (pinned by the allocs_per_op gate)
 	}
 	n := len(keys)
-	if cap(w.sorter.idx) < n {
-		w.sorter.idx = make([]int, n)
+	idx := w.sorter.idx
+	if len(idx) == n && repair(keys, idx) {
+		return idx
 	}
-	idx := w.sorter.idx[:n]
+	if cap(idx) < n {
+		idx = make([]int, n)
+	}
+	idx = idx[:n]
 	for i := range idx {
 		idx[i] = i
 	}
@@ -59,6 +82,37 @@ func (w *Workspace) Ascending(keys []float64) []int {
 	sort.Stable(&w.sorter)
 	w.sorter.keys = nil // do not retain the caller's slice
 	return idx
+}
+
+// repair re-sorts the permutation idx of keys in place by one insertion
+// pass under the (key, index) order and reports whether it finished.  It
+// gives up on a NaN key or once the pass has moved more than
+// repairBudget·len(idx) elements, leaving idx some permutation of its
+// entries for the caller to overwrite.
+func repair(keys []float64, idx []int) bool {
+	budget := repairBudget * len(idx)
+	for i, v := range idx {
+		kv := keys[v]
+		if math.IsNaN(kv) {
+			return false
+		}
+		// Shift right every earlier entry that v precedes: its key is
+		// larger, or equal (neither is less; no key so far is NaN) with a
+		// larger index.
+		j := i
+		for ; j > 0; j-- {
+			u := idx[j-1]
+			if ku := keys[u]; ku < kv || (!(kv < ku) && u < v) {
+				break
+			}
+			idx[j] = idx[j-1]
+		}
+		idx[j] = v
+		if budget -= i - j; budget < 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // VecA returns the workspace's first float64 scratch vector, resized to n.

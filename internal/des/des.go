@@ -188,8 +188,8 @@ func RunCtx(ctx context.Context, cfg Config) (Result, error) {
 		// integrals advance lazily at count changes (lq.bump below).
 		tNext := t + dt
 		if tNext > cfg.Warmup {
-			lo := math.Max(t, cfg.Warmup)
-			hi := math.Min(tNext, end)
+			lo := max(t, cfg.Warmup)
+			hi := min(tNext, end)
 			if hi > lo {
 				totalAvg.Accumulate(float64(inSystem), hi-lo)
 			}

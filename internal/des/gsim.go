@@ -379,7 +379,7 @@ func RunGCtx(ctx context.Context, cfg GConfig) (Result, error) {
 		// Accumulate the O(1) total-queue average over [prev, now); the
 		// per-user integrals advance lazily at count changes (lq.bump).
 		if now > cfg.Warmup && now > prev {
-			lo := math.Max(prev, cfg.Warmup)
+			lo := max(prev, cfg.Warmup)
 			span := now - lo
 			if span > 0 {
 				totalAvg.Accumulate(float64(inSystem), span)

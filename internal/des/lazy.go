@@ -70,8 +70,8 @@ func (lq *lazyQueues) batchRow(i int) []float64 {
 func (lq *lazyQueues) flush(i int, now float64) {
 	u := lq.user(i)
 	if c := u[uCount]; c > 0 {
-		lo := math.Max(u[uLastT], lq.warmup)
-		hi := math.Min(now, lq.end)
+		lo := max(u[uLastT], lq.warmup)
+		hi := min(now, lq.end)
 		if hi > lo {
 			u[uIntegral] += c * (hi - lo)
 			accumulateBatchUser(u[uStride:], c, lo-lq.warmup, hi-lq.warmup, lq.batchLen, lq.batches)
@@ -129,7 +129,7 @@ func accumulateBatchUser(batchInt []float64, c float64, lo, hi, batchLen float64
 			b++
 			bEnd = float64(b+1) * batchLen
 		}
-		seg := math.Min(hi, bEnd) - lo
+		seg := min(hi, bEnd) - lo
 		if seg <= 0 {
 			// Only reachable in the clamped last batch, where the
 			// remainder belongs anyway.

@@ -284,7 +284,7 @@ func RunSchedCtx(ctx context.Context, cfg SchedConfig) (Result, error) {
 		// O(1) total-queue average per event; per-user integrals advance
 		// lazily at count changes (lq.bump).
 		if now > cfg.Warmup && now > prev {
-			lo := math.Max(prev, cfg.Warmup)
+			lo := max(prev, cfg.Warmup)
 			span := now - lo
 			if span > 0 {
 				totalAvg.Accumulate(float64(inSystem), span)

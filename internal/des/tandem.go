@@ -164,8 +164,8 @@ func RunTandemCtx(ctx context.Context, cfg TandemConfig) (TandemResult, error) {
 		dt := e / rate
 		tNext := t + dt
 		if tNext > cfg.Warmup {
-			lo := math.Max(t, cfg.Warmup)
-			hi := math.Min(tNext, end)
+			lo := max(t, cfg.Warmup)
+			hi := min(tNext, end)
 			if span := hi - lo; span > 0 {
 				for u := 0; u < nUsers; u++ {
 					avgA[u].Accumulate(float64(countsA[u]), span)

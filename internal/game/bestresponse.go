@@ -61,8 +61,10 @@ func BestResponse(a core.Allocation, u core.Utility, r []core.Rate, i int, opt B
 //     arithmetic with every multiplicity one — a per-user game is the
 //     class game whose classes each have one member.  Under Fair Share
 //     the ~64 grid + golden-section probes go through the incremental
-//     deviator evaluator (one O(N log N) Reset, then O(log N) per probe),
-//     whose values equal the full evaluation bit for bit.
+//     deviator evaluator (one Reset — O(N) when the sorted order moved
+//     in one place since the workspace's last Reset, O(N log N) otherwise
+//     — then O(log N) per probe), whose values equal the full evaluation
+//     bit for bit.
 //   - Disciplines providing core.AllocationInto evaluate into the
 //     workspace's congestion buffer with the same arithmetic as their
 //     allocating path.

@@ -13,12 +13,16 @@ import (
 // pattern of a best-response line search, which probes ~64 grid points
 // plus a golden-section tail per call.  Players are classes with
 // multiplicities; a per-user game is the case where every multiplicity
-// is one.  Reset sorts the K rate blocks once in O(K log K) and
-// precomputes the prefix sums and the serial cost chain; each
-// CongestionOf/OwnDerivs probe then finds the deviator's insertion point
-// by binary search and finishes in O(1) — O(log K) per probe instead of
-// a full O(N log N) re-evaluation, with zero allocations once the
-// buffers have reached K's size.
+// is one.  Reset orders the K rate blocks, then precomputes the prefix
+// sums and the serial cost chain in O(K).  The ordering goes through the
+// workspace argsort, which repairs the previous Reset's order in O(K)
+// when only a few blocks moved (between the consecutive deviators of a
+// Gauss–Seidel round the gathered rates differ in one entry) and sorts
+// from scratch in O(K log K) otherwise.  Each CongestionOf/OwnDerivs
+// probe then finds the deviator's insertion point by binary search and
+// finishes in O(1) — O(log K) per probe instead of a full O(N log N)
+// re-evaluation, with zero allocations once the buffers have reached K's
+// size.
 //
 // Block arithmetic follows the summation-order contract of DESIGN.md §13:
 // a class of multiplicity m at rate ρ starting at sorted position s

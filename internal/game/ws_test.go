@@ -220,6 +220,79 @@ func TestSolveNashWSReuseIsStateless(t *testing.T) {
 	}
 }
 
+// A solve's answer must not depend on what its workspace solved before:
+// greedd's workers and perfbench's replays reuse one workspace across
+// solves, and the Fair Share argsort starts from the workspace's last
+// permutation.  Profile B is solved on a fresh workspace and on one that
+// has just solved profile A, of B's size (so B's first argsort repairs
+// A's last order) and of another size.  A's equilibrium rates fall with
+// the user index, while half of B's users hold one tied rate throughout,
+// above the others' equilibrium rates, where the serial chain rounds
+// their congestions apart.  Under Blend, whose Fair Share term argsorts
+// the whole profile at every probe, a repair that kept A's order among
+// those ties instead of B's index order would hand the rounding-level
+// differences to the wrong users.
+func TestSolveNashWSIndependentOfPriorSolve(t *testing.T) {
+	const n = 24
+	profileA := func(n int) (core.Profile, []core.Rate) {
+		us := make(core.Profile, n)
+		r0 := make([]core.Rate, n)
+		for i := range us {
+			us[i] = utility.NewLinear(1, 0.15+0.005*float64(i))
+			r0[i] = (0.3 + 0.5*float64(i%5)/5) / float64(n)
+		}
+		return us, r0
+	}
+	usB := utility.Identical(utility.NewLinear(1, 0.25), n)
+	rB := make([]core.Rate, n)
+	freeB := make([]bool, n)
+	for i := range rB {
+		rB[i] = 0.03
+		freeB[i] = i < n/2
+	}
+	opt := NashOptions{MaxIter: 60, Tol: 1e-6}
+	optB := opt
+	optB.Free = freeB
+	ctx := context.Background()
+	for _, a := range []core.Allocation{alloc.FairShare{}, alloc.Proportional{}, alloc.Blend{Theta: 0.5}} {
+		want, err := SolveNashWS(ctx, NewWorkspace(), a, usB, rB, optB)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, na := range []int{n, n + 7} {
+			usA, rA := profileA(na)
+			ws := NewWorkspace()
+			resA, err := SolveNashWS(ctx, ws, a, usA, rA, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := a.(alloc.Proportional); !ok {
+				for i := 1; i < na; i++ {
+					if !(resA.R[i] < resA.R[i-1]) {
+						t.Fatalf("profile A's rates must fall with the index: R = %v", resA.R)
+					}
+				}
+			}
+			got, err := SolveNashWS(ctx, ws, a, usB, rB, optB)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Iters != want.Iters || got.Converged != want.Converged ||
+				math.Float64bits(got.MaxGain) != math.Float64bits(want.MaxGain) {
+				t.Fatalf("%s after an N=%d solve: Iters %d Converged %v MaxGain %v, fresh %d %v %v",
+					a.Name(), na, got.Iters, got.Converged, got.MaxGain, want.Iters, want.Converged, want.MaxGain)
+			}
+			for i := range want.R {
+				if math.Float64bits(got.R[i]) != math.Float64bits(want.R[i]) ||
+					math.Float64bits(got.C[i]) != math.Float64bits(want.C[i]) {
+					t.Fatalf("%s after an N=%d solve, user %d: R %v C %v, fresh R %v C %v",
+						a.Name(), na, i, got.R[i], got.C[i], want.R[i], want.C[i])
+				}
+			}
+		}
+	}
+}
+
 // The returned R must be freshly allocated — a later solve through the
 // same workspace must not mutate an earlier result.
 func TestSolveNashWSResultsNotAliased(t *testing.T) {

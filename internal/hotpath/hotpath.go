@@ -17,6 +17,7 @@ import (
 	"testing"
 
 	"greednet/internal/alloc"
+	"greednet/internal/cliutil"
 	"greednet/internal/core"
 	"greednet/internal/des"
 	"greednet/internal/game"
@@ -51,12 +52,48 @@ func rates64() []float64 {
 	return r
 }
 
+// rates64Cold is a second 64-user profile, feasible and with distinct
+// rates in an order unrelated to rates64's, so that alternating the two
+// on one workspace defeats the argsort's repair of its last permutation.
+func rates64Cold() []float64 {
+	r := make([]float64, 64)
+	for i := range r {
+		r[i] = (0.3 + 0.5*float64(i*29%64)/64) / 64
+	}
+	return r
+}
+
+// climbSpecs are the utility specs greedd's benchmark population cycles
+// through.
+var climbSpecs = []string{"linear:1,4", "linear:1,2", "log:2,1", "sqrt:1,2"}
+
+// climbGame returns the climb-shaped solve: n users with climbSpecs
+// assigned round-robin, starting from distinct rates spread over
+// [0.0025, 0.0035] in an order unrelated to the index, and the service's
+// solve options (MaxIter 200, Tol 1e-6).
+func climbGame(n int) (core.Profile, []float64, game.NashOptions, error) {
+	us := make(core.Profile, n)
+	r0 := make([]float64, n)
+	for i := range us {
+		u, err := cliutil.ParseUtility(climbSpecs[i%len(climbSpecs)])
+		if err != nil {
+			return nil, nil, game.NashOptions{}, err
+		}
+		us[i] = u
+		r0[i] = 0.0025 + 0.001*float64(i*37%n)/float64(n)
+	}
+	return us, r0, game.NashOptions{MaxIter: 200, Tol: 1e-6}, nil
+}
+
 // Cases returns the hot-path benchmark suite in emission order: the
 // per-user paths below, then the class-solver headline scales
 // (classes.go).
 func Cases() []Case {
 	cases := []Case{
 		{
+			// One vector evaluated over and over: after the warm call the
+			// workspace's argsort repair finds it already sorted, so this
+			// times the O(n) sorted path.  The _cold case times the sort.
 			Name:  "fairshare_congestion_into_n64",
 			Gated: true,
 			Bench: func(b *testing.B) {
@@ -70,6 +107,31 @@ func Cases() []Case {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
+					(alloc.FairShare{}).CongestionInto(&ws, dst, r)
+				}
+			},
+		},
+		{
+			// Two unrelated profiles alternating on one workspace: every
+			// call runs the repair pass past its budget and then the sort
+			// from scratch.
+			Name:  "fairshare_congestion_into_n64_cold",
+			Gated: true,
+			Bench: func(b *testing.B) {
+				r0, r1 := rates64(), rates64Cold()
+				if !core.Feasible(r0) || !core.Feasible(r1) {
+					b.Fatal("hotpath: a cold-case profile is infeasible")
+				}
+				dst := make([]float64, len(r0))
+				var ws core.Workspace
+				(alloc.FairShare{}).CongestionInto(&ws, dst, r1) // warm
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					r := r0
+					if i%2 == 1 {
+						r = r1
+					}
 					(alloc.FairShare{}).CongestionInto(&ws, dst, r)
 				}
 			},
@@ -124,6 +186,28 @@ func Cases() []Case {
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					if _, err := game.SolveNashWS(context.Background(), ws, alloc.FairShare{}, us, r0, game.NashOptions{}); err != nil {
+						b.Fatal(err)
+					}
+				}
+			},
+		},
+		{
+			Name: "solvenash_fairshare_n128",
+			// The climb-shaped solve greedd runs on every /v1/solve of its
+			// benchmark's closed loop; budgeted like solvenash_fairshare_n8
+			// (R and C).
+			Gated:  true,
+			Budget: 2,
+			Bench: func(b *testing.B) {
+				us, r0, opt, err := climbGame(128)
+				if err != nil {
+					b.Fatal(err)
+				}
+				ws := game.NewWorkspace()
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := game.SolveNashWS(context.Background(), ws, alloc.FairShare{}, us, r0, opt); err != nil {
 						b.Fatal(err)
 					}
 				}

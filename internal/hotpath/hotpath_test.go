@@ -40,10 +40,31 @@ func TestGatedCasesWithinAllocBudget(t *testing.T) {
 		r0[i] = 0.4 / 8
 	}
 	nws := game.NewWorkspace()
+	cold0, cold1 := rates64(), rates64Cold()
+	var coldWS core.Workspace
+	calls := 0
+	cus, cr0, copt, err := climbGame(128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cws := game.NewWorkspace()
 
 	checks := map[string]func(){
 		"fairshare_congestion_into_n64": func() {
 			(alloc.FairShare{}).CongestionInto(&ws, dst, r)
+		},
+		"fairshare_congestion_into_n64_cold": func() {
+			calls++
+			r := cold0
+			if calls%2 == 1 {
+				r = cold1
+			}
+			(alloc.FairShare{}).CongestionInto(&coldWS, dst, r)
+		},
+		"solvenash_fairshare_n128": func() {
+			if _, err := game.SolveNashWS(context.Background(), cws, alloc.FairShare{}, cus, cr0, copt); err != nil {
+				t.Fatal(err)
+			}
 		},
 		"proportional_congestion_into_n64": func() {
 			(alloc.Proportional{}).CongestionInto(&ws, dst, r)
