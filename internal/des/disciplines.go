@@ -231,15 +231,12 @@ func (c *CyclicPolling) Dequeue() Packet {
 func (c *CyclicPolling) Len() int { return c.total }
 
 // StrictPriority serves the lowest-numbered nonempty class first (FIFO
-// within a class), preemptively.  Classes are read from Packet.Class; use
-// a Classifier to assign them at arrival time.
+// within a class), preemptively.  Classes are read from Packet.Class,
+// which the caller assigns before Enqueue (RatePriority and
+// FairShareSplitter wrap it to do so).
 type StrictPriority struct {
 	classes []fifoQueue
 	total   int
-	// Classify maps an arriving packet to its class in [0, len(classes)).
-	// The default (nil) uses Packet.Class as provided by the caller, which
-	// must then pre-assign classes.
-	Classify func(p *Packet)
 	// NumClasses fixes the class count at Reset; default = number of users.
 	NumClasses int
 }
@@ -259,9 +256,6 @@ func (s *StrictPriority) Reset(rates []float64, rng *rand.Rand) {
 
 // Enqueue implements Discipline.
 func (s *StrictPriority) Enqueue(p Packet) {
-	if s.Classify != nil {
-		s.Classify(&p)
-	}
 	if p.Class < 0 {
 		p.Class = 0
 	}
@@ -312,12 +306,14 @@ func (r *RatePriority) Reset(rates []float64, rng *rand.Rand) {
 		r.class[u] = rank
 	}
 	r.sp.NumClasses = n
-	r.sp.Classify = func(p *Packet) { p.Class = r.class[p.User] }
 	r.sp.Reset(rates, rng)
 }
 
-// Enqueue implements Discipline.
-func (r *RatePriority) Enqueue(p Packet) { r.sp.Enqueue(p) }
+// Enqueue implements Discipline: the packet joins its user's rank class.
+func (r *RatePriority) Enqueue(p Packet) {
+	p.Class = r.class[p.User]
+	r.sp.Enqueue(p)
+}
 
 // Dequeue implements Discipline.
 func (r *RatePriority) Dequeue() Packet { return r.sp.Dequeue() }
@@ -376,7 +372,6 @@ func (f *FairShareSplitter) Reset(rates []float64, rng *rand.Rand) {
 		f.cdf[u] = cdf
 	}
 	f.sp.NumClasses = n
-	f.sp.Classify = nil
 	f.sp.Reset(rates, rng)
 }
 

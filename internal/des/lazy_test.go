@@ -145,6 +145,30 @@ func TestPickSourceMatchesLinearScan(t *testing.T) {
 	}
 }
 
+// allocsPerExtraEvent runs run at horizons 2e4 and 4e4 and returns the
+// heap allocations the second run made beyond the first, per extra
+// event: the steady-state cost of one event once every buffer has grown.
+func allocsPerExtraEvent(t *testing.T, run func(horizon float64) (Result, error)) float64 {
+	t.Helper()
+	measure := func(h float64) (uint64, int64) {
+		runtime.GC()
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		res, err := run(h)
+		runtime.ReadMemStats(&m1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m1.Mallocs - m0.Mallocs, res.Arrivals + res.Departures
+	}
+	m1, e1 := measure(2e4)
+	m2, e2 := measure(4e4)
+	if e2 <= e1 {
+		t.Fatalf("event counts did not grow with horizon: %d then %d", e1, e2)
+	}
+	return (float64(m2) - float64(m1)) / float64(e2-e1)
+}
+
 // The steady-state event loop must be O(1) amortized allocations per
 // event: doubling the horizon roughly doubles the event count, and the
 // extra events must cost (amortized) nothing beyond occasional queue
@@ -154,33 +178,39 @@ func TestRunSteadyStateAllocsPerEvent(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc-scaling gate needs a long horizon")
 	}
-	run := func(h float64) (uint64, int64) {
-		cfg := Config{
-			Rates:      []float64{0.2, 0.3, 0.2},
-			Discipline: &FIFO{},
-			Horizon:    h,
-			Warmup:     100,
-			Seed:       7,
-		}
-		runtime.GC()
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		res, err := Run(cfg)
-		runtime.ReadMemStats(&m1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m1.Mallocs - m0.Mallocs, res.Arrivals + res.Departures
+	perEvent := allocsPerExtraEvent(t, func(h float64) (Result, error) {
+		return Run(Config{Rates: []float64{0.2, 0.3, 0.2}, Discipline: &FIFO{}, Horizon: h, Warmup: 100, Seed: 7})
+	})
+	if perEvent > 0.01 {
+		t.Errorf("steady-state loop allocates %.4f/event, want ~0", perEvent)
 	}
-	m1, e1 := run(2e4)
-	m2, e2 := run(4e4)
-	if e2 <= e1 {
-		t.Fatalf("event counts did not grow with horizon: %d then %d", e1, e2)
+}
+
+// The class-queue disciplines and the Fair Queueing scheduler must not
+// allocate per packet either: a Packet handed to StrictPriority through
+// a func field, or an fqItem boxed by container/heap, would escape to the
+// heap on every arrival.
+func TestSchedulersSteadyStateAllocsPerEvent(t *testing.T) {
+	if testing.Short() {
+		t.Skip("alloc-scaling gate needs a long horizon")
 	}
-	extraAllocs := float64(m2) - float64(m1)
-	extraEvents := float64(e2 - e1)
-	if perEvent := extraAllocs / extraEvents; perEvent > 0.01 {
-		t.Errorf("steady-state loop allocates %.4f/event (extra allocs %v over %v extra events), want ~0",
-			perEvent, extraAllocs, extraEvents)
+	rates := []float64{0.2, 0.3, 0.2}
+	for _, tc := range []struct {
+		name string
+		run  func(h float64) (Result, error)
+	}{
+		{"FairShareSplitter", func(h float64) (Result, error) {
+			return Run(Config{Rates: rates, Discipline: &FairShareSplitter{}, Horizon: h, Warmup: 100, Seed: 7})
+		}},
+		{"RatePriority", func(h float64) (Result, error) {
+			return Run(Config{Rates: rates, Discipline: &RatePriority{}, Horizon: h, Warmup: 100, Seed: 7})
+		}},
+		{"FQSched", func(h float64) (Result, error) {
+			return RunSched(SchedConfig{Rates: rates, Sched: &FQSched{}, Horizon: h, Warmup: 100, Seed: 7})
+		}},
+	} {
+		if perEvent := allocsPerExtraEvent(t, tc.run); perEvent > 0.01 {
+			t.Errorf("%s: steady-state loop allocates %.4f/event, want ~0", tc.name, perEvent)
+		}
 	}
 }

@@ -1,7 +1,6 @@
 package des
 
 import (
-	"container/heap"
 	"context"
 	"math"
 
@@ -80,24 +79,56 @@ type fqItem struct {
 	seq    int64 // FIFO tie-break
 }
 
+// fqHeap is a binary min-heap of fqItems under (finish, seq), a strict
+// total order, so its pop order is fully determined.  push and pop mirror
+// container/heap's Push and Pop (sift-up, swap-to-end then sift-down)
+// on the typed slice, which keeps each item out of an interface box.
 type fqHeap []fqItem
 
-func (h fqHeap) Len() int { return len(h) }
-func (h fqHeap) Less(i, j int) bool {
+func (h fqHeap) less(i, j int) bool {
 	if h[i].finish != h[j].finish { //lint:allow floateq exact finish-tag tie-break keeps the heap deterministic
 		return h[i].finish < h[j].finish
 	}
 	return h[i].seq < h[j].seq
 }
-func (h fqHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *fqHeap) Push(x interface{}) { *h = append(*h, x.(fqItem)) }
-func (h *fqHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	old[n-1] = fqItem{} // zero the vacated tail: the popped packet pointer must not linger in the backing array
-	*h = old[:n-1]
-	return x
+
+// push adds it to the heap.
+func (h *fqHeap) push(it fqItem) {
+	*h = append(*h, it)
+	q := *h
+	for j := len(q) - 1; j > 0; {
+		i := (j - 1) / 2 // parent
+		if !q.less(j, i) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		j = i
+	}
+}
+
+// pop removes and returns the least item; the heap must be nonempty.
+func (h *fqHeap) pop() fqItem {
+	q := *h
+	n := len(q) - 1
+	q[0], q[n] = q[n], q[0]
+	for i := 0; ; {
+		j := 2*i + 1 // left child
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && q.less(j2, j) {
+			j = j2
+		}
+		if !q.less(j, i) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		i = j
+	}
+	it := q[n]
+	q[n] = fqItem{} // zero the vacated tail: the popped packet pointer must not linger in the backing array
+	*h = q[:n]
+	return it
 }
 
 // FQSched is the Fair Queueing scheduler of Demers, Keshav & Shenker:
@@ -165,13 +196,13 @@ func (f *FQSched) Enqueue(p *gpacket, now float64) {
 	}
 	f.queued[u]++
 	f.seq++
-	heap.Push(&f.h, fqItem{p: p, finish: finish, seq: f.seq})
+	f.h.push(fqItem{p: p, finish: finish, seq: f.seq})
 }
 
 // Dequeue implements Scheduler.
 func (f *FQSched) Dequeue(now float64) *gpacket {
 	f.advance(now)
-	it := heap.Pop(&f.h).(fqItem)
+	it := f.h.pop()
 	u := it.p.user
 	f.queued[u]--
 	if f.queued[u] == 0 {

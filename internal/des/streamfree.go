@@ -41,9 +41,8 @@ func (l *LIFOPreemptive) StreamFree() bool { return true }
 func (c *CyclicPolling) StreamFree() bool { return true }
 
 // StreamFree implements the draw-free marker: class queues are
-// deterministic, but a user-supplied Classify closure could draw from
-// anywhere, so only the nil (Packet.Class) default is declared safe.
-func (s *StrictPriority) StreamFree() bool { return s.Classify == nil }
+// deterministic and classes arrive pre-assigned in Packet.Class.
+func (s *StrictPriority) StreamFree() bool { return true }
 
 // StreamFree implements the draw-free marker: the rank table is computed
 // at Reset and the underlying strict-priority queues are deterministic.

@@ -60,11 +60,12 @@ func BestResponse(a core.Allocation, u core.Utility, r []core.Rate, i int, opt B
 //   - Fair Share, Proportional and Square search on their class
 //     arithmetic with every multiplicity one — a per-user game is the
 //     class game whose classes each have one member.  Under Fair Share
-//     the ~64 grid + golden-section probes go through the incremental
+//     the grid, which stops at its first probe that floods from the top
+//     gap, and the golden-section probes go through the incremental
 //     deviator evaluator (one Reset — O(N) when the sorted order moved
 //     in one place since the workspace's last Reset, O(N log N) otherwise
-//     — then O(log N) per probe), whose values equal the full evaluation
-//     bit for bit.
+//     — then O(1) to O(log N) per probe), whose values equal the full
+//     evaluation bit for bit.
 //   - Disciplines providing core.AllocationInto evaluate into the
 //     workspace's congestion buffer with the same arithmetic as their
 //     allocating path.
@@ -185,6 +186,9 @@ func (ws *Workspace) propSymBR(u core.Utility, r []core.Rate, counts []int, d in
 // climbs.
 type objective interface {
 	payoff(x float64) float64
+	// exhausted reports whether a probe since the objective was prepared
+	// has shown that the payoff is −Inf at every rate from its own up.
+	exhausted() bool
 }
 
 // objectiveFunc adapts a plain function to objective for callers off the
@@ -192,6 +196,8 @@ type objective interface {
 type objectiveFunc func(float64) float64
 
 func (f objectiveFunc) payoff(x float64) float64 { return f(x) }
+
+func (objectiveFunc) exhausted() bool { return false }
 
 // maximize is the one best-response line search: an even grid of n+1
 // probes over [a, b] seeds a golden-section refinement of the best grid
@@ -202,13 +208,23 @@ func (f objectiveFunc) payoff(x float64) float64 { return f(x) }
 // bracket walked to the cell's infeasible right edge — the grid's best
 // point is returned instead.
 //
+// An ascending grid stops at the first −Inf probe after which f is
+// exhausted: every later grid point pays −Inf and cannot beat the
+// incumbent under the strict comparison, so the result is the full
+// grid's.  Under Fair Share that is the first probe that floods from the
+// top gap (fairShareBR.topFlood), and the later points pay −Inf by
+// core.Utility's rule that c = +Inf gives −Inf.
+//
 //lint:hotpath
 func maximize(f objective, a, b float64, n int, tol float64) (float64, float64) {
 	h := (b - a) / float64(n)
 	bestI, bestF := 0, math.Inf(-1)
 	for i := 0; i <= n; i++ {
-		if v := f.payoff(a + float64(i)*h); v > bestF {
+		v := f.payoff(a + float64(i)*h)
+		if v > bestF {
 			bestF, bestI = v, i
+		} else if math.IsInf(v, -1) && h > 0 && f.exhausted() {
+			break
 		}
 	}
 	lo := a + float64(bestI-1)*h

@@ -10,19 +10,20 @@ import (
 
 // fairShareBR evaluates one deviating player's Fair Share congestion as
 // its rate varies with every other player held fixed — the access
-// pattern of a best-response line search, which probes ~64 grid points
-// plus a golden-section tail per call.  Players are classes with
+// pattern of a best-response line search, which probes a grid plus a
+// golden-section tail per call.  Players are classes with
 // multiplicities; a per-user game is the case where every multiplicity
-// is one.  Reset orders the K rate blocks, then precomputes the prefix
-// sums and the serial cost chain in O(K).  The ordering goes through the
-// workspace argsort, which repairs the previous Reset's order in O(K)
-// when only a few blocks moved (between the consecutive deviators of a
-// Gauss–Seidel round the gathered rates differ in one entry) and sorts
-// from scratch in O(K log K) otherwise.  Each CongestionOf/OwnDerivs
-// probe then finds the deviator's insertion point by binary search and
-// finishes in O(1) — O(log K) per probe instead of a full O(N log N)
-// re-evaluation, with zero allocations once the buffers have reached K's
-// size.
+// is one.  Reset argsorts all K players once and lays out the other
+// players' rate blocks, their positions, prefix sums and serial cost
+// chain in one walk of that order.  The argsort is the workspace's,
+// which repairs the previous Reset's order in O(K) when only a few rates
+// moved (between the consecutive deviators of a Gauss–Seidel round the
+// rate vector differs in one entry) and sorts from scratch in
+// O(K log K) otherwise.  Each CongestionOf/OwnDerivs probe then finds
+// the deviator's block by a search that resumes from the previous
+// probe's block — O(1) while probes stay in one gap, O(log K) at worst —
+// and finishes in O(1), instead of a full O(N log N) re-evaluation, with
+// zero allocations once the buffers have reached K's size.
 //
 // Block arithmetic follows the summation-order contract of DESIGN.md §13:
 // a class of multiplicity m at rate ρ starting at sorted position s
@@ -35,13 +36,13 @@ import (
 // probe is bit-identical to a full evaluation (the differential tests
 // pin this); at m > 1 the within-class chain steps (which agree only to
 // rounding in the expansion) are collapsed into the first member's step.
+// The contract covers NaN-free rates: a NaN has no place in a stable
+// order, so it is outside the evaluator's bit-identity guarantee.
 type fairShareBR struct {
 	n  int // total users Σ counts, including the deviator
 	d  int // the deviating player's index
 	nb int // number of nonempty blocks among the others
 
-	keys  []float64 // scratch: block rates in player order
-	owner []int     // scratch: player index of each gathered block
 	brate []float64 // block rates, stably sorted ascending
 	borig []int     // player index of each sorted block
 	// bstart[j] is the 1-based others-position of sorted block j's first
@@ -59,6 +60,14 @@ type fairShareBR struct {
 	// flooded block; n+1 when no block floods (past every position the
 	// deviator or the full chain can occupy).
 	floodPos int
+	// hint is the block index the last probe's search returned (0 after
+	// Reset), where the next search starts.
+	hint int
+	// topFlood records that a probe since Reset flooded from the top gap,
+	// where every block precedes the deviator.  There the deviator's load
+	// step is fl(x + σ), nondecreasing in x, and every larger rate stays
+	// in the top gap, so every larger rate floods too.
+	topFlood bool
 
 	ws core.Workspace
 }
@@ -69,6 +78,12 @@ type fairShareBR struct {
 // the blocks with multiplicity counts[d]−1 (dropped entirely at zero).
 // d = −1 keeps every player at full multiplicity (no deviator).
 //
+// All K players are argsorted together, deviator included, and the walk
+// skips the deviator's emptied block: with no NaN rate, the stable
+// (rate, index) order of all players minus one is exactly the stable
+// order of the others, so every block and every float operation of the
+// chain is the same as an argsort of the others alone would give.
+//
 //lint:hotpath
 func (b *fairShareBR) Reset(r []core.Rate, counts []int, d int) {
 	kk := len(r)
@@ -77,9 +92,7 @@ func (b *fairShareBR) Reset(r []core.Rate, counts []int, d int) {
 		n += m
 	}
 	b.n, b.d = n, d
-	if cap(b.keys) < kk {
-		b.keys = make([]float64, kk)
-		b.owner = make([]int, kk)
+	if cap(b.brate) < kk {
 		b.brate = make([]float64, kk)
 		b.borig = make([]int, kk)
 		b.gx = make([]float64, kk)
@@ -89,12 +102,14 @@ func (b *fairShareBR) Reset(r []core.Rate, counts []int, d int) {
 		b.bstart = make([]int, kk+1)
 		b.sigma = make([]float64, kk+1)
 	}
-	// Gather the nonempty other-blocks in player order: every player,
-	// with the deviating player's multiplicity reduced by one.
-	nb := 0
-	b.keys = b.keys[:kk]
-	b.owner = b.owner[:kk]
-	for j := 0; j < kk; j++ {
+
+	// One walk of the stable order lays out each nonempty block, its
+	// first-member position, the prefix sum before it and, up to the
+	// first flooded block, the cost chain.
+	b.floodPos = n + 1
+	nb, s := 0, 1
+	sigma, prevG, c := 0.0, 0.0, 0.0
+	for _, j := range b.ws.Ascending(r) {
 		m := counts[j]
 		if j == d {
 			m--
@@ -102,54 +117,24 @@ func (b *fairShareBR) Reset(r []core.Rate, counts []int, d int) {
 		if m == 0 {
 			continue
 		}
-		b.keys[nb] = r[j]
-		b.owner[nb] = j
+		rho := r[j]
+		b.brate[nb], b.borig[nb], b.bstart[nb], b.sigma[nb] = rho, j, s, sigma
+		if b.floodPos > n {
+			xk := float64(n-s+1)*rho + sigma
+			if gk := mm1.G(xk); math.IsInf(gk, 1) {
+				b.floodPos = s
+			} else {
+				c += (gk - prevG) / float64(n-s+1)
+				b.gx[nb], b.cacc[nb] = gk, c
+				prevG = gk
+			}
+		}
+		s += m
+		sigma += float64(m) * rho
 		nb++
 	}
-	b.nb = nb
-	b.keys = b.keys[:nb]
-	b.brate = b.brate[:nb]
-	b.borig = b.borig[:nb]
-	b.gx = b.gx[:nb]
-	b.cacc = b.cacc[:nb]
-	b.bstart = b.bstart[:nb+1]
-	b.sigma = b.sigma[:nb+1]
-
-	// Stable argsort of the blocks by rate: ties keep player order,
-	// exactly as a stable per-user sort orders the expansion.  Walking
-	// the permutation lays out the sorted blocks, their first-member
-	// positions and the prefix sums in one pass.
-	perm := b.ws.Ascending(b.keys)
-	b.bstart[0] = 1
-	b.sigma[0] = 0
-	for k, p := range perm {
-		j := b.owner[p]
-		m := counts[j]
-		if j == d {
-			m--
-		}
-		b.brate[k] = b.keys[p]
-		b.borig[k] = j
-		b.bstart[k+1] = b.bstart[k] + m
-		b.sigma[k+1] = b.sigma[k] + float64(m)*b.brate[k]
-	}
-
-	b.floodPos = n + 1
-	prevG := 0.0
-	c := 0.0
-	for k := 0; k < nb; k++ {
-		s := b.bstart[k]
-		xk := float64(n-s+1)*b.brate[k] + b.sigma[k]
-		gk := mm1.G(xk)
-		if math.IsInf(gk, 1) {
-			b.floodPos = s
-			break
-		}
-		c += (gk - prevG) / float64(n-s+1)
-		b.gx[k] = gk
-		b.cacc[k] = c
-		prevG = gk
-	}
+	b.bstart[nb], b.sigma[nb] = s, sigma
+	b.nb, b.hint, b.topFlood = nb, 0, false
 }
 
 // precedes reports whether sorted block j comes wholly before the deviator
@@ -169,9 +154,38 @@ func (b *fairShareBR) precedes(j int, x float64) bool {
 }
 
 // blockPos returns the index of the first sorted block that does not
-// precede the deviator sending x (nb when all do), by binary search.
+// precede the deviator sending x (nb when all do).  A line search's
+// consecutive probes mostly land in the same or a nearby gap between
+// blocks, so the search starts from the block the previous probe
+// returned and gallops away from it — 1, 2, 4, … blocks — until it
+// brackets the answer, then bisects the bracket: two comparisons when x
+// stays in the last probe's gap, O(log distance) otherwise.  The answer
+// is the unique index where precedes turns false, so it does not depend
+// on the start.
 func (b *fairShareBR) blockPos(x float64) int {
+	h := b.hint
 	lo, hi := 0, b.nb
+	if h < b.nb && b.precedes(h, x) {
+		// The answer lies above h.
+		lo = h + 1
+		for step := 1; h+step < b.nb; step *= 2 {
+			if !b.precedes(h+step, x) {
+				hi = h + step
+				break
+			}
+			lo = h + step + 1
+		}
+	} else {
+		// The answer is h or lies below it.
+		hi = h
+		for step := 1; h-step >= 0; step *= 2 {
+			if b.precedes(h-step, x) {
+				lo = h - step + 1
+				break
+			}
+			hi = h - step
+		}
+	}
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
 		if b.precedes(mid, x) {
@@ -180,32 +194,34 @@ func (b *fairShareBR) blockPos(x float64) int {
 			hi = mid
 		}
 	}
+	b.hint = lo
 	return lo
 }
 
 // CongestionOf returns the deviating member's Fair Share congestion when
-// it sends x and every other player holds its Reset rate — O(log K),
-// zero allocations, bit-identical to FairShare{}.CongestionOf(r|ᵈx, d)
-// at unit multiplicities.
+// it sends x and every other player holds its Reset rate — O(log K) at
+// worst, zero allocations, bit-identical to FairShare{}.CongestionOf(r|ᵈx, d)
+// at unit multiplicities.  A flood from the top gap sets topFlood.
 //
 //lint:hotpath
 func (b *fairShareBR) CongestionOf(x core.Rate) core.Congestion {
 	j := b.blockPos(x)
-	k := b.bstart[j]
-	if k > b.floodPos {
-		// A block before the deviator already saturated the chain.
-		return math.Inf(1)
+	// Past floodPos a block before the deviator has already saturated the
+	// chain; short of it, the deviator's own step may.
+	if k := b.bstart[j]; k <= b.floodPos {
+		xk := float64(b.n-k+1)*x + b.sigma[j]
+		if gk := mm1.G(xk); !math.IsInf(gk, 1) {
+			prevG, prevC := 0.0, 0.0
+			if j >= 1 {
+				prevG, prevC = b.gx[j-1], b.cacc[j-1]
+			}
+			return prevC + (gk-prevG)/float64(b.n-k+1)
+		}
 	}
-	xk := float64(b.n-k+1)*x + b.sigma[j]
-	gk := mm1.G(xk)
-	if math.IsInf(gk, 1) {
-		return math.Inf(1)
+	if j == b.nb {
+		b.topFlood = true
 	}
-	prevG, prevC := 0.0, 0.0
-	if j >= 1 {
-		prevG, prevC = b.gx[j-1], b.cacc[j-1]
-	}
-	return prevC + (gk-prevG)/float64(b.n-k+1)
+	return math.Inf(1)
 }
 
 // OwnDerivs returns (∂C/∂x, ∂²C/∂x²) for the deviating member at x —
@@ -338,6 +354,10 @@ type brEval struct {
 	rr   []core.Rate // r with the deviator's entry overwritten per probe
 	cong []core.Congestion
 }
+
+// exhausted reports a Fair Share flood from the top gap since Reset;
+// the other kernels never stop the grid early.
+func (e *brEval) exhausted() bool { return e.k == fairShare && e.fs.topFlood }
 
 //lint:hotpath
 func (e *brEval) payoff(x float64) float64 {

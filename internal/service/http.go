@@ -276,7 +276,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	j := s.snapshotJob(now)
+	j := s.snapshotJob(now, ids, key)
 	s.flights[key] = j.fl
 	s.queue = append(s.queue, j)
 	if d := len(s.queue); d > s.stats.QueueMax {

@@ -73,14 +73,14 @@ func (s *Server) canonicalKey(ids []string) string {
 	return profkey.PerUser(ids, rates, specs)
 }
 
-// snapshotJob builds the solve job for the current profile.  mu must be
-// held.
+// snapshotJob builds the solve job for the current profile, whose sorted
+// client ids and canonical key the caller has already built under the
+// same hold of mu; the job keeps ids.  mu must be held.
 //
 //lint:locked mu
-func (s *Server) snapshotJob(now time.Time) *job {
-	ids := s.sortedClientIDs()
+func (s *Server) snapshotJob(now time.Time, ids []string, key string) *job {
 	j := &job{
-		key:      s.canonicalKey(ids),
+		key:      key,
 		ids:      ids,
 		us:       make(core.Profile, len(ids)),
 		rates:    make([]core.Rate, len(ids)),

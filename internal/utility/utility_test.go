@@ -1,8 +1,14 @@
 package utility
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"math"
 	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 
 	"greednet/internal/core"
@@ -59,14 +65,57 @@ func TestGradientMatchesFD(t *testing.T) {
 	}
 }
 
+// infCongestionCases is one instance of every utility in this package,
+// and Scaled over each of the others.  TestInfiniteCongestionIsWorst
+// fails when a type with a Value method is missing here.
+func infCongestionCases() []core.Utility {
+	base := append(sampleUtilities(), DelaySensitive{A: 1, Gamma: 2})
+	out := append([]core.Utility(nil), base...)
+	for i, u := range base {
+		out = append(out, Scaled{U: u, Scale: 0.5 + float64(i), Shift: float64(i) - 2})
+	}
+	return out
+}
+
+// Every utility must map c = +Inf to −Inf at every rate in (0, 1) — the
+// core.Utility rule the best-response grid's early stop relies on: once
+// a probe floods, every larger grid point pays −Inf and none can beat
+// the incumbent.  The test parses this package's sources so a new
+// utility type without a case here fails too.
 func TestInfiniteCongestionIsWorst(t *testing.T) {
-	for _, u := range sampleUtilities() {
-		if v := u.Value(0.3, math.Inf(1)); !math.IsInf(v, -1) {
-			t.Errorf("%v at c=+Inf gave %v, want -Inf", u, v)
+	covered := map[string]bool{}
+	for _, u := range infCongestionCases() {
+		covered[reflect.TypeOf(u).Name()] = true
+		for i := 0; i <= 64; i++ {
+			r := math.Max(1e-12, math.Min(float64(i)/64, 1-1e-12))
+			if v := u.Value(r, math.Inf(1)); !math.IsInf(v, -1) {
+				t.Errorf("%T%+v: Value(%v, +Inf) = %v, want -Inf", u, u, r, v)
+			}
 		}
 	}
-	if v := (DelaySensitive{A: 1, Gamma: 2}).Value(0.3, math.Inf(1)); !math.IsInf(v, -1) {
-		t.Errorf("delay-sensitive at c=+Inf gave %v", v)
+	fset := token.NewFileSet()
+	pkgs, err := parser.ParseDir(fset, ".", func(fi fs.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pkg := range pkgs {
+		for _, file := range pkg.Files {
+			for _, decl := range file.Decls {
+				fn, ok := decl.(*ast.FuncDecl)
+				if !ok || fn.Recv == nil || fn.Name.Name != "Value" {
+					continue
+				}
+				recv := fn.Recv.List[0].Type
+				if star, ok := recv.(*ast.StarExpr); ok {
+					recv = star.X
+				}
+				if id, ok := recv.(*ast.Ident); ok && !covered[id.Name] {
+					t.Errorf("utility %s has no case in infCongestionCases", id.Name)
+				}
+			}
+		}
 	}
 }
 
