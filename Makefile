@@ -2,7 +2,7 @@ GO ?= go
 LINT := bin/greedlint
 FUZZTIME ?= 30s
 
-.PHONY: all build lint lint-changed lint-json lint-golden test race bench bench-micro bench-events bench-classes service-bench escapes escapes-update fuzz clean
+.PHONY: all build lint lint-changed lint-json lint-golden test race experiments-check bench bench-micro bench-events bench-classes service-bench escapes escapes-update fuzz clean
 
 all: build lint test
 
@@ -47,6 +47,17 @@ test:
 
 race:
 	$(GO) test -race -timeout 5m ./...
+
+# EXPERIMENTS.md byte-stability: the full-budget suite on one worker
+# must reproduce the fenced block under "## Full suite output" byte for
+# byte (diff -u shows any drift; exit 1).  The block is amd64
+# arithmetic: other architectures may fuse multiply-adds.
+experiments-check:
+	@want=$$(mktemp) && trap 'rm -f "$$want"' EXIT && \
+	awk '/^## Full suite output/ { s = 1; next } s && /^```/ { if (f) exit; f = 1; next } f' EXPERIMENTS.md > "$$want" && \
+	test -s "$$want" && \
+	$(GO) run ./cmd/greedbench -workers 1 | diff -u "$$want" - && \
+	echo "experiments-check: full suite output matches EXPERIMENTS.md"
 
 # Suite benchmarks plus the perf-trajectory artifact: one sequential and
 # one pooled pass over the fast suite, archived as BENCH_parallel.json
@@ -112,6 +123,7 @@ fuzz:
 	$(GO) test ./internal/alloc -run='^$$' -fuzz=FuzzTablePriorityGMatchesFairShareAtCV1 -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/chaos -run='^$$' -fuzz=FuzzAllocationPassThrough -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/core -run='^$$' -fuzz=FuzzAscendingSequence -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/des/calq -run='^$$' -fuzz=FuzzQueueModes -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/game -run='^$$' -fuzz=FuzzAggregateExpand -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/game -run='^$$' -fuzz=FuzzBlockPos -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/service -run='^$$' -fuzz=FuzzDecodeUpdate -fuzztime=$(FUZZTIME)

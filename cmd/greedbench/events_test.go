@@ -14,6 +14,7 @@ func cleanEventsReport() eventsReport {
 		Scales: []eventsScaleRecord{
 			{Name: "n1e2", SpeedupVsHeap: 1.5, RatioFloor: 0.9, AllocsPerEvent: 0.001, AllocsPerEventBudget: 0.01},
 			{Name: "n1e5", SpeedupVsHeap: 2.2, RatioFloor: 2.0, AllocsPerEvent: 0.0, AllocsPerEventBudget: 0.01},
+			{Name: "n4", SpeedupVsHeap: 2.3, RatioFloor: 2.0, AllocsPerEvent: 0.0002, AllocsPerEventBudget: 0.01},
 		},
 		Replication: eventsReplicationRecord{
 			Replications: 8, Workers: 4, HostCores: 4,
@@ -29,14 +30,23 @@ func TestGateEventsCleanReportPasses(t *testing.T) {
 }
 
 func TestGateEventsCatchesRatioRegression(t *testing.T) {
-	r := cleanEventsReport()
-	r.Scales[1].SpeedupVsHeap = 1.4 // under the 2.0 floor
-	fails := gateEvents(r)
-	if len(fails) != 1 {
-		t.Fatalf("want exactly 1 failure, got %v", fails)
-	}
-	if !strings.Contains(fails[0], "n1e5") || !strings.Contains(fails[0], "ratio") {
-		t.Fatalf("failure does not name the scale and regression kind: %q", fails[0])
+	for _, c := range []struct {
+		scale int
+		ratio float64
+	}{
+		{1, 1.4},  // n1e5, under the 2.0 floor
+		{2, 1.63}, // n4: the bucket calendar's median ratio, under the flat mode's floor
+	} {
+		r := cleanEventsReport()
+		name := r.Scales[c.scale].Name
+		r.Scales[c.scale].SpeedupVsHeap = c.ratio
+		fails := gateEvents(r)
+		if len(fails) != 1 {
+			t.Fatalf("%s: want exactly 1 failure, got %v", name, fails)
+		}
+		if !strings.Contains(fails[0], name) || !strings.Contains(fails[0], "ratio") {
+			t.Fatalf("failure does not name the scale and regression kind: %q", fails[0])
+		}
 	}
 }
 

@@ -4,7 +4,12 @@
 // ties, and a typed Event API — no interface{} boxing, so the per-event
 // path stays inside the //lint:hotpath allocation-free contract.
 //
-// Layout.  Events hash into a power-of-two array of buckets by
+// Layout.  A queue Init-ed for at most flatCap events starts flat: the
+// events sit unordered in one slice allocated at full capacity, Enqueue
+// appends, and DequeueMin and Remove scan it under the same (T, seq)
+// order, with no hashing and no division.  A flat queue that would grow
+// past flatCap moves once into the bucket calendar and stays there.  In
+// the calendar, events hash into a power-of-two array of buckets by
 // ⌊T/width⌋ & mask; the bucket array spans one "year" of nb·width
 // simulated time, and later years wrap around.  Each bucket is kept
 // sorted by dequeue priority with the minimum at the TAIL, so popping
@@ -91,8 +96,22 @@ func newBuckets(nb int) [][]Event {
 	return buckets
 }
 
+// flatCap is the largest population the flat representation holds.  At
+// a few pending events the calendar's fixed costs dominate — a division
+// per insert, nearly two bucket probes per pop with another division
+// each, a direct search over every bucket on a few percent of pops —
+// and one scan of a short slice costs less.  In the general-service
+// engine the flat scan led the calendar through 12 pending events, was
+// even at 13 and behind from 16; the cap sits below the break-even
+// (DESIGN.md §11 has the measurements).
+const flatCap = 10
+
 // Queue is a calendar queue.  The zero value is not ready; call Init.
 type Queue struct {
+	// flat holds the events, unordered, while the queue is in flat mode
+	// (Init's sizeHint at most flatCap); it is nil in bucket mode.
+	flat []Event
+
 	buckets [][]Event
 	mask    int     // len(buckets)-1; len is a power of two
 	width   float64 // simulated-time span of one bucket
@@ -104,19 +123,14 @@ type Queue struct {
 }
 
 // Init prepares the queue for a run: sizeHint is the expected steady
-// population (the bucket count starts at the covering power of two) and
-// widthHint the expected gap between successive minima (sanitized to 1
-// when degenerate).  Init allocates; the per-event operations do not.
+// population and widthHint the expected gap between successive minima
+// (sanitized to 1 when degenerate).  A sizeHint of at most flatCap
+// selects the flat representation, whose slice is allocated here at
+// full capacity; a larger one starts the bucket calendar at the
+// covering power of two.  A flat queue that outgrows flatCap moves into
+// the calendar once, keeping widthHint.  Init allocates; the per-event
+// operations do not.
 func (q *Queue) Init(sizeHint int, widthHint float64) {
-	// Size the calendar at about two events per bucket rather than one:
-	// the sorted-bucket insert absorbs the extra shift work inside a
-	// cache line it touched anyway, while halving the bucket-header and
-	// arena footprint — at 10⁵ events the queue's working set, where the
-	// random-bucket insert misses live.
-	nb := minBuckets
-	for nb < (sizeHint+1)/2 {
-		nb <<= 1
-	}
 	// Sanitize the hint: NaN/±Inf/non-positive fall back to 1, and the
 	// extremes are clamped so ⌊T/width⌋ stays far inside float64's exact
 	// integer range (the scan-window arithmetic multiplies it back).
@@ -128,13 +142,34 @@ func (q *Queue) Init(sizeHint int, widthHint float64) {
 	} else if widthHint > 1e12 {
 		widthHint = 1e12
 	}
-	q.buckets = newBuckets(nb)
-	q.mask = nb - 1
 	q.width = widthHint
 	q.size = 0
 	q.seq = 0
 	q.vcur = 0
 	q.lastT = 0
+	if sizeHint <= flatCap {
+		q.flat = make([]Event, 0, flatCap)
+		q.buckets = nil
+		q.mask = 0
+		return
+	}
+	q.flat = nil
+	q.initBuckets(sizeHint)
+}
+
+// initBuckets installs an empty calendar for a population of n.  It is
+// sized at about two events per bucket rather than one: the
+// sorted-bucket insert absorbs the extra shift work inside a cache line
+// it touched anyway, while halving the bucket-header and arena
+// footprint — at 10⁵ events the queue's working set, where the
+// random-bucket insert misses live.
+func (q *Queue) initBuckets(n int) {
+	nb := minBuckets
+	for nb < (n+1)/2 {
+		nb <<= 1
+	}
+	q.buckets = newBuckets(nb)
+	q.mask = nb - 1
 }
 
 // Len is the number of queued events.
@@ -142,11 +177,20 @@ func (q *Queue) Len() int { return q.size }
 
 // Enqueue schedules ev (its seq field is ignored and re-stamped) and
 // returns the insertion stamp, which Remove accepts to cancel the event
-// later.  Amortized O(1); the rare bucket-array resize lives here, off
-// the hot inner path.
+// later.  Amortized O(1); the rare bucket-array resize and the one-time
+// move out of flat mode live here, off the hot inner path.
 func (q *Queue) Enqueue(ev Event) uint64 {
 	q.seq++
 	ev.seq = q.seq
+	if q.flat != nil {
+		if n := len(q.flat); n < flatCap {
+			q.flat = q.flat[:n+1]
+			q.flat[n] = ev
+			q.size++
+			return ev.seq
+		}
+		q.spill()
+	}
 	if q.size == 0 || ev.T < q.lastT {
 		// Keep lastT a true floor of the queued timestamps so the
 		// year-scan's "everything is at or after the cursor" invariant
@@ -167,6 +211,12 @@ func (q *Queue) DequeueMin() (ev Event, ok bool) {
 	if q.size == 0 {
 		return Event{}, false
 	}
+	if q.flat != nil {
+		i := q.flatMin()
+		ev = q.flat[i]
+		q.flatDelete(i)
+		return ev, true
+	}
 	ev = q.popMin()
 	if len(q.buckets) > minBuckets && q.size < len(q.buckets)/4 {
 		q.rehash(len(q.buckets) / 2)
@@ -181,6 +231,9 @@ func (q *Queue) DequeueMin() (ev Event, ok bool) {
 func (q *Queue) Remove(t float64, seq uint64) bool {
 	if q.size == 0 {
 		return false
+	}
+	if q.flat != nil {
+		return q.removeFlat(seq)
 	}
 	return q.removeSeq(t, seq)
 }
@@ -198,6 +251,67 @@ func eventBefore(a, b Event) bool {
 		return false
 	}
 	return a.seq < b.seq
+}
+
+// flatMin returns the index of the flat slice's (T, seq) minimum.
+// Callers guarantee flat mode and size > 0.
+//
+//lint:hotpath
+func (q *Queue) flatMin() int {
+	f := q.flat
+	best := 0
+	for i := 1; i < len(f); i++ {
+		if eventBefore(f[i], f[best]) {
+			best = i
+		}
+	}
+	return best
+}
+
+// flatDelete removes the flat slice's event i by moving the last event
+// into its slot and zeroing the vacated one.
+//
+//lint:hotpath
+func (q *Queue) flatDelete(i int) {
+	last := len(q.flat) - 1
+	q.flat[i] = q.flat[last]
+	q.flat[last] = Event{}
+	q.flat = q.flat[:last]
+	q.size--
+}
+
+// removeFlat deletes the flat-mode event with the given stamp.
+//
+//lint:hotpath
+func (q *Queue) removeFlat(seq uint64) bool {
+	for i := range q.flat {
+		if q.flat[i].seq == seq {
+			q.flatDelete(i)
+			return true
+		}
+	}
+	return false
+}
+
+// spill moves a full flat queue into the bucket calendar, for good: the
+// calendar is sized for twice the cap, keeps Init's width, and anchors
+// its cursor at the earliest queued event.  Dequeue order depends only
+// on (T, seq), so the move cannot change it.
+func (q *Queue) spill() {
+	flat := q.flat
+	q.flat = nil
+	q.initBuckets(2 * flatCap)
+	q.lastT = flat[0].T
+	for _, ev := range flat[1:] {
+		if ev.T < q.lastT {
+			q.lastT = ev.T
+		}
+	}
+	q.resetCursor(q.lastT)
+	q.size = 0
+	for _, ev := range flat {
+		q.insert(ev)
+	}
 }
 
 // bucketOf maps a timestamp to its bucket index under the current

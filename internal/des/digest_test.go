@@ -1,0 +1,151 @@
+package des
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
+	"runtime"
+	"testing"
+
+	"greednet/internal/randdist"
+)
+
+// engineDigest is the SHA-256 of every result in the TestEngineDigest
+// matrix.  An intended numeric change to an engine updates it in the
+// same commit, with the reason in the commit message; any other change
+// that moves it has changed an answer.
+const engineDigest = "6b5897614f6ffe63360c171ec3d881d2cba35f0ad16379c7e6603ae330b926f3"
+
+// appendF64s appends xs as little-endian Float64bits.
+func appendF64s(buf []byte, xs ...float64) []byte {
+	for _, x := range xs {
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(x))
+	}
+	return buf
+}
+
+// appendDigestResult appends every Result field to buf.
+func appendDigestResult(buf []byte, res Result) []byte {
+	buf = appendF64s(buf, res.AvgQueue...)
+	buf = appendF64s(buf, res.QueueCI95...)
+	buf = appendF64s(buf, res.AvgDelay...)
+	buf = appendF64s(buf, res.Throughput...)
+	buf = appendF64s(buf, res.TotalAvgQueue, res.Duration)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(res.Arrivals))
+	return binary.LittleEndian.AppendUint64(buf, uint64(res.Departures))
+}
+
+// appendDigestTandem appends every TandemResult field to buf.
+func appendDigestTandem(buf []byte, res TandemResult) []byte {
+	buf = appendF64s(buf, res.QueueA...)
+	buf = appendF64s(buf, res.QueueB...)
+	buf = appendF64s(buf, res.TotalQueue...)
+	buf = appendF64s(buf, res.EndToEndDelay...)
+	for _, d := range res.Departures {
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(d))
+	}
+	return buf
+}
+
+// TestEngineDigest pins all four DES engines' answers bit for bit: Run
+// over its seven disciplines, RunG over three classifiers and three
+// service shapes, RunSched over FCFS and Fair Queueing and the same
+// services, and RunTandem under FIFO and Fair Share, each over the
+// differential rate sets plus a four-source set and three seeds, hashed
+// into one SHA-256.  Unlike the heap-twin differential tests it needs
+// no frozen engine, only the recorded digest.  It runs on amd64 only:
+// other architectures may fuse multiply-adds and legitimately round
+// differently.
+func TestEngineDigest(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("the pinned digest is amd64 arithmetic; " + runtime.GOARCH + " may fuse multiply-adds")
+	}
+	const horizon = 1200
+	rateSets := append(diffRates(), []float64{0.1, 0.15, 0.2, 0.25})
+	seeds := []int64{1, 2, 3}
+	services := []randdist.Dist{randdist.Exponential{}, randdist.Deterministic{}, randdist.Gamma{K: 2}}
+	var buf []byte
+	check := func(what string, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+	}
+
+	discs := []func() Discipline{
+		func() Discipline { return &FIFO{} },
+		func() Discipline { return &LIFOPreemptive{} },
+		func() Discipline { return &ProcessorSharing{} },
+		func() Discipline { return &HOLProcessorSharing{} },
+		func() Discipline { return &CyclicPolling{} },
+		func() Discipline { return &RatePriority{} },
+		func() Discipline { return &FairShareSplitter{} },
+	}
+	for _, mk := range discs {
+		for _, rates := range rateSets {
+			for _, seed := range seeds {
+				res, err := Run(Config{Rates: rates, Discipline: mk(), Horizon: horizon, Seed: seed})
+				check("Run", err)
+				buf = appendDigestResult(buf, res)
+			}
+		}
+	}
+
+	classifiers := []func() Classifier{
+		func() Classifier { return SingleClass{} },
+		func() Classifier { return &RankClass{} },
+		func() Classifier { return &SerialClass{} },
+	}
+	for _, mk := range classifiers {
+		for _, svc := range services {
+			for _, rates := range rateSets {
+				for _, seed := range seeds {
+					res, err := RunG(GConfig{Rates: rates, Service: svc, Classify: mk(), Horizon: horizon, Seed: seed})
+					check("RunG", err)
+					buf = appendDigestResult(buf, res)
+				}
+			}
+		}
+	}
+
+	scheds := []func() Scheduler{
+		func() Scheduler { return &FCFSSched{} },
+		func() Scheduler { return &FQSched{} },
+	}
+	for _, mk := range scheds {
+		for _, svc := range services {
+			for _, rates := range rateSets {
+				for _, seed := range seeds {
+					res, err := RunSched(SchedConfig{Rates: rates, Service: svc, Sched: mk(), Horizon: horizon, Seed: seed})
+					check("RunSched", err)
+					buf = appendDigestResult(buf, res)
+				}
+			}
+		}
+	}
+
+	shapes := []TandemConfig{
+		{LongRates: []float64{0.2}, CrossA: []float64{0.3}, CrossB: []float64{0.25}},
+		{LongRates: []float64{0.1, 0.15}, CrossA: []float64{0.2, 0.1}, CrossB: []float64{0.3}},
+		{LongRates: []float64{0.4}},
+	}
+	for _, mk := range []func() Discipline{discs[0], discs[6]} {
+		for _, shape := range shapes {
+			for _, seed := range seeds {
+				cfg := shape
+				cfg.NewDisc = mk
+				cfg.Horizon = horizon
+				cfg.Seed = seed
+				res, err := RunTandem(cfg)
+				check("RunTandem", err)
+				buf = appendDigestTandem(buf, res)
+			}
+		}
+	}
+
+	sum := sha256.Sum256(buf)
+	if got := hex.EncodeToString(sum[:]); got != engineDigest {
+		t.Errorf("engine digest = %s, want %s", got, engineDigest)
+	}
+}

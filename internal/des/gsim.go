@@ -254,8 +254,11 @@ func (d *deque) len() int { return d.n }
 // for the whole run.  With the rate-derived width the tail simply wraps
 // into later calendar years, which the windowed scan is built for, and
 // after one year every bucket's capacity is recycled: the steady state
-// allocates nothing.  The steady population is ≈ len(rates)+1 events, so
-// no rehash ever fires to re-derive the width mid-run.
+// allocates nothing.  The population never exceeds len(rates)+1 events
+// (one pending arrival per source plus one completion), so no rehash
+// ever fires to re-derive the width mid-run.  At the paper's scale of a
+// few sources that bound is within calq's flat cap, so the queue keeps
+// its events in one scanned slice and never uses the width at all.
 func seedArrivals(events *calq.Queue, rng *rand.Rand, rates []float64) {
 	n := len(rates)
 	arr := make([]float64, n)
