@@ -2,7 +2,7 @@ GO ?= go
 LINT := bin/greedlint
 FUZZTIME ?= 30s
 
-.PHONY: all build lint lint-changed lint-json lint-golden test race experiments-check bench bench-micro bench-events bench-classes service-bench escapes escapes-update fuzz clean
+.PHONY: all build lint lint-changed lint-json lint-golden test race experiments-check bench escapes escapes-update fuzz clean
 
 all: build lint test
 
@@ -59,48 +59,22 @@ experiments-check:
 	$(GO) run ./cmd/greedbench -workers 1 | diff -u "$$want" - && \
 	echo "experiments-check: full suite output matches EXPERIMENTS.md"
 
-# Suite benchmarks plus the perf-trajectory artifact: one sequential and
-# one pooled pass over the fast suite, archived as BENCH_parallel.json
-# (sequential vs parallel wall-clock, worker count, host cores).
+# Every measured layer through one entry point: greedbench -bench all
+# writes BENCH_{hotpath,classes,events,service,parallel}.json in one
+# schema (a host header plus case/metric/value/budget rows) and exits 1
+# when any row misses its ceiling or floor:
+#   hotpath   ns/op, allocs/op, bytes/op of the hottest per-user paths;
+#   classes   the class-aggregated Nash solver at K classes over N users
+#             up to 10^6, after the K = N bit-equality check;
+#   events    calendar vs heap events/sec in interleaved rounds at
+#             N = 4, 10^2, 10^4, 10^5, allocs/event, replication scaling;
+#   service   a thousand selfish clients plus four chaos injectors
+#             against an in-process greedd, and its drain;
+#   parallel  the fast suite on one worker and on GOMAXPROCS workers.
+# A one-core run may not replace the multi-core artifact of events,
+# service or parallel; override deliberately with FORCE=-force.
 bench:
-	$(GO) test -run='^$$' -bench='BenchmarkSuite(Sequential|Parallel)$$' -benchtime=1x .
-	$(GO) run ./cmd/greedbench -fast -benchjson BENCH_parallel.json
-
-# Hot-path micro-benchmarks (internal/hotpath): ns/op, allocs/op and
-# bytes/op for the hottest per-user paths and the class-solver headline
-# scales, archived as BENCH_hotpath.json.  Exits 1 if a gated path
-# exceeds its allocation budget (zero for the workspace fast paths).
-bench-micro:
-	$(GO) run ./cmd/greedbench -hotpath BENCH_hotpath.json
-
-# Events/sec headline gate: the calendar-queue engine vs the frozen heap
-# baseline over identical event sequences at N = 10², 10⁴, 10⁵ sources,
-# plus the multicore replication-throughput pass.  Archived as
-# BENCH_events.json; exits 1 when a calendar/heap ratio drops under its
-# scale's floor, the warm event loop allocates, or (multi-core hosts
-# only) replication throughput stops scaling.
-bench-events:
-	$(GO) run ./cmd/greedbench -events BENCH_events.json
-
-# Class-solver gate: the class-aggregated Nash solver at K classes over
-# N users up to 10^6, archived as BENCH_classes.json.  Exits 1 when a
-# scale's ns/op exceeds its ceiling (the solve went O(N)), the warm
-# steady state allocates, the class solve measures slower than the exact
-# solver it aggregates, or the class arithmetic drifts off the exact
-# per-user answers (Float64bits at K = N).
-bench-classes:
-	$(GO) run ./cmd/greedbench -classes BENCH_classes.json
-
-# greedd chaos load harness: a thousand hill-climbing selfish clients
-# plus the four service-level chaos injectors against an in-process
-# greedd, archived as BENCH_service.json (latency percentiles, shed
-# accounting by typed reason, cache hit rate, drain verdict).  Exits 1
-# on queue growth past its bound, rejections without a typed reason,
-# handler panics, or goroutines leaked across the drain.  The shared
-# overwrite guard refuses to replace a multi-core artifact with a
-# single-core run; override deliberately with FORCE=-force.
-service-bench:
-	$(GO) run ./cmd/greedbench -service BENCH_service.json -seed 7 $(FORCE)
+	$(GO) run ./cmd/greedbench -bench all $(FORCE)
 
 # Compiler escape-analysis gate: diff `go build -gcflags=-m` output over
 # the //lint:hotpath functions against BENCH_escapes.json.  Exits 1 on

@@ -3,156 +3,129 @@ package main
 import (
 	"fmt"
 	"runtime"
-	"testing"
+	"slices"
+	"time"
 
 	"greednet/internal/des"
 	"greednet/internal/hotpath"
 )
 
-// The -events mode: the events/sec headline benchmark family.  Each
-// population scale runs the calendar-queue engine and its frozen
-// container/heap baseline over the IDENTICAL event sequence (the two are
-// pinned bit-identical by internal/des's differential suite), so the
-// speedup_vs_heap ratio is a pure runtime ratio and travels across
-// hosts; absolute events/sec is recorded for trending only.  The gate
-// fails the build when a ratio drops under its scale's floor, when the
-// warm calendar engine allocates per event, or when a multi-core host
-// stops seeing replication-throughput scaling from internal/parallel.
+// The events layer: the events/sec headline family.  Each population
+// scale runs the calendar-queue engine and its frozen container/heap
+// baseline over the IDENTICAL event sequence (internal/des's
+// differential suite pins the two bit-identical), so the calendar/heap
+// ratio is a pure runtime ratio and travels across hosts; absolute
+// events/sec is recorded for trending only.  The engines are timed in
+// interleaved rounds, alternating which goes first, and the ratio row
+// is the median over the rounds, so host drift during the run lands in
+// the spread rather than in the headline.  The warm calendar engine
+// must not allocate per event, and a multi-core host must see
+// replication throughput scale through internal/parallel.
 
-// eventsScaleRecord is one population point in BENCH_events.json.
-type eventsScaleRecord struct {
-	Name         string `json:"name"`
-	Sources      int    `json:"sources"`
-	EventsPerRun int64  `json:"events_per_run"`
+const (
+	// eventRounds is the number of interleaved calendar/heap rounds per
+	// scale; eventSide is the least wall time each engine runs per round.
+	eventRounds = 7
+	eventSide   = 100 * time.Millisecond
 
-	CalendarNsPerOp      float64 `json:"calendar_ns_per_op"`
-	HeapNsPerOp          float64 `json:"heap_ns_per_op"`
-	CalendarEventsPerSec float64 `json:"calendar_events_per_sec"`
-	HeapEventsPerSec     float64 `json:"heap_events_per_sec"`
+	// replicationSpeedupFloor gates the multi-core replication pass.
+	// Deliberately loose: it must catch "parallelism broke", not
+	// contend with scheduler jitter.
+	replicationSpeedupFloor = 1.2
 
-	// SpeedupVsHeap is calendar events/sec over heap events/sec — the
-	// machine-independent headline the gate floors.
-	SpeedupVsHeap float64 `json:"speedup_vs_heap"`
-	RatioFloor    float64 `json:"ratio_floor"`
+	replicationCase = "replication"
+)
 
-	// AllocsPerEvent is the two-horizon steady-state measurement; the
-	// budget absorbs measurement noise only, not real per-event cost.
-	AllocsPerEvent       float64 `json:"allocs_per_event"`
-	AllocsPerEventBudget float64 `json:"allocs_per_event_budget"`
+func eventRows() []Row {
+	var rows []Row
+	for _, s := range hotpath.EventScales() {
+		rows = append(rows,
+			row(s.Name, "events_per_run"),
+			row(s.Name, "calendar_events_per_sec"),
+			row(s.Name, "heap_events_per_sec"),
+			atLeast(s.Name, "speedup_vs_heap", s.RatioFloor),
+			atMost(s.Name, "allocs_per_event", hotpath.AllocsPerEventBudget))
+	}
+	speedup := atLeast(replicationCase, "speedup", replicationSpeedupFloor)
+	speedup.MultiCore = true
+	return append(rows,
+		row(replicationCase, "workers"),
+		row(replicationCase, "sequential_ns"),
+		row(replicationCase, "parallel_ns"),
+		row(replicationCase, "events_per_sec"),
+		speedup)
 }
 
-// eventsReplicationRecord times a batch of independent replications
-// through des.RunReplications sequentially and at -workers, validating
-// that internal/parallel turns cores into event throughput.
-type eventsReplicationRecord struct {
-	Replications int   `json:"replications"`
-	Workers      int   `json:"workers"`
-	HostCores    int   `json:"host_cores"`
-	SequentialNS int64 `json:"sequential_ns"`
-	ParallelNS   int64 `json:"parallel_ns"`
-
-	// EventsPerSec is the aggregate throughput of the parallel pass.
-	EventsPerSec float64 `json:"events_per_sec"`
-	Speedup      float64 `json:"speedup"`
-	// SpeedupValid mirrors BENCH_parallel.json: on a single-core host
-	// the pooled pass cannot physically run in parallel, so Speedup
-	// measures scheduling overhead and must not be trended or gated.
-	SpeedupValid bool `json:"speedup_valid"`
-}
-
-// eventsReport is the BENCH_events.json artifact.
-type eventsReport struct {
-	Scales      []eventsScaleRecord     `json:"scales"`
-	Replication eventsReplicationRecord `json:"replication"`
-}
-
-// replicationSpeedupFloor gates the multi-core replication pass: with
-// GOMAXPROCS workers on a host where SpeedupValid holds, anything under
-// this means the pool stopped scaling.  Deliberately loose — it must
-// catch "parallelism broke", not contend with scheduler jitter.
-const replicationSpeedupFloor = 1.2
-
-// gateEvents returns the regression messages for a report, empty when
-// the gate passes.  Pure — unit tests feed it synthetic reports with
-// injected regressions.
-func gateEvents(r eventsReport) []string {
-	var fails []string
-	for _, s := range r.Scales {
-		if s.SpeedupVsHeap < s.RatioFloor {
-			fails = append(fails, fmt.Sprintf(
-				"scale %s: calendar/heap events/sec ratio %.2f under floor %.2f",
-				s.Name, s.SpeedupVsHeap, s.RatioFloor))
-		}
-		if s.AllocsPerEvent > s.AllocsPerEventBudget {
-			fails = append(fails, fmt.Sprintf(
-				"scale %s: %.4f allocs/event over budget %g (warm event loop must be allocation-free)",
-				s.Name, s.AllocsPerEvent, s.AllocsPerEventBudget))
+func measureEvents(v values) error {
+	for _, s := range hotpath.EventScales() {
+		if err := measureEventScale(s, v); err != nil {
+			return err
 		}
 	}
-	rep := r.Replication
-	if rep.SpeedupValid && rep.Speedup < replicationSpeedupFloor {
-		fails = append(fails, fmt.Sprintf(
-			"replications: %.2fx speedup at %d workers on %d cores, floor %.1f",
-			rep.Speedup, rep.Workers, rep.HostCores, replicationSpeedupFloor))
-	}
-	return fails
+	return measureReplications(v)
 }
 
-// benchEventScale times both engines at one scale with
-// testing.Benchmark and measures the steady-state allocation rate.
-func benchEventScale(s hotpath.EventScale) (eventsScaleRecord, error) {
+// timeRuns runs fn until at least d has elapsed and returns the mean
+// nanoseconds per run.
+func timeRuns(fn func() error, d time.Duration) (float64, error) {
+	start := time.Now()
+	for n := 1; ; n++ {
+		if err := fn(); err != nil {
+			return 0, err
+		}
+		if el := time.Since(start); el >= d {
+			return float64(el.Nanoseconds()) / float64(n), nil
+		}
+	}
+}
+
+func median(xs []float64) float64 { return percentile(slices.Sorted(slices.Values(xs)), 0.5) }
+
+// measureEventScale times both engines at one scale in eventRounds
+// interleaved rounds and measures the steady-state allocation rate.
+func measureEventScale(s hotpath.EventScale, v values) error {
 	events, err := hotpath.EventRun(s, 1)
 	if err != nil {
-		return eventsScaleRecord{}, err
+		return err
 	}
-	time := func(run func(hotpath.EventScale, float64) (int64, error)) (float64, error) {
-		var rerr error
-		r := testing.Benchmark(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := run(s, 1); err != nil {
-					rerr = err
-					b.FailNow()
-				}
+	cal := func() error { _, err := hotpath.EventRun(s, 1); return err }
+	heap := func() error { _, err := hotpath.EventRunHeap(s, 1); return err }
+	var calNs, heapNs, ratios []float64
+	for i := 0; i < eventRounds; i++ {
+		var c, h float64
+		if i%2 == 0 {
+			if c, err = timeRuns(cal, eventSide); err == nil {
+				h, err = timeRuns(heap, eventSide)
 			}
-		})
-		if rerr != nil {
-			return 0, rerr
+		} else {
+			if h, err = timeRuns(heap, eventSide); err == nil {
+				c, err = timeRuns(cal, eventSide)
+			}
 		}
-		return float64(r.T.Nanoseconds()) / float64(r.N), nil
-	}
-	calNs, err := time(hotpath.EventRun)
-	if err != nil {
-		return eventsScaleRecord{}, err
-	}
-	heapNs, err := time(hotpath.EventRunHeap)
-	if err != nil {
-		return eventsScaleRecord{}, err
+		if err != nil {
+			return err
+		}
+		calNs, heapNs, ratios = append(calNs, c), append(heapNs, h), append(ratios, h/c)
 	}
 	ape, err := hotpath.EventAllocsPerEvent(s)
 	if err != nil {
-		return eventsScaleRecord{}, err
+		return err
 	}
-	calEps := float64(events) / (calNs / 1e9)
-	heapEps := float64(events) / (heapNs / 1e9)
-	return eventsScaleRecord{
-		Name:                 s.Name,
-		Sources:              s.Sources,
-		EventsPerRun:         events,
-		CalendarNsPerOp:      calNs,
-		HeapNsPerOp:          heapNs,
-		CalendarEventsPerSec: calEps,
-		HeapEventsPerSec:     heapEps,
-		SpeedupVsHeap:        calEps / heapEps,
-		RatioFloor:           s.RatioFloor,
-		AllocsPerEvent:       ape,
-		AllocsPerEventBudget: hotpath.AllocsPerEventBudget,
-	}, nil
+	fmt.Printf("events %-5s calendar/heap over %d rounds: %.2f–%.2f, median %.2f (floor %.2f)\n",
+		s.Name, eventRounds, slices.Min(ratios), slices.Max(ratios), median(ratios), s.RatioFloor)
+	v.set(s.Name, "events_per_run", float64(events))
+	v.set(s.Name, "calendar_events_per_sec", float64(events)/(median(calNs)/1e9))
+	v.set(s.Name, "heap_events_per_sec", float64(events)/(median(heapNs)/1e9))
+	v.set(s.Name, "speedup_vs_heap", median(ratios))
+	v.set(s.Name, "allocs_per_event", ape)
+	return nil
 }
 
-// benchReplications times a replication batch through des.RunReplications
-// at one worker and at the host's core count.  Replication results are
-// deterministic per seed, so both passes do identical work.
-func benchReplications() (eventsReplicationRecord, error) {
+// measureReplications times a replication batch through
+// des.RunReplications at one worker and at the host's core count.
+// Replication results are deterministic per seed, so both passes do
+// identical work.
+func measureReplications(v values) error {
 	cfg := des.Config{
 		Rates:   []float64{0.2, 0.2, 0.2, 0.2},
 		Horizon: 4e4,
@@ -164,89 +137,33 @@ func benchReplications() (eventsReplicationRecord, error) {
 	}
 	workers := runtime.GOMAXPROCS(0)
 
-	time := func(w int) (int64, int64, error) {
-		var totalEvents int64
-		var rerr error
-		r := testing.Benchmark(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				results, err := des.RunReplications(cfg, newDisc, seeds, w)
-				if err != nil {
-					rerr = err
-					b.FailNow()
-				}
-				totalEvents = 0
-				for _, res := range results {
-					totalEvents += res.Arrivals + res.Departures
-				}
+	var events int64
+	timeAt := func(w int) (float64, error) {
+		r, err := benchmark(func() error {
+			results, err := des.RunReplications(cfg, newDisc, seeds, w)
+			events = 0
+			for _, res := range results {
+				events += res.Arrivals + res.Departures
 			}
+			return err
 		})
-		if rerr != nil {
-			return 0, 0, rerr
-		}
-		return r.T.Nanoseconds() / int64(r.N), totalEvents, nil
-	}
-	seqNs, _, err := time(1)
-	if err != nil {
-		return eventsReplicationRecord{}, err
-	}
-	parNs, events, err := time(workers)
-	if err != nil {
-		return eventsReplicationRecord{}, err
-	}
-	return eventsReplicationRecord{
-		Replications: len(seeds),
-		Workers:      workers,
-		HostCores:    runtime.GOMAXPROCS(0),
-		SequentialNS: seqNs,
-		ParallelNS:   parNs,
-		EventsPerSec: float64(events) / (float64(parNs) / 1e9),
-		Speedup:      float64(seqNs) / float64(parNs),
-		SpeedupValid: runtime.GOMAXPROCS(0) > 1,
-	}, nil
-}
-
-// writeEventsJSON runs the events/sec family, writes BENCH_events.json,
-// prints the human summary, and returns exit code 1 when the gate
-// fails.
-func writeEventsJSON(path string, force bool) (int, error) {
-	// The replication record's validity is known from the host alone —
-	// apply the shared overwrite guard before spending the benchmark
-	// time on a run whose artifact would be refused anyway.
-	if err := guardArtifactOverwrite(path, runtime.GOMAXPROCS(0) > 1, force); err != nil {
-		return 0, err
-	}
-	var report eventsReport
-	for _, s := range hotpath.EventScales() {
-		rec, err := benchEventScale(s)
 		if err != nil {
 			return 0, err
 		}
-		report.Scales = append(report.Scales, rec)
-		fmt.Printf("events %-5s %8d events/run  calendar %12.0f ev/s  heap %12.0f ev/s  %5.2fx (floor %.2f)  %.4f allocs/event\n",
-			rec.Name, rec.EventsPerRun, rec.CalendarEventsPerSec, rec.HeapEventsPerSec,
-			rec.SpeedupVsHeap, rec.RatioFloor, rec.AllocsPerEvent)
+		return float64(r.T.Nanoseconds() / int64(r.N)), nil
 	}
-	rep, err := benchReplications()
+	seqNs, err := timeAt(1)
 	if err != nil {
-		return 0, err
+		return err
 	}
-	report.Replication = rep
-	validity := ""
-	if !rep.SpeedupValid {
-		validity = "  (single core: speedup not gated)"
+	parNs, err := timeAt(workers)
+	if err != nil {
+		return err
 	}
-	fmt.Printf("events replications: %d seeds, %.0f ev/s at %d workers, %.2fx vs sequential%s\n",
-		rep.Replications, rep.EventsPerSec, rep.Workers, rep.Speedup, validity)
-
-	if err := writeArtifactJSON(path, report, force); err != nil {
-		return 0, err
-	}
-	fmt.Printf("events bench: %d scales -> %s\n", len(report.Scales), path)
-
-	code := 0
-	for _, msg := range gateEvents(report) {
-		fmt.Printf("  REGRESSION(%s)\n", msg)
-		code = 1
-	}
-	return code, nil
+	v.set(replicationCase, "workers", float64(workers))
+	v.set(replicationCase, "sequential_ns", seqNs)
+	v.set(replicationCase, "parallel_ns", parNs)
+	v.set(replicationCase, "events_per_sec", float64(events)/(parNs/1e9))
+	v.set(replicationCase, "speedup", seqNs/parNs)
+	return nil
 }

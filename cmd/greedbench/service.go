@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -17,95 +18,61 @@ import (
 	"greednet/internal/service"
 )
 
-// The -service mode: a deterministic load harness for the greedd
+// The service layer: a deterministic load harness for the greedd
 // service.  It boots the service in-process on a loopback listener,
 // drives it with hill-climbing selfish agents (the closed control
 // loop) interleaved with all four service-level chaos injectors
 // (slow-client, stalled-connection, malformed-payload, deadline-skew),
-// and writes BENCH_service.json with request-latency percentiles, shed
-// accounting, cache effectiveness, and the drain verdict.  The gate
-// fails on the failure modes the service exists to prevent: queue
-// growth past its bound, rejections without a typed reason, handler
-// panics, and goroutines leaked across the drain.
+// and records request-latency percentiles, shed accounting by typed
+// reason, cache effectiveness, and the drain verdict.  The budgets
+// cover the failure modes the service exists to prevent: queue growth
+// past its bound, rejections without a typed reason, handler panics,
+// a dirty drain, and goroutines leaked across it.
 
-// serviceReport is the BENCH_service.json artifact.
-type serviceReport struct {
-	Clients int `json:"clients"`
-	Rounds  int `json:"rounds"`
-	Drivers int `json:"drivers"`
+const (
+	serviceClients  = 1000
+	serviceRounds   = 2
+	serviceSeed     = 7
+	serviceQueueCap = 64
+	serviceCase     = "c1000"
+)
 
-	Requests     int64            `json:"requests"`
-	Succeeded    int64            `json:"succeeded"`
-	P50MS        float64          `json:"p50_ms"`
-	P95MS        float64          `json:"p95_ms"`
-	P99MS        float64          `json:"p99_ms"`
-	ShedByReason map[string]int64 `json:"shed_by_reason"`
-	ShedRate     float64          `json:"shed_rate"`
-	// UntypedSheds counts rejections that arrived without one of the
-	// service's typed reasons — the gate's zero-tolerance counter.
-	UntypedSheds int64 `json:"untyped_sheds"`
-
-	SolvesRun int64 `json:"solves_run"`
-	CacheHits int64 `json:"cache_hits"`
-	// ClassCacheHits is the subset of CacheHits served by the
-	// class-canonical (identity-free) cache — the coalescing win over
-	// the historical per-user key, recorded so the hit-rate change is
-	// visible artifact to artifact.
-	ClassCacheHits int64   `json:"class_cache_hits"`
-	Coalesced      int64   `json:"coalesced"`
-	CacheHitRate   float64 `json:"cache_hit_rate"`
-	Panics         int64   `json:"panics"`
-
-	QueueCap int `json:"queue_cap"`
-	QueueMax int `json:"queue_max"`
-
-	StalledConns     int   `json:"stalled_conns"`
-	DrainNS          int64 `json:"drain_ns"`
-	DrainClean       bool  `json:"drain_clean"`
-	LeakedGoroutines int   `json:"leaked_goroutines"`
-
-	HostCores int `json:"host_cores"`
-	// SpeedupValid mirrors the other BENCH artifacts for the shared
-	// overwrite guard: single-core latency percentiles are not
-	// comparable with multi-core ones and must not replace them.
-	SpeedupValid bool `json:"speedup_valid"`
+// typedReasons is the service's rejection vocabulary; each reason has
+// its own shed_<reason> row and anything else counts as untyped.
+var typedReasons = []string{
+	service.ReasonAdmission, service.ReasonOverload, service.ReasonDeadline,
+	service.ReasonMalformed, service.ReasonDraining, service.ReasonPanic,
+	service.ReasonUncertified,
 }
 
-// gateService returns the regression messages for a report, empty when
-// the gate passes.  Pure — unit tests feed it synthetic reports with
-// injected regressions.
-func gateService(r serviceReport) []string {
-	var fails []string
-	if r.Requests == 0 {
-		fails = append(fails, "harness made no requests")
-		return fails
+func serviceRows() []Row {
+	rows := []Row{
+		row(serviceCase, "drivers"),
+		row(serviceCase, "drive_ms"),
+		atLeast(serviceCase, "requests", 1),
+		atLeast(serviceCase, "succeeded", 1),
+		atLeast(serviceCase, "latency_samples", 1),
+		row(serviceCase, "p50_ms"),
+		row(serviceCase, "p95_ms"),
+		row(serviceCase, "p99_ms"),
 	}
-	if r.QueueMax > r.QueueCap {
-		fails = append(fails, fmt.Sprintf(
-			"queue grew to %d past its %d bound (shedding failed to hold the line)",
-			r.QueueMax, r.QueueCap))
+	for _, reason := range typedReasons {
+		rows = append(rows, row(serviceCase, "shed_"+reason))
 	}
-	if r.UntypedSheds > 0 {
-		fails = append(fails, fmt.Sprintf(
-			"%d rejections carried no typed reason", r.UntypedSheds))
-	}
-	if r.Panics > 0 {
-		fails = append(fails, fmt.Sprintf("%d handler panics under load", r.Panics))
-	}
-	if !r.DrainClean {
-		fails = append(fails, "service did not drain cleanly on shutdown")
-	}
-	if r.LeakedGoroutines > 0 {
-		fails = append(fails, fmt.Sprintf(
-			"%d goroutines leaked across the drain", r.LeakedGoroutines))
-	}
-	if r.Succeeded == 0 {
-		fails = append(fails, "no request ever succeeded (the control loop never closed)")
-	}
-	if r.P99MS <= 0 {
-		fails = append(fails, "no latency was measured")
-	}
-	return fails
+	return append(rows,
+		atMost(serviceCase, "untyped_sheds", 0),
+		row(serviceCase, "shed_rate"),
+		row(serviceCase, "solves_run"),
+		row(serviceCase, "cache_hits"),
+		row(serviceCase, "class_cache_hits"),
+		row(serviceCase, "coalesced"),
+		row(serviceCase, "cache_hit_rate"),
+		atMost(serviceCase, "panics", 0),
+		atMost(serviceCase, "queue_max", serviceQueueCap),
+		row(serviceCase, "stalled_conns"),
+		row(serviceCase, "drain_ms"),
+		atLeast(serviceCase, "drain_clean", 1),
+		atMost(serviceCase, "leaked_goroutines", 0))
 }
 
 // timingTransport measures every round trip into its driver's sample
@@ -128,7 +95,6 @@ func (t *timingTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 type serviceDriver struct {
 	base    string
 	tcpAddr string
-	rounds  int
 	agents  []*selfish.Agent
 	inj     *chaos.ServiceInjector
 	hc      *http.Client
@@ -143,11 +109,10 @@ type serviceDriver struct {
 	err      error
 }
 
-func newServiceDriver(base string, rounds int, seed int64) *serviceDriver {
+func newServiceDriver(base string, seed int64) *serviceDriver {
 	d := &serviceDriver{
 		base:    base,
 		tcpAddr: base[len("http://"):],
-		rounds:  rounds,
 		shed:    make(map[string]int64),
 		inj: chaos.NewServiceInjector(seed, chaos.ServiceInjector{
 			SlowEvery:   40,
@@ -168,8 +133,8 @@ func newServiceDriver(base string, rounds int, seed int64) *serviceDriver {
 // addAgent registers one climbing client with this driver.  Rates are
 // scaled so a population of n greedy-but-retreating agents can actually
 // be admitted under the protection bound (each must keep n·r < 1).
-func (d *serviceDriver) addAgent(id string, population int, seed int64) {
-	scale := 1 / float64(population)
+func (d *serviceDriver) addAgent(id string, seed int64) {
+	scale := 1.0 / serviceClients
 	d.agents = append(d.agents, selfish.NewAgent(d.base, id, d.hc, selfish.AgentOptions{
 		Rate0:      0.4 * scale,
 		Step0:      0.1 * scale,
@@ -187,7 +152,7 @@ func (d *serviceDriver) addAgent(id string, population int, seed int64) {
 // normal step.
 func (d *serviceDriver) run(ctx context.Context, wg *sync.WaitGroup) {
 	defer wg.Done()
-	for round := 0; round < d.rounds; round++ {
+	for round := 0; round < serviceRounds; round++ {
 		if ctx.Err() != nil {
 			return
 		}
@@ -240,11 +205,9 @@ func (d *serviceDriver) updateBody(a *selfish.Agent) []byte {
 // recordShed tallies a rejection reason, counting anything outside the
 // service's typed vocabulary as untyped.
 func (d *serviceDriver) recordShed(reason string) {
-	switch reason {
-	case service.ReasonAdmission, service.ReasonOverload, service.ReasonDeadline,
-		service.ReasonMalformed, service.ReasonDraining, service.ReasonPanic:
+	if slices.Contains(typedReasons, reason) {
 		d.shed[reason]++
-	default:
+	} else {
 		d.untyped++
 	}
 }
@@ -301,13 +264,9 @@ func percentile(sorted []float64, p float64) float64 {
 	return sorted[idx]
 }
 
-// writeServiceJSON boots the service, runs the chaos load drive, writes
-// BENCH_service.json, and returns exit code 1 when the gate fails.
-func writeServiceJSON(path string, clients, rounds int, seed int64, force bool) (int, error) {
-	if err := guardArtifactOverwrite(path, runtime.GOMAXPROCS(0) > 1, force); err != nil {
-		return 0, err
-	}
-
+// measureService boots the service, runs the chaos load drive and its
+// drain, and sets the layer's rows.
+func measureService(v values) error {
 	baseline := runtime.NumGoroutine()
 
 	// MaxClients is deliberately far below the driven population: the
@@ -317,7 +276,7 @@ func writeServiceJSON(path string, clients, rounds int, seed int64, force bool) 
 	// control loop.
 	svc := service.New(service.Options{
 		Workers:      2,
-		QueueCap:     64,
+		QueueCap:     serviceQueueCap,
 		MaxClients:   128,
 		SolveTimeout: 250 * time.Millisecond,
 		// Tight enough that a chaos burst (skewed solve stacked on a
@@ -329,7 +288,7 @@ func writeServiceJSON(path string, clients, rounds int, seed int64, force bool) 
 	svc.Start()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		return 0, err
+		return err
 	}
 	httpSrv := &http.Server{Handler: svc.Handler()}
 	serveErr := make(chan error, 1)
@@ -337,16 +296,13 @@ func writeServiceJSON(path string, clients, rounds int, seed int64, force bool) 
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 	base := "http://" + ln.Addr().String()
 
-	nDrivers := runtime.GOMAXPROCS(0)
-	if nDrivers > clients {
-		nDrivers = clients
-	}
+	nDrivers := min(runtime.GOMAXPROCS(0), serviceClients)
 	drivers := make([]*serviceDriver, nDrivers)
 	for i := range drivers {
-		drivers[i] = newServiceDriver(base, rounds, seed+int64(1000+i))
+		drivers[i] = newServiceDriver(base, serviceSeed+int64(1000+i))
 	}
-	for i := 0; i < clients; i++ {
-		drivers[i%nDrivers].addAgent(fmt.Sprintf("c%04d", i), clients, seed+int64(i))
+	for i := 0; i < serviceClients; i++ {
+		drivers[i%nDrivers].addAgent(fmt.Sprintf("c%04d", i), serviceSeed+int64(i))
 	}
 
 	ctx := context.Background()
@@ -358,44 +314,38 @@ func writeServiceJSON(path string, clients, rounds int, seed int64, force bool) 
 		go d.run(ctx, &wg)
 	}
 	wg.Wait()
-	driveNS := time.Since(start).Nanoseconds()
+	v.set(serviceCase, "drive_ms", float64(time.Since(start).Nanoseconds())/1e6)
 
 	// Server-side counters before shutdown (drain rejections would
 	// otherwise pollute the shed accounting).
 	var stats service.Stats
 	resp, err := http.Get(base + "/v1/stats")
 	if err != nil {
-		return 0, err
+		return err
 	}
 	err = json.NewDecoder(resp.Body).Decode(&stats)
 	_ = resp.Body.Close()
 	if err != nil {
-		return 0, err
+		return err
 	}
 
 	// The misbehaving clients go away; the drain must release their
 	// handlers and every worker.
-	report := serviceReport{
-		Clients: clients, Rounds: rounds, Drivers: nDrivers,
-		QueueCap: 64, QueueMax: stats.QueueMax,
-		SolvesRun: stats.SolvesRun, CacheHits: stats.CacheHits,
-		ClassCacheHits: stats.ClassCacheHits,
-		Coalesced:      stats.Coalesced, Panics: stats.Panics,
-		ShedByReason: make(map[string]int64),
-		HostCores:    runtime.GOMAXPROCS(0),
-		SpeedupValid: runtime.GOMAXPROCS(0) > 1,
-	}
+	var requests, succeeded, untyped, sheds int64
+	var stalled int
+	shed := make(map[string]int64)
 	var all []float64
 	for _, d := range drivers {
 		if d.err != nil {
-			return 0, fmt.Errorf("driver error: %w", d.err)
+			return fmt.Errorf("driver error: %w", d.err)
 		}
-		report.Requests += d.requests
-		report.Succeeded += d.success
-		report.UntypedSheds += d.untyped
-		report.StalledConns += len(d.stalled)
+		requests += d.requests
+		succeeded += d.success
+		untyped += d.untyped
+		stalled += len(d.stalled)
 		for reason, n := range d.shed {
-			report.ShedByReason[reason] += n
+			shed[reason] += n
+			sheds += n
 		}
 		all = append(all, d.lat...)
 		for _, conn := range d.stalled {
@@ -404,17 +354,9 @@ func writeServiceJSON(path string, clients, rounds int, seed int64, force bool) 
 		d.tr.inner.CloseIdleConnections()
 	}
 	sort.Float64s(all)
-	report.P50MS = percentile(all, 0.50)
-	report.P95MS = percentile(all, 0.95)
-	report.P99MS = percentile(all, 0.99)
-	var sheds int64
-	for _, n := range report.ShedByReason {
-		sheds += n
-	}
-	sheds += report.UntypedSheds
-	report.ShedRate = float64(sheds) / float64(report.Requests)
+	cacheHitRate := 0.0
 	if stats.Solves > 0 {
-		report.CacheHitRate = float64(stats.CacheHits) / float64(stats.Solves)
+		cacheHitRate = float64(stats.CacheHits) / float64(stats.Solves)
 	}
 
 	drainStart := time.Now()
@@ -423,8 +365,8 @@ func writeServiceJSON(path string, clients, rounds int, seed int64, force bool) 
 	httpErr := httpSrv.Shutdown(sctx)
 	svcErr := svc.Shutdown(sctx)
 	<-serveErr // accept loop has exited
-	report.DrainNS = time.Since(drainStart).Nanoseconds()
-	report.DrainClean = httpErr == nil && svcErr == nil
+	drain := time.Since(drainStart)
+	drainClean := httpErr == nil && svcErr == nil
 
 	// Give trailing goroutines (connection handlers observing their
 	// closed sockets) a beat to exit before declaring a leak.
@@ -432,29 +374,37 @@ func writeServiceJSON(path string, clients, rounds int, seed int64, force bool) 
 	for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)
 	}
-	if n := runtime.NumGoroutine(); n > baseline {
-		report.LeakedGoroutines = n - baseline
-	}
+	leaked := max(runtime.NumGoroutine()-baseline, 0)
 
-	fmt.Printf("service: %d clients × %d rounds over %d drivers in %v\n",
-		clients, rounds, nDrivers, time.Duration(driveNS).Round(time.Millisecond))
-	fmt.Printf("service: %d requests, p50 %.2fms p95 %.2fms p99 %.2fms, shed %.1f%% %v, cache hit %.1f%% (%d via class coalescing), %d coalesced, queue max %d/%d\n",
-		report.Requests, report.P50MS, report.P95MS, report.P99MS,
-		100*report.ShedRate, report.ShedByReason, 100*report.CacheHitRate,
-		report.ClassCacheHits, report.Coalesced, report.QueueMax, report.QueueCap)
-	fmt.Printf("service: drain %v clean=%v, %d stalled conns released, %d goroutines leaked\n",
-		time.Duration(report.DrainNS).Round(time.Millisecond), report.DrainClean,
-		report.StalledConns, report.LeakedGoroutines)
-
-	if err := writeArtifactJSON(path, report, force); err != nil {
-		return 0, err
+	v.set(serviceCase, "drivers", float64(nDrivers))
+	v.set(serviceCase, "requests", float64(requests))
+	v.set(serviceCase, "succeeded", float64(succeeded))
+	v.set(serviceCase, "latency_samples", float64(len(all)))
+	v.set(serviceCase, "p50_ms", percentile(all, 0.50))
+	v.set(serviceCase, "p95_ms", percentile(all, 0.95))
+	v.set(serviceCase, "p99_ms", percentile(all, 0.99))
+	for _, reason := range typedReasons {
+		v.set(serviceCase, "shed_"+reason, float64(shed[reason]))
 	}
-	fmt.Printf("service bench -> %s\n", path)
+	v.set(serviceCase, "untyped_sheds", float64(untyped))
+	v.set(serviceCase, "shed_rate", float64(sheds+untyped)/float64(max(requests, 1)))
+	v.set(serviceCase, "solves_run", float64(stats.SolvesRun))
+	v.set(serviceCase, "cache_hits", float64(stats.CacheHits))
+	v.set(serviceCase, "class_cache_hits", float64(stats.ClassCacheHits))
+	v.set(serviceCase, "coalesced", float64(stats.Coalesced))
+	v.set(serviceCase, "cache_hit_rate", cacheHitRate)
+	v.set(serviceCase, "panics", float64(stats.Panics))
+	v.set(serviceCase, "queue_max", float64(stats.QueueMax))
+	v.set(serviceCase, "stalled_conns", float64(stalled))
+	v.set(serviceCase, "drain_ms", float64(drain.Nanoseconds())/1e6)
+	v.set(serviceCase, "drain_clean", boolValue(drainClean))
+	v.set(serviceCase, "leaked_goroutines", float64(leaked))
+	return nil
+}
 
-	code := 0
-	for _, msg := range gateService(report) {
-		fmt.Printf("  REGRESSION(%s)\n", msg)
-		code = 1
+func boolValue(b bool) float64 {
+	if b {
+		return 1
 	}
-	return code, nil
+	return 0
 }

@@ -1,189 +1,6 @@
 package main
 
-import (
-	"encoding/json"
-	"os"
-	"strings"
-	"testing"
-)
-
-// cleanServiceReport is a report every gate accepts; tests inject one
-// regression at a time into copies of it.
-func cleanServiceReport() serviceReport {
-	return serviceReport{
-		Clients: 1000, Rounds: 2, Drivers: 4,
-		Requests: 6000, Succeeded: 3000,
-		P50MS: 0.1, P95MS: 1.5, P99MS: 3.0,
-		ShedByReason: map[string]int64{"admission": 1500, "deadline": 50, "malformed": 80, "overload": 3},
-		ShedRate:     0.3,
-		SolvesRun:    200, CacheHits: 100, Coalesced: 40, CacheHitRate: 0.3,
-		QueueCap: 64, QueueMax: 12,
-		StalledConns: 20, DrainClean: true,
-		HostCores: 4, SpeedupValid: true,
-	}
-}
-
-func TestGateServiceCleanReportPasses(t *testing.T) {
-	if fails := gateService(cleanServiceReport()); len(fails) != 0 {
-		t.Fatalf("clean report failed the gate: %v", fails)
-	}
-}
-
-func TestGateServiceCatchesQueueGrowth(t *testing.T) {
-	r := cleanServiceReport()
-	r.QueueMax = r.QueueCap + 1
-	fails := gateService(r)
-	if len(fails) != 1 || !strings.Contains(fails[0], "queue") {
-		t.Fatalf("want one queue-growth failure, got %v", fails)
-	}
-}
-
-func TestGateServiceCatchesUntypedSheds(t *testing.T) {
-	r := cleanServiceReport()
-	r.UntypedSheds = 1
-	fails := gateService(r)
-	if len(fails) != 1 || !strings.Contains(fails[0], "typed") {
-		t.Fatalf("want one untyped-shed failure, got %v", fails)
-	}
-}
-
-func TestGateServiceCatchesPanics(t *testing.T) {
-	r := cleanServiceReport()
-	r.Panics = 2
-	fails := gateService(r)
-	if len(fails) != 1 || !strings.Contains(fails[0], "panic") {
-		t.Fatalf("want one panic failure, got %v", fails)
-	}
-}
-
-func TestGateServiceCatchesDirtyDrain(t *testing.T) {
-	r := cleanServiceReport()
-	r.DrainClean = false
-	fails := gateService(r)
-	if len(fails) != 1 || !strings.Contains(fails[0], "drain") {
-		t.Fatalf("want one drain failure, got %v", fails)
-	}
-}
-
-func TestGateServiceCatchesLeakedGoroutines(t *testing.T) {
-	r := cleanServiceReport()
-	r.LeakedGoroutines = 3
-	fails := gateService(r)
-	if len(fails) != 1 || !strings.Contains(fails[0], "goroutine") {
-		t.Fatalf("want one leak failure, got %v", fails)
-	}
-}
-
-func TestGateServiceCatchesDeadLoop(t *testing.T) {
-	r := cleanServiceReport()
-	r.Succeeded = 0
-	fails := gateService(r)
-	if len(fails) != 1 || !strings.Contains(fails[0], "control loop") {
-		t.Fatalf("want one dead-loop failure, got %v", fails)
-	}
-}
-
-func TestGateServiceCatchesEmptyRun(t *testing.T) {
-	if fails := gateService(serviceReport{}); len(fails) != 1 || !strings.Contains(fails[0], "no requests") {
-		t.Fatalf("empty run must fail with exactly the no-requests message, got %v", gateService(serviceReport{}))
-	}
-}
-
-func TestGateServiceReportsEveryRegression(t *testing.T) {
-	r := cleanServiceReport()
-	r.QueueMax = 1000
-	r.UntypedSheds = 5
-	r.LeakedGoroutines = 1
-	if fails := gateService(r); len(fails) != 3 {
-		t.Fatalf("want all 3 injected regressions reported, got %v", fails)
-	}
-}
-
-// TestArtifactValidityFindsMarkerAnywhere pins the shared guard's probe
-// against the real artifact shapes: top-level (BENCH_parallel,
-// BENCH_service) and nested under replication (BENCH_events).
-func TestArtifactValidityFindsMarkerAnywhere(t *testing.T) {
-	cases := []struct {
-		name  string
-		v     any
-		valid bool
-		cores int
-		found bool
-	}{
-		{"bench-record", benchRecord{HostCores: 8, SpeedupValid: true}, true, 8, true},
-		{"service-report", cleanServiceReport(), true, 4, true},
-		{"events-report", eventsReport{Replication: eventsReplicationRecord{HostCores: 2, SpeedupValid: true}}, true, 2, true},
-		{"events-single-core", eventsReport{Replication: eventsReplicationRecord{HostCores: 1}}, false, 1, true},
-		{"no-marker", map[string]any{"hello": "world"}, false, 0, false},
-	}
-	for _, c := range cases {
-		data, err := json.Marshal(c.v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var decoded any
-		if err := json.Unmarshal(data, &decoded); err != nil {
-			t.Fatal(err)
-		}
-		valid, cores, found := artifactValidity(decoded)
-		if valid != c.valid || cores != c.cores || found != c.found {
-			t.Errorf("%s: got (valid=%v cores=%d found=%v), want (%v %d %v)",
-				c.name, valid, cores, found, c.valid, c.cores, c.found)
-		}
-	}
-}
-
-// TestGuardedWriteSharedAcrossModes drives the one write helper with
-// each artifact shape: a single-core events or service run must refuse
-// to clobber its multi-core predecessor, exactly like -benchjson.
-func TestGuardedWriteSharedAcrossModes(t *testing.T) {
-	dir := t.TempDir()
-
-	// Multi-core events artifact on disk; single-core rerun refused.
-	evPath := dir + "/BENCH_events.json"
-	multi := eventsReport{Replication: eventsReplicationRecord{HostCores: 4, SpeedupValid: true}}
-	if err := writeArtifactJSON(evPath, multi, false); err != nil {
-		t.Fatalf("first write: %v", err)
-	}
-	single := eventsReport{Replication: eventsReplicationRecord{HostCores: 1, SpeedupValid: false}}
-	if err := writeArtifactJSON(evPath, single, false); err == nil {
-		t.Fatal("single-core events run overwrote a multi-core artifact")
-	}
-	if err := guardArtifactOverwrite(evPath, false, false); err == nil {
-		t.Fatal("pre-measurement probe let a single-core events run through")
-	}
-	if err := writeArtifactJSON(evPath, single, true); err != nil {
-		t.Fatalf("-force must override: %v", err)
-	}
-
-	// Same contract for the service report.
-	svcPath := dir + "/BENCH_service.json"
-	svcMulti := cleanServiceReport()
-	if err := writeArtifactJSON(svcPath, svcMulti, false); err != nil {
-		t.Fatalf("first service write: %v", err)
-	}
-	svcSingle := cleanServiceReport()
-	svcSingle.HostCores, svcSingle.SpeedupValid = 1, false
-	if err := writeArtifactJSON(svcPath, svcSingle, false); err == nil {
-		t.Fatal("single-core service run overwrote a multi-core artifact")
-	}
-
-	// The write lands with a trailing newline and round-trips.
-	data, err := os.ReadFile(svcPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(data) == 0 || data[len(data)-1] != '\n' {
-		t.Fatal("artifact missing trailing newline")
-	}
-	var back serviceReport
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatalf("artifact does not round-trip: %v", err)
-	}
-	if back.HostCores != 4 || !back.SpeedupValid {
-		t.Fatalf("surviving artifact should be the multi-core one, got %+v", back)
-	}
-}
+import "testing"
 
 // TestPercentile pins the index arithmetic at the edges.
 func TestPercentile(t *testing.T) {

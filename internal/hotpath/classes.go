@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"testing"
 
 	"greednet/internal/alloc"
 	"greednet/internal/core"
@@ -12,14 +11,13 @@ import (
 	"greednet/internal/utility"
 )
 
-// The class-solver benchmark family behind `greedbench -classes` and the
-// solvenashclass_* registry cases: K utility classes carrying N users in
-// total, solved by the O(K)-per-step class arithmetic.  The headline
-// configuration — K = 8 classes, N = 10^6 users — is the regime the
-// per-user solver cannot touch (10^6 inner line searches per round);
-// the class solver's cost depends on K alone, so the same equilibrium
-// falls out in milliseconds, and BENCH_classes.json pins both that
-// ceiling and the warm steady state's zero allocs/op.
+// The class-solver benchmark family behind `greedbench -bench classes`:
+// K utility classes carrying N users in total, solved by the O(K)-per-step
+// class arithmetic.  The headline configuration — K = 8 classes, N = 10^6
+// users — is the regime the per-user solver cannot touch (10^6 inner line
+// searches per round); the class solver's cost depends on K alone, so the
+// same equilibrium falls out in milliseconds, and BENCH_classes.json pins
+// both that ceiling and the warm steady state's zero allocs/op.
 
 // ClassScale is one (K, N) configuration of the class-solver family.
 type ClassScale struct {
@@ -40,7 +38,8 @@ type ClassScale struct {
 	ExactCompare bool
 }
 
-// ClassScales returns the -classes benchmark family in emission order.
+// ClassScales returns the class-solver benchmark family in emission
+// order.
 func ClassScales() []ClassScale {
 	return []ClassScale{
 		{Name: "k8_n64", K: 8, N: 64, NsCeiling: 10e6, ExactCompare: true},
@@ -148,9 +147,9 @@ type fullEval struct{ core.AllocationInto }
 // evaluations.  It returns nil when every solved rate and congestion,
 // the iteration count and the convergence flag match Float64bits for
 // Float64bits, and a description of the first mismatch otherwise.
-// greedbench -classes runs this before timing, so BENCH_classes.json
-// never records the speed of a solver that drifted off the exact
-// answers.
+// greedbench's classes layer runs this before timing, so
+// BENCH_classes.json never records the speed of a solver that drifted
+// off the exact answers.
 func ClassBitEquality() error {
 	const n = 64
 	cg, err := ClassGameFor(n, n)
@@ -180,37 +179,4 @@ func ClassBitEquality() error {
 		}
 	}
 	return nil
-}
-
-// classCases returns the class-solver entries of the hot-path registry.
-// Both headline scales are gated at zero allocations: the Into core with
-// a warm workspace must not touch the heap, whatever N is.
-func classCases() []Case {
-	bench := func(s ClassScale) func(b *testing.B) {
-		return func(b *testing.B) {
-			cb, err := NewClassBench(s)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := cb.Solve(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	}
-	var out []Case
-	for _, s := range ClassScales() {
-		if s.N < 1_000_000 {
-			continue // the registry carries the headline scales; -classes sweeps the rest
-		}
-		out = append(out, Case{
-			Name:  "solvenashclass_fairshare_" + s.Name,
-			Gated: true,
-			Bench: bench(s),
-		})
-	}
-	return out
 }

@@ -4,31 +4,31 @@ import (
 	"testing"
 )
 
-// classChecks builds the warm AllocsPerRun closures for the gated
-// class-solver registry cases, merged into TestGatedCasesWithinAllocBudget's
-// check table.
-func classChecks(t *testing.T) map[string]func() {
-	t.Helper()
-	checks := make(map[string]func())
+// The warm class solve must not touch the heap at the N = 10^6
+// headline scales, whatever N is: the classes layer gates allocs/op at
+// zero on every scale, and a plain `go test` checks the headline ones.
+func TestClassSolveAllocationFree(t *testing.T) {
 	for _, s := range ClassScales() {
 		if s.N < 1_000_000 {
-			continue // only the headline scales are in the registry
+			continue
 		}
 		cb, err := NewClassBench(s)
 		if err != nil {
 			t.Fatal(err)
 		}
-		checks["solvenashclass_fairshare_"+s.Name] = func() {
+		solve := func() {
 			if _, err := cb.Solve(); err != nil {
 				t.Fatal(err)
 			}
 		}
+		if allocs := testing.AllocsPerRun(200, solve); allocs > 0 {
+			t.Errorf("%s: %.1f allocs/op, want 0", s.Name, allocs)
+		}
 	}
-	return checks
 }
 
-// TestClassBitEquality runs the differential check greedbench -classes
-// gates on: class arithmetic Float64bits-equal to the exact per-user
+// TestClassBitEquality runs the differential check the classes bench
+// layer gates on: class arithmetic Float64bits-equal to the exact per-user
 // solver at K = N.
 func TestClassBitEquality(t *testing.T) {
 	if err := ClassBitEquality(); err != nil {

@@ -12,7 +12,8 @@ import (
 // populations.  The two engines are bit-identical in results and event
 // sequence (internal/des's differential suite pins that), so each pair
 // processes EXACTLY the same events and the events/sec ratio reduces to
-// the inverse runtime ratio — which is what greedbench -events gates on.
+// the inverse runtime ratio — which is what greedbench's events layer
+// gates on.
 // Ratios are machine-relative by construction, so the gate travels
 // across hosts, unlike absolute events/sec, which the JSON artifact
 // records for trending only.
@@ -29,7 +30,7 @@ type EventScale struct {
 	// events per unit time under the fixed 0.9 total load).
 	Horizon float64
 	// RatioFloor is the minimum calendar/heap events-per-second ratio the
-	// -events gate accepts.  From N=10² up, where calq runs its bucket
+	// events layer accepts.  From N=10² up, where calq runs its bucket
 	// calendar, the O(1)-vs-O(log N) gap widens with the population, so
 	// the floor rises with Sources; at N=10² the calendar only has to not
 	// lose.  At N=4 the floor sits between the calendar's ratio and the
@@ -37,7 +38,7 @@ type EventScale struct {
 	RatioFloor float64
 }
 
-// AllocsPerEventBudget is the -events gate's ceiling on steady-state
+// AllocsPerEventBudget is the events layer's ceiling on steady-state
 // allocations per event in the calendar-queue engine.  The two-horizon
 // delta cancels all setup and ramp-up allocations, so the warm event
 // loop must measure as allocation-free; the budget is nonzero only to
@@ -52,8 +53,8 @@ func EventScales() []EventScale {
 		// The paper's own scale (E15 and E18 run two to four sources):
 		// five pending events, which calq keeps in its flat slice.  On a
 		// 2-vCPU shared host the bucket calendar measured 1.32–2.02 here
-		// (28 greedbench -events runs, one above the floor) and the flat
-		// slice 2.16–3.69 (15 runs).
+		// (28 sequential runs of the events gate, one above the floor)
+		// and the flat slice 2.16–3.69 (15 runs).
 		{Name: "n4", Sources: 4, Horizon: 2e4, RatioFloor: 2.0},
 		{Name: "n1e2", Sources: 100, Horizon: 2e4, RatioFloor: 0.9},
 		{Name: "n1e4", Sources: 10_000, Horizon: 5e4, RatioFloor: 1.3},

@@ -5,8 +5,8 @@ import "testing"
 // BenchmarkEventsPerSec runs the events/sec family as sub-benchmarks:
 // the calendar-queue engine and its frozen heap baseline at each
 // population scale, with the processed-events rate attached as a custom
-// metric.  `go test -bench EventsPerSec ./internal/hotpath` reports the
-// same measurements greedbench -events writes to BENCH_events.json.
+// metric.  `go test -bench EventsPerSec ./internal/hotpath` times the
+// same engines `greedbench -bench events` records in BENCH_events.json.
 func BenchmarkEventsPerSec(b *testing.B) {
 	for _, s := range EventScales() {
 		events, err := EventRun(s, 1)

@@ -1,15 +1,15 @@
 // Package hotpath pins the performance of the repository's hottest code
 // paths.  Each Case is a named micro-benchmark runnable both by `go test
-// -bench` (see hotpath_test.go) and programmatically by greedbench's
-// -hotpath flag, which times every case with testing.Benchmark and writes
-// the results — ns/op, allocs/op, bytes/op — to BENCH_hotpath.json.
+// -bench` (see hotpath_test.go) and by `greedbench -bench hotpath`, which
+// times every case with testing.Benchmark and writes its ns/op,
+// allocs/op and bytes/op rows to BENCH_hotpath.json.
 //
-// Cases marked Gated are paths whose warm steady state must stay at or
-// under their allocation Budget per operation — zero for the workspace
-// fast paths, a small audited number for end-to-end cases whose results
-// are freshly allocated by contract (SolveNashWS's R and C, des.Run's
-// result vectors).  A gated case measuring above its budget is a perf
-// regression and fails the emitter.
+// Every case's warm steady state must stay at or under its allocation
+// Budget per operation — zero for the workspace fast paths, a small
+// audited number for end-to-end cases whose results are freshly
+// allocated by contract (SolveNashWS's R and C, des.Run's result
+// vectors).  A case measuring above its budget is a perf regression and
+// fails the bench gate.
 package hotpath
 
 import (
@@ -28,13 +28,10 @@ import (
 type Case struct {
 	// Name is the stable identifier recorded in BENCH_hotpath.json.
 	Name string
-	// Gated marks the allocation-gated paths: allocs/op must not exceed
-	// Budget.
-	Gated bool
-	// Budget is the allocs/op ceiling for a gated case.  The workspace
-	// fast paths leave it 0 (zero-alloc); end-to-end cases budget the
-	// allocations their contracts require (fresh result vectors), so any
-	// *new* allocation on the path still trips the gate.
+	// Budget is the case's allocs/op ceiling.  The workspace fast paths
+	// leave it 0 (zero-alloc); end-to-end cases budget the allocations
+	// their contracts require (fresh result vectors), so any *new*
+	// allocation on the path still trips the gate.
 	Budget int64
 	// Bench runs the benchmark; it must call b.ReportAllocs so the
 	// programmatic testing.Benchmark results carry allocation counts.
@@ -85,17 +82,15 @@ func climbGame(n int) (core.Profile, []float64, game.NashOptions, error) {
 	return us, r0, game.NashOptions{MaxIter: 200, Tol: 1e-6}, nil
 }
 
-// Cases returns the hot-path benchmark suite in emission order: the
-// per-user paths below, then the class-solver headline scales
-// (classes.go).
+// Cases returns the hot-path benchmark suite in emission order.  The
+// class solver's scales are the classes layer's (classes.go).
 func Cases() []Case {
-	cases := []Case{
+	return []Case{
 		{
 			// One vector evaluated over and over: after the warm call the
 			// workspace's argsort repair finds it already sorted, so this
 			// times the O(n) sorted path.  The _cold case times the sort.
-			Name:  "fairshare_congestion_into_n64",
-			Gated: true,
+			Name: "fairshare_congestion_into_n64",
 			Bench: func(b *testing.B) {
 				r := rates64()
 				if !core.Feasible(r) {
@@ -115,8 +110,7 @@ func Cases() []Case {
 			// Two unrelated profiles alternating on one workspace: every
 			// call runs the repair pass past its budget and then the sort
 			// from scratch.
-			Name:  "fairshare_congestion_into_n64_cold",
-			Gated: true,
+			Name: "fairshare_congestion_into_n64_cold",
 			Bench: func(b *testing.B) {
 				r0, r1 := rates64(), rates64Cold()
 				if !core.Feasible(r0) || !core.Feasible(r1) {
@@ -137,8 +131,7 @@ func Cases() []Case {
 			},
 		},
 		{
-			Name:  "proportional_congestion_into_n64",
-			Gated: true,
+			Name: "proportional_congestion_into_n64",
 			Bench: func(b *testing.B) {
 				r := rates64()
 				if !core.Feasible(r) {
@@ -154,8 +147,7 @@ func Cases() []Case {
 			},
 		},
 		{
-			Name:  "bestresponse_fairshare_ws_n64",
-			Gated: true,
+			Name: "bestresponse_fairshare_ws_n64",
 			Bench: func(b *testing.B) {
 				r := rates64()
 				var u core.Utility = utility.NewLinear(1, 0.25)
@@ -173,7 +165,6 @@ func Cases() []Case {
 			// Per solve: the freshly allocated R and C the NashResult
 			// contract promises.  Everything else rides the workspace; a
 			// 3rd allocation means scratch started escaping.
-			Gated:  true,
 			Budget: 2,
 			Bench: func(b *testing.B) {
 				us := utility.Identical(utility.NewLinear(1, 0.25), 8)
@@ -196,7 +187,6 @@ func Cases() []Case {
 			// The climb-shaped solve greedd runs on every /v1/solve of its
 			// benchmark's closed loop; budgeted like solvenash_fairshare_n8
 			// (R and C).
-			Gated:  true,
 			Budget: 2,
 			Bench: func(b *testing.B) {
 				us, r0, opt, err := climbGame(128)
@@ -220,7 +210,6 @@ func Cases() []Case {
 			// teardown, not per-event work.  The per-event path (bump,
 			// pickSource, the event loop) is allocation-free, which is what
 			// pins the budget at run-setup scale instead of event scale.
-			Gated:  true,
 			Budget: 29,
 			Bench: func(b *testing.B) {
 				b.ReportAllocs()
@@ -239,5 +228,4 @@ func Cases() []Case {
 			},
 		},
 	}
-	return append(cases, classCases()...)
 }

@@ -13,19 +13,18 @@ import (
 
 // BenchmarkHotpaths runs every registered case as a sub-benchmark, so
 // `go test -bench Hotpaths ./internal/hotpath` reports the same numbers
-// greedbench -hotpath writes to BENCH_hotpath.json.
+// `greedbench -bench hotpath` writes to BENCH_hotpath.json.
 func BenchmarkHotpaths(b *testing.B) {
 	for _, c := range Cases() {
 		b.Run(c.Name, c.Bench)
 	}
 }
 
-// Every gated case must measure at or under its allocation budget per
+// Every case must measure at or under its allocation budget per
 // operation once its workspace is warm — zero for the fast paths, the
 // audited result-allocation count for the end-to-end cases.  This is the
-// regression gate behind greedbench -hotpath's exit status, run here
-// directly so a plain `go test` catches a path that started escaping to
-// the heap.
+// hotpath layer's allocs/op budget, run here directly so a plain
+// `go test` catches a path that started escaping to the heap.
 func TestGatedCasesWithinAllocBudget(t *testing.T) {
 	r := rates64()
 	dst := make([]float64, len(r))
@@ -89,16 +88,10 @@ func TestGatedCasesWithinAllocBudget(t *testing.T) {
 			}
 		},
 	}
-	for name, fn := range classChecks(t) {
-		checks[name] = fn
-	}
 	for _, c := range Cases() {
-		if !c.Gated {
-			continue
-		}
 		fn, ok := checks[c.Name]
 		if !ok {
-			t.Fatalf("gated case %q has no AllocsPerRun check; add one", c.Name)
+			t.Fatalf("case %q has no AllocsPerRun check; add one", c.Name)
 		}
 		fn() // warm outside the measured runs
 		if allocs := testing.AllocsPerRun(200, fn); allocs > float64(c.Budget) {

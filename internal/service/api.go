@@ -43,6 +43,10 @@ const (
 	// ReasonPanic tags a contained handler or solver panic; the body's
 	// Status is "FAILED(panic)" (HTTP 500).
 	ReasonPanic = "panic"
+	// ReasonUncertified refuses an answer the service cannot stand
+	// behind: today, a response that does not encode, such as a
+	// non-finite rate or congestion (HTTP 500).
+	ReasonUncertified = "uncertified"
 )
 
 // Rejection is the canonical non-2xx response body.

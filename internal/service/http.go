@@ -44,13 +44,22 @@ func (s *Server) contain(h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// writeJSON renders v with the given status code.
+// writeJSON renders v with the given status code.  The body is encoded
+// before the header goes out: a value that does not encode (a
+// non-finite rate or congestion) answers 500 with a typed rejection
+// instead of an empty body under v's status.
 func writeJSON(w http.ResponseWriter, code int, v any) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		code = http.StatusInternalServerError
+		// A Rejection holds only strings, so it always encodes.
+		body, _ = json.Marshal(Rejection{Status: "REJECTED", Reason: ReasonUncertified, Detail: err.Error()})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	// A failed write means the client hung up mid-response; there is
 	// nobody left to tell.
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(append(body, '\n'))
 }
 
 // reject renders a typed rejection.

@@ -406,6 +406,20 @@ func TestHandlerPanicContained(t *testing.T) {
 	}
 }
 
+// An answer that cannot be encoded — here a non-finite rate — must not
+// go out as an empty 200: it is refused with a typed 500.
+func TestWriteJSONRefusesUnencodableAnswer(t *testing.T) {
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, SolveResponse{R: []float64{math.Inf(1)}})
+	var rej Rejection
+	if err := json.Unmarshal(rec.Body.Bytes(), &rej); err != nil {
+		t.Fatalf("%d with undecodable body %q: %v", rec.Code, rec.Body.String(), err)
+	}
+	if rec.Code != http.StatusInternalServerError || rej.Reason != ReasonUncertified {
+		t.Fatalf("unencodable answer rendered %d %+v", rec.Code, rej)
+	}
+}
+
 func TestWatchdogFlipsHealthOnStall(t *testing.T) {
 	clk := newFakeClock()
 	s := New(Options{StallAfter: time.Second, Clock: clk.now})
