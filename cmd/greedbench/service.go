@@ -64,7 +64,6 @@ func serviceRows() []Row {
 		row(serviceCase, "shed_rate"),
 		row(serviceCase, "solves_run"),
 		row(serviceCase, "cache_hits"),
-		row(serviceCase, "class_cache_hits"),
 		row(serviceCase, "coalesced"),
 		row(serviceCase, "cache_hit_rate"),
 		atMost(serviceCase, "panics", 0),
@@ -390,7 +389,6 @@ func measureService(v values) error {
 	v.set(serviceCase, "shed_rate", float64(sheds+untyped)/float64(max(requests, 1)))
 	v.set(serviceCase, "solves_run", float64(stats.SolvesRun))
 	v.set(serviceCase, "cache_hits", float64(stats.CacheHits))
-	v.set(serviceCase, "class_cache_hits", float64(stats.ClassCacheHits))
 	v.set(serviceCase, "coalesced", float64(stats.Coalesced))
 	v.set(serviceCase, "cache_hit_rate", cacheHitRate)
 	v.set(serviceCase, "panics", float64(stats.Panics))

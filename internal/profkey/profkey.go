@@ -6,16 +6,17 @@
 //
 // Two layers of canonicalization exist:
 //
-//   - PerUser keeps one entry per user, sorted by caller-supplied id.
-//     This was internal/service's historical cache key: it distinguishes
-//     profiles by client identity, so the same game under renamed (or
-//     permuted) clients missed the cache.
+//   - PerUser keeps one entry per user, sorted by caller-supplied id,
+//     so it distinguishes profiles by client identity.  It was
+//     internal/service's solve-cache key until the service moved to
+//     profile generations, which identify a profile without rendering
+//     it; perfbench still times it.
 //   - Classes coalesces users with identical (spec, rate) into one
 //     (spec, rate, count) class, sorted by spec then rate.  Because
 //     every in-tree allocation is symmetric (permutation-equivariant),
-//     the solved equilibrium depends only on this multiset — the class
-//     key is the right cache key for solve results, and it is exactly
-//     the canonical ordering internal/game's ClassGame uses.
+//     the solved equilibrium depends only on this multiset, and the
+//     class order is exactly the canonical ordering internal/game's
+//     ClassGame uses.
 //
 // Rates are rendered as shortest round-trip hex floats
 // (strconv.FormatFloat 'x', -1), so distinct float64 values never
@@ -124,10 +125,4 @@ func Classes(classes []ClassEntry) string {
 		b.WriteByte(';')
 	}
 	return b.String()
-}
-
-// ClassKey is Classes(Coalesce(specs, rates)): the canonical key of the
-// symmetric game induced by the profile, identity-free.
-func ClassKey(specs []string, rates []float64) string {
-	return Classes(Coalesce(specs, rates))
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"net/http"
@@ -140,9 +141,10 @@ func (a *Agent) Step(ctx context.Context) (StepResult, error) {
 	}
 	res.Admitted = true
 
-	var solved service.SolveResponse
+	// The agent observes only its republished point, so the solve's
+	// equilibrium vectors are checked to be JSON but never decoded.
 	code, rej, err = a.call(ctx, "POST", "/v1/solve",
-		service.SolveRequest{Client: a.id, DeadlineMS: a.opt.DeadlineMS}, &solved)
+		service.SolveRequest{Client: a.id, DeadlineMS: a.opt.DeadlineMS}, nil)
 	if err != nil {
 		return res, err
 	}
@@ -184,7 +186,8 @@ func (a *Agent) climb(v float64) {
 }
 
 // call performs one JSON round trip.  Non-2xx bodies are decoded as
-// typed rejections and returned alongside the status code.
+// typed rejections and returned alongside the status code.  A 2xx body
+// is decoded into out or, with out nil, only checked to be JSON.
 func (a *Agent) call(ctx context.Context, method, path string, in, out any) (int, *service.Rejection, error) {
 	var body *bytes.Reader
 	if in != nil {
@@ -217,6 +220,14 @@ func (a *Agent) call(ctx context.Context, method, path string, in, out any) (int
 		if derr := json.NewDecoder(resp.Body).Decode(out); derr != nil {
 			return resp.StatusCode, nil, fmt.Errorf("selfish: %s %s: bad 2xx body: %w", method, path, derr)
 		}
+		return resp.StatusCode, nil, nil
+	}
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return resp.StatusCode, nil, fmt.Errorf("selfish: %s %s: reading 2xx body: %w", method, path, err)
+	}
+	if !json.Valid(raw) {
+		return resp.StatusCode, nil, fmt.Errorf("selfish: %s %s: 2xx body is not JSON", method, path)
 	}
 	return resp.StatusCode, nil, nil
 }

@@ -3,6 +3,7 @@ package selfish
 import (
 	"context"
 	"math"
+	"net/http"
 	"net/http/httptest"
 	"testing"
 
@@ -112,5 +113,41 @@ func TestAgentDeterministic(t *testing.T) {
 		if ra.Rate != rb.Rate {
 			t.Fatalf("step %d: trajectories diverge: %v vs %v", i, ra.Rate, rb.Rate)
 		}
+	}
+}
+
+// fakeSolveServer admits every update and answers every solve with the
+// given status and body.
+func fakeSolveServer(t *testing.T, code int, body string) string {
+	t.Helper()
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /v1/update", func(w http.ResponseWriter, _ *http.Request) {
+		_, _ = w.Write([]byte(`{"admitted":true,"clients":1,"bound":0.2}` + "\n"))
+	})
+	mux.HandleFunc("POST /v1/solve", func(w http.ResponseWriter, _ *http.Request) {
+		w.WriteHeader(code)
+		_, _ = w.Write([]byte(body))
+	})
+	ts := httptest.NewServer(mux)
+	t.Cleanup(ts.Close)
+	return ts.URL
+}
+
+// TestAgentChecksSolveBody pins the solve leg's contract now that the
+// agent no longer decodes the equilibrium vectors: a 2xx body that is
+// not JSON fails the step, and a non-2xx still comes back as the typed
+// shed.
+func TestAgentChecksSolveBody(t *testing.T) {
+	ctx := context.Background()
+	a := NewAgent(fakeSolveServer(t, http.StatusOK, "not json"), "x", nil, AgentOptions{Seed: 1})
+	if _, err := a.Step(ctx); err == nil {
+		t.Fatalf("non-JSON 2xx solve body: err = %v, want a failed step", err)
+	}
+
+	shed := `{"status":"REJECTED","reason":"overload","detail":"queue full"}`
+	a = NewAgent(fakeSolveServer(t, http.StatusServiceUnavailable, shed), "x", nil, AgentOptions{Seed: 1})
+	res, err := a.Step(ctx)
+	if err != nil || res.Shed != service.ReasonOverload || !res.Admitted {
+		t.Fatalf("shed solve: %+v, %v; want an admitted step shed as %q", res, err, service.ReasonOverload)
 	}
 }

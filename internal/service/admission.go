@@ -44,16 +44,18 @@ func (s *Server) admit(id string, r float64) admitResult {
 	}
 	// A join raises N for every incumbent; none of their bounds may
 	// cross the pole.  A pure rate update keeps N, so incumbents are
-	// unaffected and the scan is skipped.
+	// unaffected and the scan is skipped.  The rejection names the
+	// smallest offending id, found in one pass without sorting.
 	if !known {
-		for _, other := range s.sortedClientIDs() {
-			if other == id {
-				continue
+		worst := ""
+		for other, c := range s.clients {
+			if float64(n)*c.rate >= 1 && (worst == "" || other < worst) {
+				worst = other
 			}
-			if ro := s.clients[other].rate; float64(n)*ro >= 1 {
-				return admitResult{detail: fmt.Sprintf(
-					"admitting a %dth client would push incumbent %q (rate %v) past its protection pole", n, other, ro)}
-			}
+		}
+		if worst != "" {
+			return admitResult{detail: fmt.Sprintf(
+				"admitting a %dth client would push incumbent %q (rate %v) past its protection pole", n, worst, s.clients[worst].rate)}
 		}
 	}
 	// Definition 7's bound r/(1−N·r), inline: the N·r < 1 guards above

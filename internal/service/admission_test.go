@@ -1,6 +1,7 @@
 package service
 
 import (
+	"fmt"
 	"math"
 	"net/http"
 	"testing"
@@ -117,5 +118,47 @@ func TestAdmittedProfileAlwaysFeasible(t *testing.T) {
 		if r := s.admittedRates(); len(r) > 0 && !core.Feasible(r) {
 			t.Fatalf("step %d: admitted profile %v infeasible", step, r)
 		}
+	}
+}
+
+// TestAdmitJoinScanMatchesSortedScan checks the one-pass incumbent scan
+// of a join against the sort-then-scan it replaced, on random
+// populations: the same decision, and a rejection naming the same
+// incumbent — the smallest id pushed past its pole.
+func TestAdmitJoinScanMatchesSortedScan(t *testing.T) {
+	rng := randdist.NewRand(11)
+	var rejected, admitted int
+	for trial := 0; trial < 1000; trial++ {
+		s := New(Options{})
+		m := 1 + rng.Intn(12)
+		for i := 0; i < m; i++ {
+			// Rates below 1/m: admissible now, but a join may push some
+			// past 1/(N+1).
+			s.clients[fmt.Sprintf("u%02d", rng.Intn(40))] = &client{rate: rng.Float64() / float64(m)}
+		}
+		n := len(s.clients) + 1
+		r := 0.5 * rng.Float64() / float64(n) // the newcomer's own N·r < 1
+		want := admitResult{ok: true, bound: r / (1 - float64(n)*r)}
+		s.mu.Lock()
+		for _, other := range s.sortedClientIDs() {
+			if ro := s.clients[other].rate; float64(n)*ro >= 1 {
+				want = admitResult{detail: fmt.Sprintf(
+					"admitting a %dth client would push incumbent %q (rate %v) past its protection pole", n, other, ro)}
+				break
+			}
+		}
+		got := s.admit("newcomer", r)
+		s.mu.Unlock()
+		if got.ok != want.ok || got.detail != want.detail || math.Float64bits(got.bound) != math.Float64bits(want.bound) {
+			t.Fatalf("trial %d: admit = %+v, sorted scan = %+v", trial, got, want)
+		}
+		if got.ok {
+			admitted++
+		} else {
+			rejected++
+		}
+	}
+	if admitted == 0 || rejected == 0 {
+		t.Fatalf("%d admitted, %d rejected: the populations do not exercise both outcomes", admitted, rejected)
 	}
 }

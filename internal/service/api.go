@@ -8,9 +8,13 @@
 // the paper's out-of-equilibrium protection bound (Definition 7 /
 // Theorem 8): a client is admitted only while every admitted bound
 // r_i/(1 − N·r_i) stays finite, so Fair Share can honor its guarantee
-// whatever the admitted population later does.  Concurrent solve
-// requests for the same canonicalized profile coalesce into a single
-// SolveNashCtx call; solved games are cached until a utility changes.
+// whatever the admitted population later does.  Under Fair Share the
+// Nash point of a profile is unique (Theorem 4), so one answer per
+// profile suffices: a profile generation counter moves only on a join, a
+// leave, a changed rate or a changed utility, the service keeps the
+// answer of the current generation and serves every solve at that
+// generation from it, and concurrent solves of a generation still being
+// solved coalesce into a single SolveNashCtx call.
 // Overload degrades by shedding, never by stalling: the work queue is
 // bounded, enqueueing rejects the newest request once the queue's head
 // has aged past the request's deadline, each client spends a token
@@ -70,7 +74,7 @@ type UpdateRequest struct {
 	Rate float64 `json:"rate"`
 	// Utility is a cliutil spec ("linear:1,4", "log:2,1", …).  Empty
 	// keeps the client's previous utility (or the server default on
-	// first contact).  Changing it invalidates the solve cache.
+	// first contact).  Changing it starts a new profile generation.
 	Utility string `json:"utility,omitempty"`
 	// Leave, when true, removes the client; Rate is ignored.
 	Leave bool `json:"leave,omitempty"`
@@ -89,7 +93,7 @@ type UpdateResponse struct {
 }
 
 // SolveRequest is the POST /v1/solve body: solve the current admitted
-// profile (or join the in-flight solve of the same profile).
+// profile (or join the in-flight solve of its generation).
 type SolveRequest struct {
 	// Client identifies the requester for token-bucket accounting.
 	Client string `json:"client"`
@@ -102,9 +106,13 @@ type SolveRequest struct {
 
 // SolveResponse reports a solved (or cache-served) equilibrium.
 type SolveResponse struct {
-	// Key is the canonicalized profile key the result is cached under.
-	Key string `json:"key"`
-	// Cached is true when the result was served from the solve cache.
+	// Gen is the profile generation the equilibrium was solved at.  It
+	// moves on every join, leave, changed rate or changed utility, and
+	// only then: two answers of one server with the same Gen describe
+	// the same game.
+	Gen int64 `json:"gen"`
+	// Cached is true when the result was the current generation's
+	// answer, served without a solve.
 	Cached bool `json:"cached"`
 	// Coalesced is true when this request joined an in-flight solve
 	// instead of enqueueing its own.
@@ -128,8 +136,8 @@ type CongestionResponse struct {
 	// from the most recent solve that included it.
 	Rate       float64 `json:"rate"`
 	Congestion float64 `json:"congestion"`
-	// Stale is true when the admitted profile has changed since this
-	// point was solved.
+	// Stale is true when the admitted profile has changed (a new
+	// generation) since this point was solved.
 	Stale bool `json:"stale"`
 }
 
@@ -149,16 +157,11 @@ type Stats struct {
 	RejectedAdmission int64 `json:"rejected_admission"`
 	RejectedMalformed int64 `json:"rejected_malformed"`
 
-	Solves    int64 `json:"solves"`
-	CacheHits int64 `json:"cache_hits"`
-	// ClassCacheHits counts the subset of CacheHits served by the
-	// class-canonical cache: the per-user key missed, but a game with
-	// the same multiset of (utility, rate) — identical-utility clients
-	// coalesced, ids ignored — had already been solved.
-	ClassCacheHits int64 `json:"class_cache_hits"`
-	Coalesced      int64 `json:"coalesced"`
-	SolvesRun      int64 `json:"solves_run"`
-	SolveFails     int64 `json:"solve_fails"`
+	Solves     int64 `json:"solves"`
+	CacheHits  int64 `json:"cache_hits"`
+	Coalesced  int64 `json:"coalesced"`
+	SolvesRun  int64 `json:"solves_run"`
+	SolveFails int64 `json:"solve_fails"`
 
 	ShedOverload int64 `json:"shed_overload"`
 	ShedDeadline int64 `json:"shed_deadline"`
@@ -168,7 +171,6 @@ type Stats struct {
 	// QueueMax is the high-water queue depth — the load harness gates on
 	// it staying bounded.
 	QueueMax int `json:"queue_max"`
-	// QueueDepth and CacheSize are point-in-time gauges.
+	// QueueDepth is a point-in-time gauge.
 	QueueDepth int `json:"queue_depth"`
-	CacheSize  int `json:"cache_size"`
 }

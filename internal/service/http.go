@@ -1,10 +1,13 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
+	"sync"
 	"time"
 
 	"greednet/internal/cliutil"
@@ -44,22 +47,74 @@ func (s *Server) contain(h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// writeJSON renders v with the given status code.  The body is encoded
-// before the header goes out: a value that does not encode (a
-// non-finite rate or congestion) answers 500 with a typed rejection
-// instead of an empty body under v's status.
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	body, err := json.Marshal(v)
-	if err != nil {
-		code = http.StatusInternalServerError
+// encodeBuf is a reusable response buffer with its encoder.
+type encodeBuf struct {
+	buf bytes.Buffer
+	enc *json.Encoder
+}
+
+var encodeBufs = sync.Pool{New: func() any {
+	b := new(encodeBuf)
+	b.enc = json.NewEncoder(&b.buf)
+	return b
+}}
+
+// encode renders v as one JSON line — json.Marshal's bytes plus '\n' —
+// into b, and returns code.  A value that does not encode (a non-finite
+// rate or congestion) renders the typed 500 uncertified rejection
+// instead.
+func (b *encodeBuf) encode(code int, v any) int {
+	b.buf.Reset()
+	if err := b.enc.Encode(v); err != nil {
+		b.buf.Reset()
 		// A Rejection holds only strings, so it always encodes.
-		body, _ = json.Marshal(Rejection{Status: "REJECTED", Reason: ReasonUncertified, Detail: err.Error()})
+		_ = b.enc.Encode(Rejection{Status: "REJECTED", Reason: ReasonUncertified, Detail: err.Error()})
+		return http.StatusInternalServerError
 	}
+	return code
+}
+
+// answer is the solved equilibrium of the current profile generation.
+// Its cache-hit body is encoded once, by the first hit, outside mu; the
+// answer is dropped when the generation moves on, and its body with it.
+type answer struct {
+	res  *SolveResponse
+	once sync.Once
+	code int    // the body's status: 200, or 500 when res does not encode
+	body []byte // res with Cached set, written by once
+}
+
+// hit returns the answer's cache-hit response, encoding it into a body
+// of its own on first use.
+func (a *answer) hit() (int, []byte) {
+	a.once.Do(func() {
+		out := *a.res
+		out.Cached = true
+		b := encodeBufs.Get().(*encodeBuf)
+		a.code = b.encode(http.StatusOK, &out)
+		a.body = bytes.Clone(b.buf.Bytes())
+		encodeBufs.Put(b)
+	})
+	return a.code, a.body
+}
+
+// writeJSON renders v with the given status code.  The body is encoded
+// before the header goes out: a value that does not encode answers 500
+// with a typed rejection instead of an empty body under v's status.
+func writeJSON(w http.ResponseWriter, code int, v any) {
+	b := encodeBufs.Get().(*encodeBuf)
+	defer encodeBufs.Put(b)
+	code = b.encode(code, v)
+	writeBody(w, code, b.buf.Bytes())
+}
+
+// writeBody sends an encoded JSON body with the given status code.
+func writeBody(w http.ResponseWriter, code int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	// A failed write means the client hung up mid-response; there is
 	// nobody left to tell.
-	_, _ = w.Write(append(body, '\n'))
+	_, _ = w.Write(body)
 }
 
 // reject renders a typed rejection.
@@ -124,7 +179,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		if _, known := s.clients[req.Client]; known {
 			delete(s.clients, req.Client)
 			delete(s.published, req.Client)
-			s.profGen++
+			s.bump()
 			s.stats.Leaves++
 		}
 		n := len(s.clients)
@@ -144,6 +199,9 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		c = &client{u: s.opt.DefaultUtility, tokens: s.opt.Burst - 1, lastRefill: now}
 		s.clients[req.Client] = c
 	}
+	// A re-post of the same rate bits and utility leaves the game as it
+	// was, and with it the current answer.
+	changed := !known || math.Float64bits(c.rate) != math.Float64bits(req.Rate)
 	c.rate = req.Rate
 	if req.Utility != "" && req.Utility != c.spec {
 		// Parse errors were rejected in decodeUpdate; this cannot fail.
@@ -151,18 +209,12 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		if perr == nil {
 			c.spec = req.Utility
 			c.u = u
-			// An existing client's game changed: drop equilibria of the
-			// dead game (stale keys can never be re-hit — clearing is
-			// capacity hygiene, not correctness).  A freshly admitted
-			// client has no old game, so the caches — including the
-			// identity-free class cache, which survives population churn
-			// by design — stay warm.
-			if known {
-				s.cacheClear()
-			}
+			changed = true
 		}
 	}
-	s.profGen++
+	if changed {
+		s.bump()
+	}
 	s.stats.Updates++
 	n := len(s.clients)
 	s.mu.Unlock()
@@ -189,10 +241,10 @@ func (s *Server) solveBudget(req SolveRequest) (time.Duration, error) {
 }
 
 // handleSolve serves an equilibrium for the current admitted profile:
-// from the cache when the profile is unchanged, by joining an in-flight
-// solve of the same canonical profile, or by enqueueing a new solve —
-// unless the queue's age says the deadline cannot be met, in which case
-// the request is shed immediately with a typed reason.
+// the generation's answer when it has one, by joining the generation's
+// in-flight solve, or by enqueueing a new solve — unless the queue's age
+// says the deadline cannot be met, in which case the request is shed
+// immediately with a typed reason.
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	var req SolveRequest
 	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, maxBodyBytes))
@@ -233,31 +285,14 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.stats.Solves++
-	ids := s.sortedClientIDs()
-	key := s.canonicalKey(ids)
-	if res, hit := s.cache[key]; hit {
+	if a := s.answer; a != nil {
 		s.stats.CacheHits++
-		out := *res
-		out.Cached = true
 		s.mu.Unlock()
-		writeJSON(w, http.StatusOK, out)
+		code, body := a.hit()
+		writeBody(w, code, body)
 		return
 	}
-	// Per-user miss: the same game may still be cached class-canonically
-	// — identical-utility clients coalesce, so a renamed or permuted
-	// client population with the same multiset of (spec, rate) rebuilds
-	// its response without re-solving.
-	if out, hit := s.classServe(ids, key); hit {
-		s.stats.CacheHits++
-		s.stats.ClassCacheHits++
-		s.cacheStore(key, out)
-		resp := *out
-		resp.Cached = true
-		s.mu.Unlock()
-		writeJSON(w, http.StatusOK, resp)
-		return
-	}
-	fl, inFlight := s.flights[key]
+	fl, inFlight := s.flights[s.gen]
 	if inFlight {
 		s.stats.Coalesced++
 		s.mu.Unlock()
@@ -285,8 +320,8 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	j := s.snapshotJob(now, ids, key)
-	s.flights[key] = j.fl
+	j := s.snapshotJob(now)
+	s.flights[j.gen] = j.fl
 	s.queue = append(s.queue, j)
 	if d := len(s.queue); d > s.stats.QueueMax {
 		s.stats.QueueMax = d
@@ -318,7 +353,7 @@ func (s *Server) awaitFlight(w http.ResponseWriter, r *http.Request, fl *flight,
 		}
 		out := *fl.res
 		out.Coalesced = coalesced
-		writeJSON(w, http.StatusOK, out)
+		writeJSON(w, http.StatusOK, &out)
 	case <-t.C:
 		s.mu.Lock()
 		s.stats.ShedDeadline++
@@ -327,7 +362,7 @@ func (s *Server) awaitFlight(w http.ResponseWriter, r *http.Request, fl *flight,
 			fmt.Sprintf("solve still in flight after the %v deadline", budget))
 	case <-r.Context().Done():
 		// Client hung up; the flight itself keeps running for the
-		// benefit of its other joiners and the cache.
+		// benefit of its other joiners and the generation's answer.
 	}
 }
 
@@ -337,7 +372,7 @@ func (s *Server) handleCongestion(w http.ResponseWriter, r *http.Request) {
 	id := r.URL.Query().Get("client")
 	s.mu.Lock()
 	p, known := s.published[id]
-	gen := s.profGen
+	gen := s.gen
 	s.mu.Unlock()
 	if !known {
 		reject(w, http.StatusNotFound, ReasonAdmission,
@@ -348,7 +383,7 @@ func (s *Server) handleCongestion(w http.ResponseWriter, r *http.Request) {
 		Client:     id,
 		Rate:       p.rate,
 		Congestion: p.congestion,
-		Stale:      p.profGen != gen,
+		Stale:      p.gen != gen,
 	})
 }
 

@@ -38,8 +38,6 @@ type Options struct {
 	// at most Burst tokens, regains Refill tokens/second, and spends one
 	// per request.  Defaults 32 and 16.
 	Burst, Refill float64
-	// CacheCap bounds the solved-game cache (FIFO eviction); default 1024.
-	CacheCap int
 	// StallAfter is the watchdog threshold: queued work with no job
 	// completion for this long flips health to draining; default 5s.
 	StallAfter time.Duration
@@ -83,9 +81,6 @@ func (o Options) withDefaults() Options {
 	if o.Refill <= 0 {
 		o.Refill = 16
 	}
-	if o.CacheCap <= 0 {
-		o.CacheCap = 1024
-	}
 	if o.StallAfter <= 0 {
 		o.StallAfter = 5 * time.Second
 	}
@@ -119,7 +114,7 @@ type client struct {
 // pub is one client's republished equilibrium point.
 type pub struct {
 	rate, congestion float64
-	profGen          int64 // profile generation the point was solved at
+	gen              int64 // profile generation the point was solved at
 }
 
 // Server is the allocation service.  Create with New, wire Handler into
@@ -132,20 +127,20 @@ type Server struct {
 	clients map[string]*client
 	//lint:guardedby mu
 	queue []*job
+	// flights holds the in-flight solve of each profile generation that
+	// has one queued or running.
 	//lint:guardedby mu
-	flights map[string]*flight
-	//lint:guardedby mu
-	cache map[string]*SolveResponse
-	//lint:guardedby mu
-	cacheOrder []string
-	//lint:guardedby mu
-	classCache map[string]*classSolution
-	//lint:guardedby mu
-	classOrder []string
+	flights map[int64]*flight
 	//lint:guardedby mu
 	published map[string]pub
+	// gen is the profile generation: it moves only when the solve's
+	// inputs really change (see bump).
 	//lint:guardedby mu
-	profGen int64
+	gen int64
+	// answer is generation gen's solved equilibrium, or nil while it has
+	// none.
+	//lint:guardedby mu
+	answer *answer
 	//lint:guardedby mu
 	stats Stats
 	//lint:guardedby mu
@@ -172,9 +167,7 @@ func New(opt Options) *Server {
 	return &Server{
 		opt:          opt,
 		clients:      make(map[string]*client),
-		flights:      make(map[string]*flight),
-		cache:        make(map[string]*SolveResponse),
-		classCache:   make(map[string]*classSolution),
+		flights:      make(map[int64]*flight),
 		published:    make(map[string]pub),
 		lastProgress: opt.Clock(),
 		wake:         make(chan struct{}, 1),
@@ -249,13 +242,12 @@ func (s *Server) checkStall(now time.Time) {
 	s.mu.Unlock()
 }
 
-// snapshotStats returns the counters with the point-in-time gauges
+// snapshotStats returns the counters with the point-in-time gauge
 // filled in.
 func (s *Server) snapshotStats() Stats {
 	s.mu.Lock()
 	st := s.stats
 	st.QueueDepth = len(s.queue)
-	st.CacheSize = len(s.cache)
 	s.mu.Unlock()
 	return st
 }

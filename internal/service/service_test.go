@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -420,6 +421,44 @@ func TestWriteJSONRefusesUnencodableAnswer(t *testing.T) {
 	}
 }
 
+// discardWriter is a ResponseWriter that keeps nothing, so allocation
+// counts see only the writer under test.
+type discardWriter struct{ h http.Header }
+
+func (d *discardWriter) Header() http.Header         { return d.h }
+func (d *discardWriter) WriteHeader(int)             {}
+func (d *discardWriter) Write(p []byte) (int, error) { return len(p), nil }
+
+// TestWriteJSONMatchesMarshal pins writeJSON's body to json.Marshal's
+// bytes plus a newline for a 128-client answer, and its cost: below the
+// 2 allocations per call that json.Marshal plus an appended newline take
+// on this answer (the marshalled copy and the header value), since the
+// pooled encoder leaves only the header value.
+func TestWriteJSONMatchesMarshal(t *testing.T) {
+	resp := &SolveResponse{Gen: 7, Converged: true, Iters: 12}
+	for i := 0; i < 128; i++ {
+		resp.Clients = append(resp.Clients, fmt.Sprintf("c%04d", i))
+		resp.R = append(resp.R, 0.001+float64(i)*1e-5)
+		resp.C = append(resp.C, 0.002+float64(i)*3e-5)
+	}
+	want, err := json.Marshal(resp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, resp)
+	if got := rec.Body.String(); got != string(want)+"\n" {
+		t.Fatalf("writeJSON body differs from json.Marshal plus newline:\n got %q\nwant %q", got, want)
+	}
+	if raceEnabled {
+		return
+	}
+	w := &discardWriter{h: http.Header{}}
+	if allocs := testing.AllocsPerRun(200, func() { writeJSON(w, http.StatusOK, resp) }); allocs >= 2 {
+		t.Errorf("writeJSON: %v allocs per call, want fewer than 2", allocs)
+	}
+}
+
 func TestWatchdogFlipsHealthOnStall(t *testing.T) {
 	clk := newFakeClock()
 	s := New(Options{StallAfter: time.Second, Clock: clk.now})
@@ -494,33 +533,213 @@ func TestCoalescingSingleSolve(t *testing.T) {
 	}
 }
 
-func TestUtilityChangeInvalidatesCache(t *testing.T) {
-	s := New(Options{Workers: 1})
+// solve POSTs a solve as client id and fails the test on a non-200.
+func solve(t *testing.T, h http.Handler, id string) SolveResponse {
+	t.Helper()
+	var sol SolveResponse
+	if code := doJSON(t, h, "POST", "/v1/solve", SolveRequest{Client: id}, &sol); code != http.StatusOK {
+		t.Fatalf("solve as %s: status %d", id, code)
+	}
+	return sol
+}
+
+// stats reads the service counters over HTTP.
+func stats(t *testing.T, h http.Handler) Stats {
+	t.Helper()
+	var st Stats
+	if code := doJSON(t, h, "GET", "/v1/stats", nil, &st); code != http.StatusOK {
+		t.Fatalf("stats: status %d", code)
+	}
+	return st
+}
+
+// startServer starts a one-worker service with token buckets
+// effectively disabled and drains it when the test ends.
+func startServer(t *testing.T) http.Handler {
+	t.Helper()
+	s := New(Options{Workers: 1, Burst: 1e9, Refill: 1e9})
 	s.Start()
-	defer func() {
+	t.Cleanup(func() {
 		if err := s.Shutdown(context.Background()); err != nil {
 			t.Errorf("shutdown: %v", err)
 		}
-	}()
-	h := s.Handler()
+	})
+	return s.Handler()
+}
+
+func TestUtilityChangeInvalidatesCache(t *testing.T) {
+	h := startServer(t)
 	update(t, h, "a", 0.1, "linear:1,4")
-	var sol SolveResponse
-	if code := doJSON(t, h, "POST", "/v1/solve", SolveRequest{Client: "a"}, &sol); code != http.StatusOK {
-		t.Fatalf("solve: %d", code)
-	}
-	s.mu.Lock()
-	cached := len(s.cache)
-	s.mu.Unlock()
-	if cached != 1 {
-		t.Fatalf("cache size %d after solve", cached)
-	}
-	// Changing the utility clears the cache outright.
+	first := solve(t, h, "a")
+	// Same rate, new utility: a different game, so a new generation.
 	update(t, h, "a", 0.1, "linear:2,4")
-	s.mu.Lock()
-	cached = len(s.cache)
-	s.mu.Unlock()
-	if cached != 0 {
-		t.Errorf("cache holds %d entries after a utility change, want 0", cached)
+	next := solve(t, h, "a")
+	if next.Cached {
+		t.Error("solve after a utility change was served from the cache")
+	}
+	if next.Gen <= first.Gen {
+		t.Errorf("generation %d after a utility change, was %d", next.Gen, first.Gen)
+	}
+	if st := stats(t, h); st.SolvesRun != 2 {
+		t.Errorf("solves run = %d after a utility change, want 2", st.SolvesRun)
+	}
+}
+
+// TestUnchangedRepostKeepsAnswer pins that re-posting the same rate and
+// utility is not a change: the next solve is the generation's cached
+// answer and the client's republished point stays fresh.
+func TestUnchangedRepostKeepsAnswer(t *testing.T) {
+	h := startServer(t)
+	update(t, h, "a", 0.1, "linear:1,4")
+	update(t, h, "b", 0.15, "")
+	first := solve(t, h, "a")
+	update(t, h, "a", 0.1, "linear:1,4")
+	update(t, h, "b", 0.15, "")
+	next := solve(t, h, "b")
+	if !next.Cached || next.Gen != first.Gen {
+		t.Errorf("solve after unchanged re-posts: cached %v, gen %d (first gen %d)", next.Cached, next.Gen, first.Gen)
+	}
+	var cg CongestionResponse
+	if code := doJSON(t, h, "GET", "/v1/congestion?client=a", nil, &cg); code != http.StatusOK {
+		t.Fatalf("congestion: status %d", code)
+	}
+	if cg.Stale {
+		t.Error("unchanged re-post made the republished point stale")
+	}
+	if st := stats(t, h); st.SolvesRun != 1 || st.CacheHits != 1 {
+		t.Errorf("stats: %d runs, %d hits; want 1, 1", st.SolvesRun, st.CacheHits)
+	}
+}
+
+// TestConcurrentHitsShareOneBody fires concurrent solves at a
+// generation that already has its answer: every one is a hit, and all
+// of them write the same body, encoded once.
+func TestConcurrentHitsShareOneBody(t *testing.T) {
+	h := startServer(t)
+	update(t, h, "a", 0.1, "linear:1,4")
+	update(t, h, "b", 0.2, "log:2,1")
+	first := solve(t, h, "a")
+	const hitters = 8
+	bodies := make(chan string, hitters)
+	for i := 0; i < hitters; i++ {
+		go func() {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/solve", strings.NewReader(`{"client":"a"}`)))
+			bodies <- rec.Body.String()
+		}()
+	}
+	want := ""
+	for i := 0; i < hitters; i++ {
+		body := <-bodies
+		if want == "" {
+			want = body
+		}
+		if body != want {
+			t.Fatalf("concurrent hits wrote different bodies:\n%q\n%q", body, want)
+		}
+	}
+	var hit SolveResponse
+	if err := json.Unmarshal([]byte(want), &hit); err != nil {
+		t.Fatalf("hit body %q: %v", want, err)
+	}
+	if !hit.Cached || hit.Gen != first.Gen {
+		t.Errorf("hit: cached %v, gen %d; want the cached answer of gen %d", hit.Cached, hit.Gen, first.Gen)
+	}
+	if st := stats(t, h); st.CacheHits != hitters || st.SolvesRun != 1 {
+		t.Errorf("stats: %d hits, %d runs; want %d, 1", st.CacheHits, st.SolvesRun, hitters)
+	}
+}
+
+// TestGenerationAnswersMatchFreshSolve drives a random sequence of
+// joins, unchanged re-posts, rate changes, utility changes and leaves.
+// After every step the generation's cached answer must equal, bit for
+// bit, what a fresh server admitting the same profile solves, and only
+// a real change may start a new generation.
+func TestGenerationAnswersMatchFreshSolve(t *testing.T) {
+	h := startServer(t)
+	rng := rand.New(rand.NewSource(3))
+	specs := []string{"linear:1,4", "linear:1,2", "log:2,1", "sqrt:1,2"}
+	type member struct {
+		rate float64
+		spec string
+	}
+	prof := make(map[string]member)
+	// At most 8 clients with rates below 0.1 keep every N·r < 1, so the
+	// admission rule never refuses an operation.
+	newRate := func() float64 { return 0.01 + 0.09*rng.Float64() }
+	var last SolveResponse
+	var seen [5]int
+	joined := 0
+	for step := 0; step < 40; step++ {
+		ids := make([]string, 0, len(prof))
+		for id := range prof {
+			ids = append(ids, id)
+		}
+		sort.Strings(ids)
+		op := rng.Intn(5)
+		if len(ids) > 0 {
+			seen[op]++
+		}
+		switch {
+		case len(ids) == 0 || (op == 0 && len(ids) < 8):
+			id := fmt.Sprintf("c%02d", joined)
+			joined++
+			prof[id] = member{newRate(), specs[rng.Intn(len(specs))]}
+			update(t, h, id, prof[id].rate, prof[id].spec)
+		case op == 1:
+			id := ids[rng.Intn(len(ids))]
+			update(t, h, id, prof[id].rate, prof[id].spec)
+		case op == 2:
+			id := ids[rng.Intn(len(ids))]
+			prof[id] = member{newRate(), prof[id].spec}
+			update(t, h, id, prof[id].rate, "")
+		case op == 3:
+			id := ids[rng.Intn(len(ids))]
+			spec := prof[id].spec
+			for spec == prof[id].spec {
+				spec = specs[rng.Intn(len(specs))]
+			}
+			prof[id] = member{prof[id].rate, spec}
+			update(t, h, id, prof[id].rate, spec)
+		default:
+			id := ids[rng.Intn(len(ids))]
+			delete(prof, id)
+			doJSON(t, h, "POST", "/v1/update", UpdateRequest{Client: id, Leave: true}, nil)
+		}
+		if len(prof) == 0 {
+			continue
+		}
+		sol := solve(t, h, "c00")
+		unchanged := op == 1 && len(ids) > 0
+		if unchanged != (sol.Gen == last.Gen) || (unchanged && !sol.Cached) {
+			t.Fatalf("step %d (op %d): gen %d → %d, cached %v", step, op, last.Gen, sol.Gen, sol.Cached)
+		}
+		cached := solve(t, h, "c00")
+		if !cached.Cached || cached.Gen != sol.Gen {
+			t.Fatalf("step %d: repeat solve cached %v, gen %d (want %d)", step, cached.Cached, cached.Gen, sol.Gen)
+		}
+		fresh := startServer(t)
+		for id, m := range prof {
+			update(t, fresh, id, m.rate, m.spec)
+		}
+		want := solve(t, fresh, "c00")
+		if cached.Converged != want.Converged || cached.Iters != want.Iters || len(cached.R) != len(want.R) {
+			t.Fatalf("step %d: cached answer %+v, fresh %+v", step, cached, want)
+		}
+		for i := range want.R {
+			if cached.Clients[i] != want.Clients[i] ||
+				math.Float64bits(cached.R[i]) != math.Float64bits(want.R[i]) ||
+				math.Float64bits(cached.C[i]) != math.Float64bits(want.C[i]) {
+				t.Fatalf("step %d, client %d: cached (%s, %v, %v), fresh (%s, %v, %v)", step, i,
+					cached.Clients[i], cached.R[i], cached.C[i], want.Clients[i], want.R[i], want.C[i])
+			}
+		}
+		last = sol
+	}
+	for op, n := range seen {
+		if n == 0 {
+			t.Errorf("operation %d never ran; the sequence does not cover the contract", op)
+		}
 	}
 }
 
@@ -562,114 +781,6 @@ func waitFor(t *testing.T, cond func() bool) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-}
-
-func TestCacheEvictionIsFIFOAndBounded(t *testing.T) {
-	s := New(Options{CacheCap: 2})
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for i := 0; i < 5; i++ {
-		s.cacheStore(fmt.Sprintf("k%d", i), &SolveResponse{Key: fmt.Sprintf("k%d", i)})
-	}
-	if len(s.cache) > 2 {
-		t.Fatalf("cache size %d over cap 2", len(s.cache))
-	}
-	if _, ok := s.cache["k4"]; !ok {
-		t.Error("newest entry evicted")
-	}
-	if _, ok := s.cache["k0"]; ok {
-		t.Error("oldest entry survived FIFO eviction")
-	}
-}
-
-// TestClassCacheServesRenamedClients pins the class-canonical cache
-// round trip: a game solved for one client population is served from
-// cache to a disjoint population with the same multiset of
-// (utility, rate), identical-utility clients coalescing into classes.
-func TestClassCacheServesRenamedClients(t *testing.T) {
-	s := New(Options{Workers: 1})
-	s.Start()
-	defer func() {
-		if err := s.Shutdown(context.Background()); err != nil {
-			t.Errorf("shutdown: %v", err)
-		}
-	}()
-	h := s.Handler()
-
-	// Two classes: a1/a2 coalesce (same spec and rate), a3 is its own.
-	update(t, h, "a1", 0.1, "linear:1,4")
-	update(t, h, "a2", 0.1, "linear:1,4")
-	update(t, h, "a3", 0.15, "linear:1,2")
-	var first SolveResponse
-	if code := doJSON(t, h, "POST", "/v1/solve", SolveRequest{Client: "a1"}, &first); code != http.StatusOK {
-		t.Fatalf("first solve: status %d", code)
-	}
-	if first.Cached {
-		t.Fatal("first solve claims cached")
-	}
-
-	// Replace the population: same game, new identities, permuted order.
-	for _, id := range []string{"a1", "a2", "a3"} {
-		doJSON(t, h, "POST", "/v1/update", UpdateRequest{Client: id, Leave: true}, nil)
-	}
-	update(t, h, "z9", 0.15, "linear:1,2")
-	update(t, h, "z1", 0.1, "linear:1,4")
-	update(t, h, "z2", 0.1, "linear:1,4")
-	var second SolveResponse
-	if code := doJSON(t, h, "POST", "/v1/solve", SolveRequest{Client: "z1"}, &second); code != http.StatusOK {
-		t.Fatalf("second solve: status %d", code)
-	}
-	if !second.Cached {
-		t.Fatal("renamed population missed the class cache")
-	}
-	if got := []string{"z1", "z2", "z9"}; !slicesEqual(second.Clients, got) {
-		t.Fatalf("clients = %v, want %v", second.Clients, got)
-	}
-	// The multiset of solved (rate, congestion) pairs must round-trip
-	// exactly: z1/z2 get the a1/a2 class values, z9 gets a3's.
-	for i, want := range []int{0, 1, 2} {
-		if second.R[i] != first.R[want] || second.C[i] != first.C[want] {
-			t.Errorf("member %d: got (%v, %v), want (%v, %v)",
-				i, second.R[i], second.C[i], first.R[want], first.C[want])
-		}
-	}
-
-	var st Stats
-	if code := doJSON(t, h, "GET", "/v1/stats", nil, &st); code != http.StatusOK {
-		t.Fatalf("stats: status %d", code)
-	}
-	if st.ClassCacheHits != 1 {
-		t.Errorf("class cache hits = %d, want 1", st.ClassCacheHits)
-	}
-	if st.SolvesRun != 1 {
-		t.Errorf("solves run = %d, want 1", st.SolvesRun)
-	}
-
-	// The rebuilt response is now in the per-user cache too: a repeat
-	// solve hits without touching the class path again.
-	var third SolveResponse
-	if code := doJSON(t, h, "POST", "/v1/solve", SolveRequest{Client: "z2"}, &third); code != http.StatusOK {
-		t.Fatalf("third solve: status %d", code)
-	}
-	if !third.Cached {
-		t.Error("repeat solve missed the per-user cache")
-	}
-	doJSON(t, h, "GET", "/v1/stats", nil, &st)
-	if st.ClassCacheHits != 1 {
-		t.Errorf("class cache hits grew to %d; repeat should hit per-user", st.ClassCacheHits)
-	}
-}
-
-func slicesEqual(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // TestSolveLargePopulationFeasible admits 512 clients with four utility

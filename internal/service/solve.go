@@ -4,18 +4,16 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 	"time"
 
 	"greednet/internal/core"
 	"greednet/internal/game"
-	"greednet/internal/profkey"
 )
 
-// flight is one in-flight solve that concurrent requests for the same
-// canonical profile join instead of duplicating (singleflight).  res and
-// rej are written by the completing worker strictly before done is
+// flight is one in-flight solve that concurrent requests at the same
+// profile generation join instead of duplicating (singleflight).  res
+// and rej are written by the completing worker strictly before done is
 // closed and read by waiters strictly after it, so the close is the
 // happens-before edge and no lock is needed on the payload.
 type flight struct {
@@ -29,12 +27,10 @@ type flight struct {
 // job is one queued solve: an immutable snapshot of the admitted
 // profile at enqueue time.
 type job struct {
-	key     string
-	ids     []string // canonical (sorted) client order
-	us      core.Profile
-	rates   []core.Rate
-	specs   []string // utility specs, parallel to ids (class storage)
-	profGen int64
+	ids   []string // canonical (sorted) client order
+	us    core.Profile
+	rates []core.Rate
+	gen   int64
 	// enqueued stamps the shedding clock: the head job's age is the
 	// queue's age.
 	enqueued time.Time
@@ -43,7 +39,7 @@ type job struct {
 
 // sortedClientIDs returns the client ids in canonical order.  The
 // explicit collect-sort walk keeps map iteration order out of every
-// output (cache keys, response vectors).  mu must be held.
+// response vector.  mu must be held.
 //
 //lint:locked mu
 func (s *Server) sortedClientIDs() []string {
@@ -55,37 +51,28 @@ func (s *Server) sortedClientIDs() []string {
 	return ids
 }
 
-// canonicalKey renders the admitted profile as the flight/cache key via
-// the shared profkey rendering: client ids in sorted order, each with
-// its exact rate (hex float, so distinct profiles never collide) and
-// utility spec.  Utility changes therefore change the key — the cache
-// can never serve a solution from a stale utility.  mu must be held.
+// bump records a real change to the solve's inputs — a join, a leave, a
+// rate whose bits differ or a new utility spec — by starting a new
+// profile generation.  The current answer no longer describes the
+// profile, so it goes.  mu must be held.
 //
 //lint:locked mu
-func (s *Server) canonicalKey(ids []string) string {
-	rates := make([]float64, len(ids))
-	specs := make([]string, len(ids))
-	for i, id := range ids {
-		c := s.clients[id]
-		rates[i] = c.rate
-		specs[i] = c.spec
-	}
-	return profkey.PerUser(ids, rates, specs)
+func (s *Server) bump() {
+	s.gen++
+	s.answer = nil
 }
 
-// snapshotJob builds the solve job for the current profile, whose sorted
-// client ids and canonical key the caller has already built under the
-// same hold of mu; the job keeps ids.  mu must be held.
+// snapshotJob builds the solve job for the current profile generation.
+// mu must be held.
 //
 //lint:locked mu
-func (s *Server) snapshotJob(now time.Time, ids []string, key string) *job {
+func (s *Server) snapshotJob(now time.Time) *job {
+	ids := s.sortedClientIDs()
 	j := &job{
-		key:      key,
 		ids:      ids,
 		us:       make(core.Profile, len(ids)),
 		rates:    make([]core.Rate, len(ids)),
-		specs:    make([]string, len(ids)),
-		profGen:  s.profGen,
+		gen:      s.gen,
 		enqueued: now,
 		fl:       &flight{done: make(chan struct{})},
 	}
@@ -93,144 +80,8 @@ func (s *Server) snapshotJob(now time.Time, ids []string, key string) *job {
 		c := s.clients[id]
 		j.us[i] = c.u
 		j.rates[i] = c.rate
-		j.specs[i] = c.spec
 	}
 	return j
-}
-
-// classSolution is one solved game stored under its class-canonical key:
-// member equilibrium values grouped per (spec, rate) class, so a later
-// profile with the same multiset of (spec, rate) — under any client ids
-// — rebuilds a full response without re-solving.  Every in-tree
-// allocation is permutation-equivariant, so the solution genuinely
-// depends only on the multiset.
-type classSolution struct {
-	classes []profkey.ClassEntry
-	// rs and cs hold, per class, its members' solved rates and
-	// congestions in solve order.
-	rs, cs    [][]float64
-	converged bool
-	iters     int
-}
-
-// classIndex finds the class of (spec, rate) in canonical entries, or
-// −1.  Rates match bit-exactly, the same test profkey.Coalesce merges
-// by.
-func classIndex(classes []profkey.ClassEntry, spec string, rate float64) int {
-	for j := range classes {
-		if classes[j].Spec == spec &&
-			math.Float64bits(classes[j].RateVal) == math.Float64bits(rate) {
-			return j
-		}
-	}
-	return -1
-}
-
-// classStore files a solved response under the job's class-canonical
-// key with FIFO eviction, sharing CacheCap with the per-user cache.
-// mu must be held.
-//
-//lint:locked mu
-func (s *Server) classStore(j *job, res *SolveResponse) {
-	rates := make([]float64, len(j.ids))
-	for i, r := range j.rates {
-		rates[i] = float64(r)
-	}
-	classes := profkey.Coalesce(j.specs, rates)
-	key := profkey.Classes(classes)
-	sol := &classSolution{
-		classes:   classes,
-		rs:        make([][]float64, len(classes)),
-		cs:        make([][]float64, len(classes)),
-		converged: res.Converged,
-		iters:     res.Iters,
-	}
-	for i := range j.ids {
-		slot := classIndex(classes, j.specs[i], rates[i])
-		if slot < 0 {
-			return // cannot happen: classes were built from these inputs
-		}
-		sol.rs[slot] = append(sol.rs[slot], res.R[i])
-		sol.cs[slot] = append(sol.cs[slot], res.C[i])
-	}
-	if _, dup := s.classCache[key]; !dup {
-		for len(s.classCache) >= s.opt.CacheCap && len(s.classOrder) > 0 {
-			delete(s.classCache, s.classOrder[0])
-			s.classOrder = s.classOrder[1:]
-		}
-		s.classOrder = append(s.classOrder, key)
-	}
-	s.classCache[key] = sol
-}
-
-// classServe rebuilds a response for the current client set from the
-// class cache, if a game with the same multiset of (spec, rate) was
-// solved before.  perUserKey becomes the response's Key so the caller
-// sees its own canonical identity.  mu must be held.
-//
-//lint:locked mu
-func (s *Server) classServe(ids []string, perUserKey string) (*SolveResponse, bool) {
-	rates := make([]float64, len(ids))
-	specs := make([]string, len(ids))
-	for i, id := range ids {
-		c := s.clients[id]
-		rates[i] = c.rate
-		specs[i] = c.spec
-	}
-	sol, ok := s.classCache[profkey.ClassKey(specs, rates)]
-	if !ok {
-		return nil, false
-	}
-	out := &SolveResponse{
-		Key:       perUserKey,
-		Converged: sol.converged,
-		Iters:     sol.iters,
-		Clients:   ids,
-		R:         make([]float64, len(ids)),
-		C:         make([]float64, len(ids)),
-	}
-	// Members of a class receive the class's solved values in sorted-id
-	// order — the multiset of (rate, congestion) pairs is preserved
-	// exactly, and key equality guarantees the cursors stay in bounds.
-	cursors := make([]int, len(sol.classes))
-	for i := range ids {
-		slot := classIndex(sol.classes, specs[i], rates[i])
-		if slot < 0 || cursors[slot] >= len(sol.rs[slot]) {
-			return nil, false // defensive: key equality should preclude this
-		}
-		out.R[i] = sol.rs[slot][cursors[slot]]
-		out.C[i] = sol.cs[slot][cursors[slot]]
-		cursors[slot]++
-	}
-	return out, true
-}
-
-// cacheStore inserts a solved response under its key with FIFO
-// eviction.  mu must be held.
-//
-//lint:locked mu
-func (s *Server) cacheStore(key string, res *SolveResponse) {
-	if _, dup := s.cache[key]; !dup {
-		for len(s.cache) >= s.opt.CacheCap && len(s.cacheOrder) > 0 {
-			delete(s.cache, s.cacheOrder[0])
-			s.cacheOrder = s.cacheOrder[1:]
-		}
-		s.cacheOrder = append(s.cacheOrder, key)
-	}
-	s.cache[key] = res
-}
-
-// cacheClear drops every cached solve.  Called when a utility spec
-// changes: the game itself changed, and although changed keys can never
-// be re-hit, holding solutions of dead games would only displace live
-// ones.  mu must be held.
-//
-//lint:locked mu
-func (s *Server) cacheClear() {
-	s.cache = make(map[string]*SolveResponse)
-	s.cacheOrder = s.cacheOrder[:0]
-	s.classCache = make(map[string]*classSolution)
-	s.classOrder = s.classOrder[:0]
 }
 
 // dequeue pops the oldest queued job, or nil.
@@ -278,10 +129,13 @@ func (s *Server) runJob(ctx context.Context, j *job, ws *game.Workspace) {
 
 	s.mu.Lock()
 	if res != nil {
-		s.cacheStore(j.key, res)
-		s.classStore(j, res)
+		// Only the current generation's answer is kept: the generation
+		// never returns, so an older answer could never be a hit again.
+		if j.gen == s.gen {
+			s.answer = &answer{res: res}
+		}
 		for i, id := range j.ids {
-			s.published[id] = pub{rate: res.R[i], congestion: res.C[i], profGen: j.profGen}
+			s.published[id] = pub{rate: res.R[i], congestion: res.C[i], gen: j.gen}
 		}
 		s.stats.SolvesRun++
 	} else {
@@ -290,7 +144,7 @@ func (s *Server) runJob(ctx context.Context, j *job, ws *game.Workspace) {
 			s.stats.Panics++
 		}
 	}
-	delete(s.flights, j.key)
+	delete(s.flights, j.gen)
 	s.lastProgress = s.opt.Clock()
 	s.mu.Unlock()
 
@@ -322,7 +176,7 @@ func (s *Server) solveContained(ctx context.Context, j *job, ws *game.Workspace)
 		return nil, &Rejection{Status: "REJECTED", Reason: reason, Detail: detail}
 	}
 	return &SolveResponse{
-		Key:       j.key,
+		Gen:       j.gen,
 		Converged: nr.Converged,
 		Iters:     nr.Iters,
 		Clients:   j.ids,
