@@ -51,7 +51,9 @@ race:
 # EXPERIMENTS.md byte-stability: the full-budget suite on one worker
 # must reproduce the fenced block under "## Full suite output" byte for
 # byte (diff -u shows any drift; exit 1).  The block is amd64
-# arithmetic: other architectures may fuse multiply-adds.
+# arithmetic: other architectures may fuse multiply-adds.  The DES
+# experiments still spread their simulations over GOMAXPROCS; CI runs
+# the target again under GOMAXPROCS=1 to hold the inline path too.
 experiments-check:
 	@want=$$(mktemp) && trap 'rm -f "$$want"' EXIT && \
 	awk '/^## Full suite output/ { s = 1; next } s && /^```/ { if (f) exit; f = 1; next } f' EXPERIMENTS.md > "$$want" && \

@@ -116,7 +116,9 @@ func benchmark(fn func() error) (testing.BenchmarkResult, error) {
 }
 
 // The parallel layer: the fast experiment suite timed once on one worker
-// and once on GOMAXPROCS workers.
+// and once on GOMAXPROCS workers.  One worker runs the experiments one at
+// a time, but E14, E15, E18 and E19 still spread their own independent
+// simulations over GOMAXPROCS, so sequential_ns is not a one-core time.
 const suiteCase = "fast_suite"
 
 func parallelRows() []Row {

@@ -8,11 +8,14 @@
 //	greedbench -bench all|hotpath,classes,events,service,parallel [-force]
 //	greedbench -escapes BENCH_escapes.json
 //
-// Experiments fan out across -workers goroutines (default: all cores),
-// each rendering into its own buffer; buffers are flushed in registry
-// order, so stdout is byte-identical for every worker count.  An explicit
-// -seed pins every experiment's seed — including -seed 0, which is a
-// real seed, not "use the defaults".
+// -workers experiments run at once (default: all cores), each rendering
+// into its own buffer; buffers are flushed in registry order, so stdout
+// is byte-identical for every worker count.  Inside an experiment, the
+// independent simulations of E14, E15, E18 and E19 spread over
+// GOMAXPROCS whatever -workers says (GOMAXPROCS=1 runs them inline), and
+// are rendered in a fixed order, so the bytes do not depend on
+// GOMAXPROCS either.  An explicit -seed pins every experiment's seed —
+// including -seed 0, which is a real seed, not "use the defaults".
 //
 // With -timeout each experiment runs under a watchdog: one that exceeds
 // it renders a deterministic FAILED(deadline) block in its slot while
@@ -68,7 +71,7 @@ func run() int {
 		seed    = flag.Int64("seed", 0, "pin every experiment's seed (an explicit -seed 0 is honored; default: per-experiment seeds)")
 		list    = flag.Bool("list", false, "list experiments and exit")
 		mdOut   = flag.String("md", "", "also write a Markdown verdict summary to this path")
-		workers = flag.Int("workers", runtime.GOMAXPROCS(0), "parallel experiment runners (1 runs sequentially; output is identical either way)")
+		workers = flag.Int("workers", runtime.GOMAXPROCS(0), "experiments run at once (1 runs them one at a time; each still spreads its own independent simulations over GOMAXPROCS); output is identical for every value")
 		timeout = flag.Duration("timeout", 0, "per-experiment watchdog; a run exceeding it renders FAILED(deadline) in its slot (0 disables)")
 		chaosOn = flag.Bool("chaos", false, "append the fault-injection chaos experiments (EX1 hangs; EX2 panics) to the selection")
 		cpuProf = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this path")

@@ -90,7 +90,9 @@ type SelfishOptions = selfish.Options
 // SelfishResult reports a closed-loop run.
 type SelfishResult = selfish.Result
 
-// DisciplineFactory builds a fresh simulator discipline per epoch.
+// DisciplineFactory builds a fresh simulator discipline per epoch.  A
+// step's two probe epochs run concurrently, so it may be called from two
+// goroutines at once.
 type DisciplineFactory = selfish.DisciplineFactory
 
 // RunSelfish simulates users that hill-climb on congestion measured in the

@@ -8,6 +8,7 @@ import (
 	"greednet/internal/des"
 	"greednet/internal/game"
 	"greednet/internal/numeric"
+	"greednet/internal/parallel"
 	"greednet/internal/selfish"
 	"greednet/internal/utility"
 )
@@ -53,19 +54,34 @@ func E14ClosedLoop() Experiment {
 		if opt.Fast {
 			tol = 0.06
 		}
-		for _, tc := range cases {
-			nash, err := game.SolveNash(tc.analyt, us, start, game.NashOptions{})
-			if err != nil || !nash.Converged {
-				return Verdict{}, errf("analytic Nash failed for %s", tc.name)
+		// The two switches are independent closed loops: run them at the
+		// same time, then render in case order.
+		ctx := opt.Context()
+		nash := make([]game.NashResult, len(cases))
+		runs := make([]selfish.Result, len(cases))
+		if err := parallel.MapOrderedCtx(ctx, 0, len(cases), func(k int) error {
+			tc := cases[k]
+			var err error
+			nash[k], err = game.SolveNashCtx(ctx, tc.analyt, us, start, game.NashOptions{})
+			if err != nil || !nash[k].Converged {
+				if cerr := core.CtxErr(ctx); cerr != nil {
+					return cerr
+				}
+				return errf("analytic Nash failed for %s", tc.name)
 			}
-			res := selfish.Run(tc.factory, us, start, so)
-			settled := res.TailAverage(10)
-			dist := numeric.VecDist(settled, nash.R)
+			runs[k], err = selfish.RunCtx(ctx, tc.factory, us, start, so)
+			return err
+		}); err != nil {
+			return Verdict{}, err
+		}
+		for k, tc := range cases {
+			settled := runs[k].TailAverage(10)
+			dist := numeric.VecDist(settled, nash[k].R)
 			ok := dist <= tol
 			if !ok {
 				match = false
 			}
-			tb.row(tc.name, fmtVec(settled), fmtVec(nash.R), dist, res.Epochs, yesno(ok))
+			tb.row(tc.name, fmtVec(settled), fmtVec(nash[k].R), dist, runs[k].Epochs, yesno(ok))
 		}
 		if err := tb.flush(); err != nil {
 			return Verdict{}, err

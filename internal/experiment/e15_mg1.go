@@ -9,6 +9,7 @@ import (
 	"greednet/internal/des"
 	"greednet/internal/game"
 	"greednet/internal/mm1"
+	"greednet/internal/parallel"
 	"greednet/internal/randdist"
 	"greednet/internal/utility"
 )
@@ -32,6 +33,7 @@ func E15GeneralService() Experiment {
 			return Verdict{}, err
 		}
 		seed := opt.SeedOr(1515)
+		ctx := opt.Context()
 		match := true
 		models := []mm1.MG1{{CV2: 0}, {CV2: 2}}
 
@@ -50,7 +52,10 @@ func E15GeneralService() Experiment {
 				}
 				starts[k] = s
 			}
-			ms := game.MultiStartNash(a, us, starts, game.NashOptions{}, 1e-4)
+			ms, err := game.MultiStartNashCtx(ctx, 0, a, us, starts, game.NashOptions{}, 1e-4)
+			if err != nil {
+				return Verdict{}, err
+			}
 			envy := 0.0
 			if len(ms.All) > 0 {
 				envy, _, _ = game.MaxEnvy(us, core.Point{R: ms.All[0].R, C: ms.All[0].C})
@@ -94,19 +99,27 @@ func E15GeneralService() Experiment {
 		}
 		tb2 := newTable(w)
 		tb2.row("cv²", "serial ideal c₄", "Table-1 exact c₄", "drift", "DES c₄", "DES≈exact?")
-		for _, cv2 := range []float64{0, 1, 2} {
-			ideal := alloc.SerialG{Model: mm1.MG1{CV2: cv2}}.Congestion(rates)
-			exact := alloc.TablePriorityG{Model: mm1.MG1{CV2: cv2}}.Congestion(rates)
-			sim, err := des.RunG(des.GConfig{
+		// The three service laws' simulations are independent: run them
+		// concurrently, then render in cv² order.
+		cv2s := []float64{0, 1, 2}
+		sims := make([]des.Result, len(cv2s))
+		if err := parallel.MapOrderedCtx(ctx, 0, len(cv2s), func(k int) error {
+			var err error
+			sims[k], err = des.RunGCtx(ctx, des.GConfig{
 				Rates:    rates,
-				Service:  randdist.FromCV2(cv2),
+				Service:  randdist.FromCV2(cv2s[k]),
 				Classify: &des.SerialClass{},
 				Horizon:  horizon,
 				Seed:     seed,
 			})
-			if err != nil {
-				return Verdict{}, err
-			}
+			return err
+		}); err != nil {
+			return Verdict{}, err
+		}
+		for k, cv2 := range cv2s {
+			ideal := alloc.SerialG{Model: mm1.MG1{CV2: cv2}}.Congestion(rates)
+			exact := alloc.TablePriorityG{Model: mm1.MG1{CV2: cv2}}.Congestion(rates)
+			sim := sims[k]
 			last := len(rates) - 1
 			drift := math.Abs(exact[last]-ideal[last]) / ideal[last]
 			desOK := math.Abs(sim.AvgQueue[last]-exact[last]) <=

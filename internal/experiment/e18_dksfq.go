@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"greednet/internal/des"
+	"greednet/internal/parallel"
 	"greednet/internal/randdist"
 )
 
@@ -31,29 +32,42 @@ func E18DKSFairQueueing() Experiment {
 		seed := opt.SeedOr(1818)
 		match := true
 
-		run := func(rates []float64, sched des.Scheduler, sd int64) (des.Result, error) {
-			return des.RunSched(des.SchedConfig{
-				Rates:   rates,
+		// The nine simulations are independent: run them concurrently,
+		// then render (a), (b) and (c) from their slots in order.
+		type simRun struct {
+			rates []float64
+			sched des.Scheduler
+			seed  int64
+		}
+		mixed := []float64{0.05, 0.2, 0.6}
+		attackers := []float64{0.3, 0.6, 0.9}
+		sims := []simRun{{mixed, &des.FQSched{}, seed}, {mixed, &des.FCFSSched{}, seed}}
+		for _, atk := range attackers {
+			r := []float64{0.05, atk}
+			sims = append(sims, simRun{r, &des.FQSched{}, seed + 1}, simRun{r, &des.FCFSSched{}, seed + 1})
+		}
+		sims = append(sims, simRun{[]float64{0.25, 0.25, 0.25}, &des.FQSched{}, seed + 2})
+		ctx := opt.Context()
+		res := make([]des.Result, len(sims))
+		if err := parallel.MapOrderedCtx(ctx, 0, len(sims), func(k int) error {
+			var err error
+			res[k], err = des.RunSchedCtx(ctx, des.SchedConfig{
+				Rates:   sims[k].rates,
 				Service: randdist.Exponential{},
-				Sched:   sched,
+				Sched:   sims[k].sched,
 				Horizon: horizon,
-				Seed:    sd,
+				Seed:    sims[k].seed,
 			})
+			return err
+		}); err != nil {
+			return Verdict{}, err
 		}
 
 		// (a) Mixed load: one light interactive flow, one medium, one heavy.
-		rates := []float64{0.05, 0.2, 0.6}
-		fq, err := run(rates, &des.FQSched{}, seed)
-		if err != nil {
-			return Verdict{}, err
-		}
-		ff, err := run(rates, &des.FCFSSched{}, seed)
-		if err != nil {
-			return Verdict{}, err
-		}
+		fq, ff := res[0], res[1]
 		tb := newTable(w)
 		tb.row("flow", "rate", "FQ delay", "FIFO delay", "FQ queue", "FIFO queue")
-		for i, r := range rates {
+		for i, r := range mixed {
 			tb.row(i+1, r, fq.AvgDelay[i], ff.AvgDelay[i], fq.AvgQueue[i], ff.AvgQueue[i])
 		}
 		if err := tb.flush(); err != nil {
@@ -70,16 +84,8 @@ func E18DKSFairQueueing() Experiment {
 		tb2 := newTable(w)
 		tb2.row("attacker rate", "light-flow FQ delay", "light-flow FIFO delay")
 		var fqDelays []float64
-		for _, atk := range []float64{0.3, 0.6, 0.9} {
-			r := []float64{0.05, atk}
-			a, err := run(r, &des.FQSched{}, seed+1)
-			if err != nil {
-				return Verdict{}, err
-			}
-			b, err := run(r, &des.FCFSSched{}, seed+1)
-			if err != nil {
-				return Verdict{}, err
-			}
+		for j, atk := range attackers {
+			a, b := res[2+2*j], res[3+2*j]
 			fqDelays = append(fqDelays, a.AvgDelay[0])
 			tb2.row(atk, a.AvgDelay[0], b.AvgDelay[0])
 		}
@@ -92,10 +98,7 @@ func E18DKSFairQueueing() Experiment {
 		}
 
 		// (c) Equal flows get equal service.
-		eq, err := run([]float64{0.25, 0.25, 0.25}, &des.FQSched{}, seed+2)
-		if err != nil {
-			return Verdict{}, err
-		}
+		eq := res[len(res)-1]
 		spread := 0.0
 		for i := 1; i < 3; i++ {
 			if d := math.Abs(eq.AvgQueue[i] - eq.AvgQueue[0]); d > spread {

@@ -7,6 +7,7 @@ import (
 	"greednet/internal/alloc"
 	"greednet/internal/des"
 	"greednet/internal/network"
+	"greednet/internal/parallel"
 )
 
 // E19Tandem quantifies the §5.4 Poisson approximation on a simulated
@@ -35,10 +36,7 @@ func E19Tandem() Experiment {
 		routes := [][]int{{0, 1}, {0}, {1}}
 		match := true
 
-		tb := newTable(w)
-		tb.row("disc", "user", "route", "measured Σ queue", "Poisson approx", "rel dev")
-		maxDev := map[string]float64{}
-		for _, tc := range []struct {
+		cases := []struct {
 			name string
 			mk   func() des.Discipline
 			al   interface {
@@ -49,18 +47,30 @@ func E19Tandem() Experiment {
 		}{
 			{"fifo", func() des.Discipline { return &des.FIFO{} }, alloc.Proportional{}},
 			{"fair-share", func() des.Discipline { return &des.FairShareSplitter{} }, alloc.FairShare{}},
-		} {
-			res, err := des.RunTandem(des.TandemConfig{
+		}
+		// The two tandems are independent: simulate them concurrently,
+		// then render in case order.
+		ctx := opt.Context()
+		sims := make([]des.TandemResult, len(cases))
+		if err := parallel.MapOrderedCtx(ctx, 0, len(cases), func(k int) error {
+			var err error
+			sims[k], err = des.RunTandemCtx(ctx, des.TandemConfig{
 				LongRates: []float64{long},
 				CrossA:    []float64{crossA},
 				CrossB:    []float64{crossB},
-				NewDisc:   tc.mk,
+				NewDisc:   cases[k].mk,
 				Horizon:   horizon,
 				Seed:      seed,
 			})
-			if err != nil {
-				return Verdict{}, err
-			}
+			return err
+		}); err != nil {
+			return Verdict{}, err
+		}
+		tb := newTable(w)
+		tb.row("disc", "user", "route", "measured Σ queue", "Poisson approx", "rel dev")
+		maxDev := map[string]float64{}
+		for k, tc := range cases {
+			res := sims[k]
 			nw, err := network.New(2, routes, tc.al)
 			if err != nil {
 				return Verdict{}, err

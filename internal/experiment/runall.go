@@ -54,8 +54,12 @@ func (e *SuiteError) Error() string {
 // RunSuite executes the given experiments, fanning the runs across a
 // worker pool.  Each experiment renders into its own buffer and the
 // buffers are flushed to w in the given order, so the combined output is
-// byte-identical for every worker count (workers ≤ 0 means
-// runtime.GOMAXPROCS(0), 1 runs on the calling goroutine).
+// byte-identical for every worker count.  workers is how many
+// experiments run at once (≤ 0 means runtime.GOMAXPROCS(0); 1 runs them
+// one at a time on the calling goroutine).  Independently of it, an
+// experiment with independent simulations (E14, E15, E18, E19) spreads
+// them over GOMAXPROCS and renders them in a fixed order, so its bytes
+// do not depend on GOMAXPROCS either.
 //
 // Panics are always contained: a panicking experiment renders a
 // FAILED(panic) block in its slot and the rest of the suite completes.

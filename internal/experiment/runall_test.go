@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"runtime"
 	"testing"
 )
 
@@ -45,6 +46,26 @@ func TestRunAllByteIdenticalAcrossWorkers(t *testing.T) {
 			t.Errorf("RunAll(workers=%d) output differs from the sequential reference (%d vs %d bytes)",
 				workers, buf.Len(), ref.Len())
 		}
+	}
+}
+
+// TestSimulationFanOutIndependentOfPoolShape renders the experiments
+// that spread their independent simulations over GOMAXPROCS at
+// GOMAXPROCS 1 (every task inline on the caller) and at 4, and requires
+// identical bytes.
+func TestSimulationFanOutIndependentOfPoolShape(t *testing.T) {
+	es := []Experiment{E14ClosedLoop(), E15GeneralService(), E18DKSFairQueueing(), E19Tandem()}
+	render := func(procs int) []byte {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		var buf bytes.Buffer
+		if _, err := RunSuite(&buf, es, Options{Fast: true}, 1); err != nil {
+			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
+		}
+		return buf.Bytes()
+	}
+	one, four := render(1), render(4)
+	if !bytes.Equal(one, four) {
+		t.Errorf("output at GOMAXPROCS 4 differs from GOMAXPROCS 1 (%d vs %d bytes)", len(four), len(one))
 	}
 }
 

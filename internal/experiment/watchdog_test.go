@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -79,6 +80,55 @@ func TestWatchdogGoldenByteIdentity(t *testing.T) {
 		hang.ID, hang.Source, hang.Title, timeout)
 	if again.String() != wantBlock {
 		t.Errorf("FAILED block not deterministic:\n%q\nwant\n%q", again.String(), wantBlock)
+	}
+}
+
+// TestAbandonedSimulationsStop checks that the DES-heavy experiments
+// observe the watchdog's context: under a 20 ms watchdog each renders
+// FAILED(deadline), and its abandoned runner is gone within 100 ms of
+// RunSuite returning.  Every pool joins its tasks before returning, so
+// the runner's stack holds the experiment's frames for as long as any of
+// its simulations is still running.  Those frames are the Run closure,
+// named <constructor>.funcN (behind the test's name when the constructor
+// is inlined here).
+func TestAbandonedSimulationsStop(t *testing.T) {
+	timeout := 20 * time.Millisecond
+	for _, tc := range []struct {
+		e     Experiment
+		frame string
+	}{
+		{E14ClosedLoop(), ".E14ClosedLoop.func"},
+		{E18DKSFairQueueing(), ".E18DKSFairQueueing.func"},
+		{E15GeneralService(), ".E15GeneralService.func"},
+		{E19Tandem(), ".E19Tandem.func"},
+	} {
+		var out bytes.Buffer
+		outcomes, _ := RunSuite(&out, []Experiment{tc.e}, Options{Timeout: timeout}, 1)
+		returned := time.Now()
+		want := fmt.Sprintf("== %s (%s): %s ==\nFAILED(deadline): exceeded the %v watchdog\n\n",
+			tc.e.ID, tc.e.Source, tc.e.Title, timeout)
+		if !errors.Is(outcomes[0].Err, core.ErrDeadline) || out.String() != want {
+			t.Errorf("%s: err = %v, output %q; want FAILED(deadline)", tc.e.ID, outcomes[0].Err, out.String())
+		}
+		for stacksContain(tc.frame) {
+			if time.Since(returned) > 100*time.Millisecond {
+				t.Errorf("%s: abandoned run still going 100 ms after RunSuite returned", tc.e.ID)
+				break
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+}
+
+// stacksContain reports whether any goroutine's stack trace mentions s.
+func stacksContain(s string) bool {
+	buf := make([]byte, 1<<16)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			return strings.Contains(string(buf[:n]), s)
+		}
+		buf = make([]byte, 2*len(buf))
 	}
 }
 

@@ -103,7 +103,7 @@ func runFanout(pass *Pass) error {
 			switch {
 			case covering == nil:
 				pass.Reportf(g.Pos(),
-					"go statement outside internal/parallel; route fan-out through the worker pool (parallel.MapOrdered and friends) or, if this spawn belongs in the audited goroutine inventory, annotate it //lint:fanout <role> <why>")
+					"go statement outside internal/parallel; route fan-out through the worker pool (parallel.MapOrderedCtx) or, if this spawn belongs in the audited goroutine inventory, annotate it //lint:fanout <role> <why>")
 			case covering.role == "" || covering.reason == "":
 				covering.used = true
 				pass.Reportf(g.Pos(),

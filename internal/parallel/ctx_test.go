@@ -10,9 +10,9 @@ import (
 	"greednet/internal/core"
 )
 
-// TestMapOrderedCtxUncanceledMatchesErr pins the compatibility contract:
-// with a live (or background) context the ctx variant is observably
-// identical to MapOrderedErr.
+// TestMapOrderedCtxUncanceledMatchesErr pins the uncanceled contract:
+// with a live (or background) context every task runs and the task error
+// comes back, whatever the worker count.
 func TestMapOrderedCtxUncanceledMatchesErr(t *testing.T) {
 	boom := errors.New("boom")
 	fn := func(i int) error {

@@ -4,7 +4,8 @@
 // so for deterministic task functions every observable output — returned
 // error included — is identical for any worker count.  That invariant is
 // what lets the experiment suite, the multi-start Nash solver, the figure
-// sweeps, and DES replications fan out while staying byte-reproducible.
+// sweeps, DES replications and the DES experiments' independent
+// simulations fan out while staying byte-reproducible.
 //
 // The package is stdlib-only and contains the tree's only `go` statements
 // outside tests; the greedlint parsafe analyzer gates the goroutine
@@ -39,40 +40,24 @@ func Workers(workers, n int) int {
 	return workers
 }
 
-// MapOrdered runs fn(0), …, fn(n-1) on a pool of workers and returns
-// once every call has finished.  Tasks are claimed in index order but may
-// complete in any order; callers record results by index (into
-// preallocated slots) so the aggregate is independent of scheduling.  A
+// MapOrderedCtx runs fn(0), …, fn(n-1) on a pool of workers and returns
+// once every claimed call has finished.  Tasks are claimed in index order
+// but may complete in any order; callers record results by index (into
+// preallocated slots) so the aggregate is independent of scheduling.  An
+// error does not cancel the remaining tasks (matching sequential
+// collect-then-report semantics): the error of the lowest-index failing
+// task is returned, deterministic whatever the completion order.  A
 // panicking task does not take down its worker: the panic is contained,
 // the remaining tasks still run, and the lowest-index panic is re-raised
 // on the calling goroutine with the task index and original stack.
-func MapOrdered(workers, n int, fn func(i int)) {
-	// The wrapped fn never errors, so the only non-nil outcome is a
-	// contained panic, which mustRun re-raises before returning.
-	_ = mustRun(nil, workers, n, func(i int) error {
-		fn(i)
-		return nil
-	})
-}
-
-// MapOrderedErr is MapOrdered for fallible tasks: every task runs to
-// completion (an error does not cancel the rest, matching sequential
-// collect-then-report semantics), and the error of the lowest-index
-// failing task is returned — deterministic whatever the completion order.
-func MapOrderedErr(workers, n int, fn func(i int) error) error {
-	return mustRun(nil, workers, n, fn)
-}
-
-// MapOrderedCtx is MapOrderedErr under a context: workers stop claiming
-// new indices once ctx is done, while tasks already claimed run to
-// completion (a task is never interrupted mid-flight — cooperative tasks
-// observe the same ctx themselves).  The order-and-determinism contract
-// is preserved on the only deterministic axis a cancellation leaves: an
-// uncanceled run behaves exactly like MapOrderedErr, and a canceled run
+//
+// Workers stop claiming new indices once ctx is done, while tasks already
+// claimed run to completion (a task is never interrupted mid-flight —
+// cooperative tasks observe the same ctx themselves).  A canceled run
 // always returns the typed core.ErrCanceled / core.ErrDeadline — never a
 // task error, since which tasks got to run (and hence which errors exist)
-// depends on scheduling.  Contained task panics still re-raise first:
-// a panic is the caller's bug surfacing, cancellation or not.
+// depends on scheduling.  Contained task panics still re-raise first: a
+// panic is the caller's bug surfacing, cancellation or not.
 func MapOrderedCtx(ctx context.Context, workers, n int, fn func(i int) error) error {
 	return mustRun(ctx, workers, n, fn)
 }

@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -17,13 +18,14 @@ func TestMapOrderedAdversarialCompletion(t *testing.T) {
 	const n = 16
 	results := make([]int, n)
 	var done atomic.Int64
-	MapOrdered(8, n, func(i int) {
+	_ = MapOrderedCtx(context.Background(), 8, n, func(i int) error {
 		time.Sleep(time.Duration(n-i) * time.Millisecond)
 		results[i] = i * i
 		done.Add(1)
+		return nil
 	})
 	if got := done.Load(); got != n {
-		t.Fatalf("MapOrdered returned before all tasks finished: %d/%d", got, n)
+		t.Fatalf("MapOrderedCtx returned before all tasks finished: %d/%d", got, n)
 	}
 	for i, v := range results {
 		if v != i*i {
@@ -39,7 +41,7 @@ func TestMapOrderedErrLowestIndexWins(t *testing.T) {
 	const n = 12
 	for _, workers := range []int{1, 2, 4, 32} {
 		var ran atomic.Int64
-		err := MapOrderedErr(workers, n, func(i int) error {
+		err := MapOrderedCtx(context.Background(), workers, n, func(i int) error {
 			// Fail at several indices, the later ones completing sooner.
 			switch i {
 			case 3:
@@ -63,7 +65,7 @@ func TestMapOrderedErrLowestIndexWins(t *testing.T) {
 }
 
 func TestMapOrderedErrNilOnSuccess(t *testing.T) {
-	if err := MapOrderedErr(4, 9, func(int) error { return nil }); err != nil {
+	if err := MapOrderedCtx(context.Background(), 4, 9, func(int) error { return nil }); err != nil {
 		t.Fatalf("unexpected error: %v", err)
 	}
 }
@@ -89,11 +91,11 @@ func TestWorkersClamp(t *testing.T) {
 
 func TestMapOrderedZeroTasks(t *testing.T) {
 	called := false
-	MapOrdered(4, 0, func(int) { called = true })
+	_ = MapOrderedCtx(context.Background(), 4, 0, func(int) error { called = true; return nil })
 	if called {
 		t.Error("fn called for n=0")
 	}
-	if err := MapOrderedErr(4, -3, func(int) error { return errors.New("x") }); err != nil {
+	if err := MapOrderedCtx(context.Background(), 4, -3, func(int) error { return errors.New("x") }); err != nil {
 		t.Errorf("negative n should be a no-op, got %v", err)
 	}
 }
@@ -116,11 +118,12 @@ func TestPanicContainment(t *testing.T) {
 					t.Errorf("workers=%d: re-panic %v should name task 2", workers, r)
 				}
 			}()
-			MapOrdered(workers, 8, func(i int) {
+			_ = MapOrderedCtx(context.Background(), workers, 8, func(i int) error {
 				ran.Add(1)
 				if i == 2 || i == 5 {
 					panic(fmt.Sprintf("boom %d", i))
 				}
+				return nil
 			})
 		}()
 		if got := ran.Load(); got != 8 {

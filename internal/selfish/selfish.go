@@ -10,15 +10,21 @@
 package selfish
 
 import (
+	"context"
+	"errors"
 	"math"
 
 	"greednet/internal/core"
 	"greednet/internal/des"
+	"greednet/internal/parallel"
 	"greednet/internal/randdist"
 )
 
 // DisciplineFactory builds a fresh simulator discipline for each
-// measurement epoch (disciplines are stateful).
+// measurement epoch (disciplines are stateful).  The two probe epochs of
+// a step run concurrently, so the factory may be called from two
+// goroutines at once and must not share mutable state between the
+// disciplines it returns.
 type DisciplineFactory func() des.Discipline
 
 // Options configures a closed-loop run.
@@ -75,31 +81,51 @@ type Result struct {
 // measure runs one epoch and returns user i's utility at the current
 // rates, using the measured (not analytic) congestion.  Rates whose total
 // reaches the server capacity yield −Inf (the user experiences meltdown).
-func measure(factory DisciplineFactory, u core.Utility, r []core.Rate, i int, epoch float64, seed int64) float64 {
+// A canceled epoch is no measurement: it returns the typed
+// core.ErrCanceled / core.ErrDeadline rather than a −Inf score.
+func measure(ctx context.Context, factory DisciplineFactory, u core.Utility, r []core.Rate, i int, epoch float64, seed int64) (float64, error) {
 	total := 0.0
 	for _, v := range r {
 		total += v
 	}
 	if total >= 0.99 {
-		return math.Inf(-1)
+		return math.Inf(-1), nil
 	}
-	res, err := des.Run(des.Config{
+	res, err := des.RunCtx(ctx, des.Config{
 		Rates:      r,
 		Discipline: factory(),
 		Horizon:    epoch,
 		Seed:       seed,
 	})
-	if err != nil {
-		return math.Inf(-1)
+	var ce *core.CtxError
+	if errors.As(err, &ce) {
+		return 0, err
 	}
-	return u.Value(r[i], res.AvgQueue[i])
+	if err != nil {
+		return math.Inf(-1), nil
+	}
+	return u.Value(r[i], res.AvgQueue[i]), nil
 }
 
 // Run executes the closed loop: in each round every user, in turn, probes
 // its payoff at r_i ± δ with two measurement epochs and moves its rate by
 // a bounded step in the better direction (a Kiefer–Wolfowitz scheme with
-// decaying probe and step sizes).
+// decaying probe and step sizes).  It is RunCtx without cancellation.
 func Run(factory DisciplineFactory, us core.Profile, r0 []core.Rate, opt Options) Result {
+	// A background context never fires, and cancellation is RunCtx's
+	// only error.
+	res, _ := RunCtx(context.Background(), factory, us, r0, opt)
+	return res
+}
+
+// RunCtx is Run under a context, polled once per round and inside every
+// measurement epoch.  The two probe epochs of a step run concurrently on
+// up to GOMAXPROCS goroutines; each builds its own simulator rng from the
+// step's shared seed, so the result is bit-identical to measuring them
+// one after the other.  A canceled run returns a zero Result with the
+// typed core.ErrCanceled / core.ErrDeadline: a truncated trajectory has
+// not settled anywhere.
+func RunCtx(ctx context.Context, factory DisciplineFactory, us core.Profile, r0 []core.Rate, opt Options) (Result, error) {
 	opt = opt.withDefaults()
 	n := len(r0)
 	r := append([]float64(nil), r0...)
@@ -107,6 +133,9 @@ func Run(factory DisciplineFactory, us core.Profile, r0 []core.Rate, opt Options
 	res.Trajectory = append(res.Trajectory, append([]float64(nil), r...))
 	rng := randdist.NewRand(opt.Seed)
 	for round := 1; round <= opt.Rounds; round++ {
+		if err := core.CtxErr(ctx); err != nil {
+			return Result{}, err
+		}
 		decay := 1 / math.Sqrt(float64(round))
 		delta := opt.Delta0 * decay
 		step := opt.Step0 * decay
@@ -116,14 +145,20 @@ func Run(factory DisciplineFactory, us core.Profile, r0 []core.Rate, opt Options
 		for i := 0; i < n; i++ {
 			up := core.Clamp(r[i]+delta, opt.Lo, opt.Hi)
 			dn := core.Clamp(r[i]-delta, opt.Lo, opt.Hi)
-			rUp := core.WithRate(r, i, up)
-			rDn := core.WithRate(r, i, dn)
+			probes := [2][]core.Rate{core.WithRate(r, i, up), core.WithRate(r, i, dn)}
 			// Common random numbers: measuring both probes under the same
 			// seed cancels most of the shared queueing noise, which is
 			// what makes small probe differences detectable.
 			seed := rng.Int63()
-			vUp := measure(factory, us[i], rUp, i, epoch, seed)
-			vDn := measure(factory, us[i], rDn, i, epoch, seed)
+			var v [2]float64
+			if err := parallel.MapOrderedCtx(ctx, 0, len(probes), func(k int) error {
+				var err error
+				v[k], err = measure(ctx, factory, us[i], probes[k], i, epoch, seed)
+				return err
+			}); err != nil {
+				return Result{}, err
+			}
+			vUp, vDn := v[0], v[1]
 			res.Epochs += 2
 			switch {
 			case math.IsInf(vUp, -1) && math.IsInf(vDn, -1):
@@ -138,7 +173,7 @@ func Run(factory DisciplineFactory, us core.Profile, r0 []core.Rate, opt Options
 		res.Trajectory = append(res.Trajectory, append([]float64(nil), r...))
 	}
 	res.R = r
-	return res
+	return res, nil
 }
 
 // TailAverage returns the per-user average of the last k trajectory
