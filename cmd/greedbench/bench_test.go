@@ -104,10 +104,15 @@ func TestGateEventsCleanReportPasses(t *testing.T) {
 	wantFails(t, clean(t, "events", 1))
 }
 
-func TestGateEventsCatchesRatioRegression(t *testing.T) {
-	wantFails(t, with(t, clean(t, "events", 4), "n1e5", "speedup_vs_heap", 1.4), "events/n1e5/speedup_vs_heap")
-	// n4: the bucket calendar's median ratio, under the flat mode's floor.
-	wantFails(t, with(t, clean(t, "events", 4), "n4", "speedup_vs_heap", 1.63), "events/n4/speedup_vs_heap")
+// The RunG and RunSched values are the fastest medians the heap engines
+// recorded (see hotpath.EventScales), so an engine back on an O(log N)
+// event set fails its ceiling; RunCtx, which never had one, is injected
+// at twice its ceiling.
+func TestGateEventsCatchesCeilingRegression(t *testing.T) {
+	wantFails(t, with(t, clean(t, "events", 4), "n1e5", "ns_per_event", 1035), "events/n1e5/ns_per_event")
+	wantFails(t, with(t, clean(t, "events", 4), "n4", "ns_per_event", 214), "events/n4/ns_per_event")
+	wantFails(t, with(t, clean(t, "events", 4), "sched_e18", "ns_per_event", 215), "events/sched_e18/ns_per_event")
+	wantFails(t, with(t, clean(t, "events", 4), "ctx_e14", "ns_per_event", 360), "events/ctx_e14/ns_per_event")
 }
 
 func TestGateEventsCatchesAllocRegression(t *testing.T) {
@@ -127,10 +132,10 @@ func TestGateEventsIgnoresInvalidSpeedup(t *testing.T) {
 }
 
 func TestGateEventsReportsEveryRegression(t *testing.T) {
-	a := with(t, clean(t, "events", 4), "n1e2", "speedup_vs_heap", 0.5)
+	a := with(t, clean(t, "events", 4), "n1e2", "ns_per_event", 340)
 	a = with(t, a, "n1e5", "allocs_per_event", 1.0)
 	a = with(t, a, replicationCase, "speedup", 0.9)
-	wantFails(t, a, "events/n1e2/speedup_vs_heap", "events/n1e5/allocs_per_event", "events/replication/speedup")
+	wantFails(t, a, "events/n1e2/ns_per_event", "events/n1e5/allocs_per_event", "events/replication/speedup")
 }
 
 func TestGateServiceCleanReportPasses(t *testing.T) {
@@ -179,7 +184,7 @@ func TestGateServiceReportsEveryRegression(t *testing.T) {
 // A value that is not a number passes no budget.
 func TestGateFailsNaN(t *testing.T) {
 	wantFails(t, with(t, clean(t, "classes", 4), "k8_n64", "ns_per_op", math.NaN()), "classes/k8_n64/ns_per_op")
-	wantFails(t, with(t, clean(t, "events", 4), "n4", "speedup_vs_heap", math.NaN()), "events/n4/speedup_vs_heap")
+	wantFails(t, with(t, clean(t, "events", 4), "n4", "ns_per_event", math.NaN()), "events/n4/ns_per_event")
 }
 
 // writeAt writes a cores-core artifact of the named layer into dir and

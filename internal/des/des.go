@@ -116,30 +116,12 @@ func Run(cfg Config) (Result, error) {
 // truncated horizon are not unbiased estimates, so none are reported.
 func RunCtx(ctx context.Context, cfg Config) (Result, error) {
 	n := len(cfg.Rates)
-	if n == 0 || cfg.Discipline == nil {
+	if cfg.Discipline == nil {
 		return Result{}, ErrBadConfig
 	}
-	total := 0.0
-	for _, r := range cfg.Rates {
-		if r <= 0 || math.IsNaN(r) {
-			return Result{}, ErrBadConfig
-		}
-		total += r
-	}
-	if total >= 1 {
-		return Result{}, ErrBadConfig
-	}
-	if !validSpan(cfg.Horizon) || !validSpan(cfg.Warmup) {
-		return Result{}, ErrBadConfig
-	}
-	if cfg.Horizon <= 0 {
-		cfg.Horizon = 2e5
-	}
-	if cfg.Warmup <= 0 {
-		cfg.Warmup = 0.05 * cfg.Horizon
-	}
-	if cfg.Batches <= 0 {
-		cfg.Batches = 20
+	total, err := checkConfig(cfg.Rates, &cfg.Horizon, &cfg.Warmup, &cfg.Batches)
+	if err != nil {
+		return Result{}, err
 	}
 
 	rng := randdist.NewRand(cfg.Seed)
@@ -147,18 +129,12 @@ func RunCtx(ctx context.Context, cfg Config) (Result, error) {
 	d.Reset(cfg.Rates, rng)
 
 	end := cfg.Warmup + cfg.Horizon
-	batchLen := cfg.Horizon / float64(cfg.Batches)
-
-	lq := newLazyQueues(n, cfg.Batches, cfg.Warmup, end, batchLen)
+	lq := newLazyQueues(n, cfg.Batches, cfg.Warmup, end, cfg.Horizon/float64(cfg.Batches))
 	var totalAvg stats.TimeAverage
 	cum := cumRates(cfg.Rates) // prefix sums for O(log N) source picks
 	delaySum := make([]float64, n)
 	departed := make([]int64, n)
 	var res Result
-	res.AvgQueue = make([]float64, n)
-	res.QueueCI95 = make([]float64, n)
-	res.AvgDelay = make([]float64, n)
-	res.Throughput = make([]float64, n)
 
 	// Each iteration consumes exactly one (ExpFloat64, Float64) pair: the
 	// holding time and the event pick.  A stream-free discipline never
@@ -224,22 +200,64 @@ func RunCtx(ctx context.Context, cfg Config) (Result, error) {
 			}
 		}
 	}
-	lq.finish()
+	return finishResult(res, lq, &totalAvg, delaySum, departed, cfg.Horizon), nil
+}
 
-	res.Duration = cfg.Horizon
-	//lint:allow ctxflow O(n) post-run stats assembly over per-source accumulators; the event loop above already honored the deadline
+// checkConfig validates what Run, RunG and RunSched share — at least one
+// rate, every rate positive, Σ < 1, finite spans — and fills in their
+// defaults in place: Horizon 2e5, Warmup 5% of Horizon, 20 batches.  It
+// returns Σ rates, summed left to right as cumRates sums them, so the
+// total equals the last prefix sum bit for bit.
+func checkConfig(rates []float64, horizon, warmup *float64, batches *int) (float64, error) {
+	if len(rates) == 0 {
+		return 0, ErrBadConfig
+	}
+	total := 0.0
+	for _, r := range rates {
+		if r <= 0 || math.IsNaN(r) {
+			return 0, ErrBadConfig
+		}
+		total += r
+	}
+	if total >= 1 || !validSpan(*horizon) || !validSpan(*warmup) {
+		return 0, ErrBadConfig
+	}
+	if *horizon <= 0 {
+		*horizon = 2e5
+	}
+	if *warmup <= 0 {
+		*warmup = 0.05 * *horizon
+	}
+	if *batches <= 0 {
+		*batches = 20
+	}
+	return total, nil
+}
+
+// finishResult completes res, whose Arrivals and Departures the event
+// loop counted, for Run, RunG and RunSched alike: it closes lq's open
+// segments, then fills in each user's queue average with its batch-means
+// CI, mean delay (NaN with no departure) and throughput over the horizon.
+func finishResult(res Result, lq *lazyQueues, totalAvg *stats.TimeAverage, delaySum []float64, departed []int64, horizon float64) Result {
+	lq.finish()
+	n := len(departed)
+	res.AvgQueue = make([]float64, n)
+	res.QueueCI95 = make([]float64, n)
+	res.AvgDelay = make([]float64, n)
+	res.Throughput = make([]float64, n)
 	for i := 0; i < n; i++ {
 		res.AvgQueue[i] = lq.avgQueue(i)
-		res.QueueCI95[i] = batchCI(lq.batchRow(i), batchLen)
+		res.QueueCI95[i] = batchCI(lq.batchRow(i), lq.batchLen)
 		if departed[i] > 0 {
 			res.AvgDelay[i] = delaySum[i] / float64(departed[i])
 		} else {
 			res.AvgDelay[i] = math.NaN()
 		}
-		res.Throughput[i] = float64(departed[i]) / cfg.Horizon
+		res.Throughput[i] = float64(departed[i]) / horizon
 	}
 	res.TotalAvgQueue = totalAvg.Value()
-	return res, nil
+	res.Duration = horizon
+	return res
 }
 
 // batchCI converts per-batch queue integrals into a 95% half-width for the

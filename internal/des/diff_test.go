@@ -8,14 +8,13 @@ import (
 	"greednet/internal/stats"
 )
 
-// Differential equivalence suite: the calendar-queue engines must
-// reproduce the frozen pre-calendar engines BIT FOR BIT for every seeded
-// configuration — same event order, same rng consumption, same Result.
-// The heap engines live in heapref.go; the memoryless and tandem
-// references below are verbatim copies of the historical draw-per-event
-// loops (direct rng draws, linear stream scan).  Any change to the
-// engines' draw order, tie-breaking, or accumulation arithmetic shows up
-// here as a bit-level diff.
+// Differential equivalence suite: the memoryless and tandem engines must
+// reproduce their frozen draw-per-event predecessors BIT FOR BIT for
+// every seeded configuration — same rng consumption, same Result.  The
+// references below are verbatim copies of the historical loops (direct
+// rng draws, linear stream scan).  Any change to these engines' draw
+// order, tie-breaking, or accumulation arithmetic shows up here as a
+// bit-level diff.
 
 // refRun is the frozen memoryless engine: identical to RunCtx before
 // batched variate generation (one ExpFloat64 and one Float64 drawn
@@ -344,80 +343,6 @@ func TestRunMatchesRef(t *testing.T) {
 				t.Run("", func(t *testing.T) { sameResult(t, got, want) })
 				if t.Failed() {
 					t.Fatalf("%s n=%d seed %d diverged from the frozen engine", name, len(rates), seed)
-				}
-			}
-		}
-	}
-}
-
-// TestGMatchesHeap pins the calendar-queue general-service engine against
-// the frozen heap engine across classifiers (exercising preemptive
-// resume) and service distributions (exercising both batch modes).
-func TestGMatchesHeap(t *testing.T) {
-	classifiers := map[string]func() Classifier{
-		"single": func() Classifier { return SingleClass{} },
-		"rank":   func() Classifier { return &RankClass{} },
-		"serial": func() Classifier { return &SerialClass{} },
-	}
-	services := map[string]randdist.Dist{
-		"exp":   randdist.Exponential{},
-		"det":   randdist.Deterministic{},
-		"gamma": randdist.Gamma{K: 2},
-	}
-	for cname, mk := range classifiers {
-		for sname, svc := range services {
-			for _, rates := range diffRates() {
-				for _, seed := range diffSeeds {
-					cfg := GConfig{Rates: rates, Service: svc, Classify: mk(), Horizon: 1200, Seed: seed}
-					got, err := RunG(cfg)
-					if err != nil {
-						t.Fatalf("%s/%s n=%d seed %d: RunG: %v", cname, sname, len(rates), seed, err)
-					}
-					cfg.Classify = mk()
-					want, err := RunGHeap(cfg)
-					if err != nil {
-						t.Fatalf("%s/%s n=%d seed %d: RunGHeap: %v", cname, sname, len(rates), seed, err)
-					}
-					t.Run("", func(t *testing.T) { sameResult(t, got, want) })
-					if t.Failed() {
-						t.Fatalf("%s/%s n=%d seed %d diverged from the heap engine", cname, sname, len(rates), seed)
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestSchedMatchesHeap pins the calendar-queue scheduling engine against
-// the frozen heap engine for both schedulers and all service shapes.
-func TestSchedMatchesHeap(t *testing.T) {
-	scheds := map[string]func() Scheduler{
-		"fcfs": func() Scheduler { return &FCFSSched{} },
-		"fq":   func() Scheduler { return &FQSched{} },
-	}
-	services := map[string]randdist.Dist{
-		"exp":   randdist.Exponential{},
-		"det":   randdist.Deterministic{},
-		"gamma": randdist.Gamma{K: 2},
-	}
-	for schname, mk := range scheds {
-		for sname, svc := range services {
-			for _, rates := range diffRates() {
-				for _, seed := range diffSeeds {
-					cfg := SchedConfig{Rates: rates, Service: svc, Sched: mk(), Horizon: 1200, Seed: seed}
-					got, err := RunSched(cfg)
-					if err != nil {
-						t.Fatalf("%s/%s n=%d seed %d: RunSched: %v", schname, sname, len(rates), seed, err)
-					}
-					cfg.Sched = mk()
-					want, err := RunSchedHeap(cfg)
-					if err != nil {
-						t.Fatalf("%s/%s n=%d seed %d: RunSchedHeap: %v", schname, sname, len(rates), seed, err)
-					}
-					t.Run("", func(t *testing.T) { sameResult(t, got, want) })
-					if t.Failed() {
-						t.Fatalf("%s/%s n=%d seed %d diverged from the heap engine", schname, sname, len(rates), seed)
-					}
 				}
 			}
 		}

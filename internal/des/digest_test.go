@@ -18,8 +18,8 @@ import (
 // an answer.
 const (
 	digestRun       = "4e3bc44b157ca25313ed6eae58061cbfb6b5d2e79af8a610ffc4eb2e3f4e0fa8"
-	digestRunG      = "b237658462ded21653a6aeb8b07c05732d67333f5e3ddbd60ab22bcfd62742f8"
-	digestRunSched  = "59fb02f3d229c8c2d670653f26b2e66fbdde6271827397cec7ea6b6d9d11ff05"
+	digestRunG      = "3a75c6f8e6ecc7ba50cfe67cace9575f8febd2da89429ad782dabd4774b8eb89"
+	digestRunSched  = "ba7fdb1e5ac859c7757534ccff911fa54f809d7245fc49809a621c46e41e3754"
 	digestRunTandem = "d8434d60e8d2e99a8fb4e2a75f8cc823a2e59de15e5ec7a8b414fb4569d71c0c"
 )
 

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"sort"
 
-	"greednet/internal/des/calq"
 	"greednet/internal/randdist"
 	"greednet/internal/stats"
 )
@@ -19,12 +18,11 @@ import (
 // Unlike the memoryless engine in des.go, service completions must be
 // scheduled explicitly and preempted work tracked.
 //
-// Event management runs on the calendar queue in internal/des/calq (O(1)
-// amortized per event, no boxing); the frozen container/heap engine it
-// replaced survives in heapref.go as the differential baseline.  Variates
-// come through internal/randdist batches whose block size is 1 unless the
-// run's draw order is provably pure (see seedArrivals and streamfree.go),
-// so every seeded stream is byte-identical to the historical engine.
+// The engine holds two pending times and no event set: the next arrival
+// of the superposed Σλ stream (see arrivals in lazy.go) and the
+// in-service completion, +Inf while the server idles.  A preemption only
+// re-times the completion.  Service times come from cfg.Service.Sample
+// on the run's rng.
 
 // Classifier assigns a priority class (0 = highest) to an arriving packet.
 type Classifier interface {
@@ -239,40 +237,6 @@ func (d *deque) popFront() *gpacket {
 
 func (d *deque) len() int { return d.n }
 
-// seedArrivals initializes the calendar and schedules each source's first
-// arrival.  The first-arrival variates prefetch in one FillExp call
-// (byte-identical to the historical per-source draw loop).
-//
-// The bucket width is derived from the event RATE, not the pending-event
-// span: the engines process ≈ 2·Σλ events per unit time (arrivals at
-// rate Σλ, completions at rate busy ≈ Σλ for the unit-rate server), so
-// 1/(2·Σλ) keeps about one event per bucket near the cursor and about
-// one bucket step per dequeue.  Pending arrivals are exponentially
-// spread, so a span-derived width would be stretched by the tail —
-// piling width·density events into every cursor bucket and making the
-// window slide through virgin buckets (first-touch growth allocations)
-// for the whole run.  With the rate-derived width the tail simply wraps
-// into later calendar years, which the windowed scan is built for, and
-// after one year every bucket's capacity is recycled: the steady state
-// allocates nothing.  The population never exceeds len(rates)+1 events
-// (one pending arrival per source plus one completion), so no rehash
-// ever fires to re-derive the width mid-run.  At the paper's scale of a
-// few sources that bound is within calq's flat cap, so the queue keeps
-// its events in one scanned slice and never uses the width at all.
-func seedArrivals(events *calq.Queue, rng *rand.Rand, rates []float64) {
-	n := len(rates)
-	arr := make([]float64, n)
-	randdist.FillExp(rng, arr)
-	total := 0.0
-	for _, r := range rates {
-		total += r
-	}
-	events.Init(n+1, 1/(2*total))
-	for i, r := range rates {
-		events.Enqueue(calq.Event{T: arr[i] / r, User: int32(i), Arr: true})
-	}
-}
-
 // RunG simulates the general-service preemptive-priority station.
 func RunG(cfg GConfig) (Result, error) {
 	return RunGCtx(context.Background(), cfg)
@@ -282,21 +246,9 @@ func RunG(cfg GConfig) (Result, error) {
 // contract (typed error, no partial statistics).
 func RunGCtx(ctx context.Context, cfg GConfig) (Result, error) {
 	n := len(cfg.Rates)
-	if n == 0 {
-		return Result{}, ErrBadConfig
-	}
-	total := 0.0
-	for _, r := range cfg.Rates {
-		if r <= 0 || math.IsNaN(r) {
-			return Result{}, ErrBadConfig
-		}
-		total += r
-	}
-	if total >= 1 {
-		return Result{}, ErrBadConfig
-	}
-	if !validSpan(cfg.Horizon) || !validSpan(cfg.Warmup) {
-		return Result{}, ErrBadConfig
+	total, err := checkConfig(cfg.Rates, &cfg.Horizon, &cfg.Warmup, &cfg.Batches)
+	if err != nil {
+		return Result{}, err
 	}
 	if cfg.Service == nil {
 		cfg.Service = randdist.Exponential{}
@@ -304,163 +256,92 @@ func RunGCtx(ctx context.Context, cfg GConfig) (Result, error) {
 	if cfg.Classify == nil {
 		cfg.Classify = SingleClass{}
 	}
-	if cfg.Horizon <= 0 {
-		cfg.Horizon = 2e5
-	}
-	if cfg.Warmup <= 0 {
-		cfg.Warmup = 0.05 * cfg.Horizon
-	}
-	if cfg.Batches <= 0 {
-		cfg.Batches = 20
-	}
 
 	rng := randdist.NewRand(cfg.Seed)
 	cfg.Classify.Reset(cfg.Rates, rng)
 	classes := make([]deque, cfg.Classify.NumClasses())
 
 	end := cfg.Warmup + cfg.Horizon
-	batchLen := cfg.Horizon / float64(cfg.Batches)
-
-	lq := newLazyQueues(n, cfg.Batches, cfg.Warmup, end, batchLen)
+	lq := newLazyQueues(n, cfg.Batches, cfg.Warmup, end, cfg.Horizon/float64(cfg.Batches))
 	var totalAvg stats.TimeAverage
 	delaySum := make([]float64, n)
 	departed := make([]int64, n)
 	var res Result
-	res.AvgQueue = make([]float64, n)
-	res.QueueCI95 = make([]float64, n)
-	res.AvgDelay = make([]float64, n)
-	res.Throughput = make([]float64, n)
 
-	// After seeding, every rng draw is an inter-arrival or service
-	// ExpFloat64 unless the classifier consumes the stream too; when the
-	// order is provably pure-exponential the batch prefetches full blocks
-	// and service draws come from the same batch, otherwise block size 1
-	// reproduces the unbatched stream draw for draw.
-	pureExp := randdist.IsExponential(cfg.Service) && streamFree(cfg.Classify)
-	var eb randdist.ExpBatch
-	eb.Init(rng, randdist.BlockSize(pureExp))
-
-	var events calq.Queue
-	seedArrivals(&events, rng, cfg.Rates)
-
+	var arr arrivals
+	arr.init(rng, cfg.Rates, total)
 	var pool gpacketPool
 	var serving *gpacket
-	servingToken := 0
-	tokenSeq := 0
-	compT := 0.0       // scheduled completion time of the serving packet
-	var compSeq uint64 // its calendar stamp, for O(1) preemption removal
+	done := math.Inf(1) // completion time of the serving packet
 	inSystem := 0
 	prev := 0.0
 
-	startService := func(p *gpacket, now float64) {
+	start := func(p *gpacket, now float64) {
 		serving = p
-		tokenSeq++
-		servingToken = tokenSeq
-		compT = now + p.remaining
-		compSeq = events.Enqueue(calq.Event{T: compT, Token: servingToken})
-	}
-	nextFromQueues := func(now float64) {
-		serving = nil
-		for c := range classes {
-			if classes[c].len() > 0 {
-				startService(classes[c].popFront(), now)
-				return
-			}
-		}
+		done = now + p.remaining
 	}
 
 	gate := ctxGate{ctx: ctx}
-	for events.Len() > 0 {
+	for {
 		if err := gate.Err(); err != nil {
 			return Result{}, err
 		}
-		ev, _ := events.DequeueMin()
-		now := ev.T
-		if now > end {
-			now = end
-		}
-		// Accumulate the O(1) total-queue average over [prev, now); the
+		t := min(arr.t, done)
+		// Accumulate the O(1) total-queue average over [prev, t); the
 		// per-user integrals advance lazily at count changes (lq.bump).
+		now := min(t, end)
 		if now > cfg.Warmup && now > prev {
-			lo := max(prev, cfg.Warmup)
-			span := now - lo
-			if span > 0 {
+			if span := now - max(prev, cfg.Warmup); span > 0 {
 				totalAvg.Accumulate(float64(inSystem), span)
 			}
 		}
 		prev = now
-		if ev.T > end {
+		if t > end {
 			break
 		}
-		if ev.Arr {
-			u := int(ev.User)
-			events.Enqueue(calq.Event{T: ev.T + eb.Next()/cfg.Rates[u], User: ev.User, Arr: true})
+		if arr.t <= done {
+			u := arr.src
+			arr.next()
 			p := pool.get()
 			p.user = u
 			p.class = cfg.Classify.Classify(u)
-			p.arrive = ev.T
-			if pureExp {
-				p.remaining = eb.Next()
-			} else {
-				p.remaining = cfg.Service.Sample(rng)
-			}
-			lq.bump(u, ev.T, 1)
+			p.arrive = t
+			p.remaining = cfg.Service.Sample(rng)
+			lq.bump(u, t, 1)
 			inSystem++
-			if ev.T >= cfg.Warmup {
+			if t >= cfg.Warmup {
 				res.Arrivals++
 			}
 			switch {
 			case serving == nil:
-				startService(p, ev.T)
+				start(p, t)
 			case p.class < serving.class:
-				// Preempt: bank the remaining work and resume later.  The
-				// engine tracks the pending completion's (time, stamp), so
-				// canceling it is a direct calendar removal — the old heap
-				// engine scanned the whole event array here.
-				preempted := serving
-				rem := compT - ev.T
-				if rem < 0 {
-					rem = 0
-				}
-				preempted.remaining = rem
-				events.Remove(compT, compSeq)
-				servingToken = -1 // invalidate
-				classes[preempted.class].pushFront(preempted)
-				startService(p, ev.T)
+				// Preempt: bank the remaining work, resume it later, and
+				// re-time the completion for the newcomer.
+				serving.remaining = max(done-t, 0)
+				classes[serving.class].pushFront(serving)
+				start(p, t)
 			default:
 				classes[p.class].pushBack(p)
 			}
-		} else {
-			if ev.Token != servingToken || serving == nil {
-				continue // stale completion from a preempted service
+			continue
+		}
+		p := serving
+		lq.bump(p.user, t, -1)
+		inSystem--
+		if t >= cfg.Warmup {
+			res.Departures++
+			departed[p.user]++
+			delaySum[p.user] += t - p.arrive
+		}
+		pool.put(p)
+		serving, done = nil, math.Inf(1)
+		for c := range classes {
+			if classes[c].len() > 0 {
+				start(classes[c].popFront(), t)
+				break
 			}
-			p := serving
-			lq.bump(p.user, ev.T, -1)
-			inSystem--
-			if ev.T >= cfg.Warmup {
-				res.Departures++
-				departed[p.user]++
-				delaySum[p.user] += ev.T - p.arrive
-			}
-			pool.put(p)
-			nextFromQueues(ev.T)
 		}
 	}
-
-	lq.finish()
-
-	res.Duration = cfg.Horizon
-	//lint:allow ctxflow O(n) post-run stats assembly over per-source accumulators; the event loop above already honored the deadline
-	for i := 0; i < n; i++ {
-		res.AvgQueue[i] = lq.avgQueue(i)
-		res.QueueCI95[i] = batchCI(lq.batchRow(i), batchLen)
-		if departed[i] > 0 {
-			res.AvgDelay[i] = delaySum[i] / float64(departed[i])
-		} else {
-			res.AvgDelay[i] = math.NaN()
-		}
-		res.Throughput[i] = float64(departed[i]) / cfg.Horizon
-	}
-	res.TotalAvgQueue = totalAvg.Value()
-	return res, nil
+	return finishResult(res, lq, &totalAvg, delaySum, departed, cfg.Horizon), nil
 }

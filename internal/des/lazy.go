@@ -1,6 +1,11 @@
 package des
 
-import "math"
+import (
+	"math"
+	"math/rand"
+
+	"greednet/internal/randdist"
+)
 
 // lazyQueues tracks the per-user time-averaged queue statistics with lazy
 // accumulation.  The historical event loop touched every user at every
@@ -182,4 +187,40 @@ func pickSource(cum []float64, u float64) int {
 		}
 	}
 	return lo
+}
+
+// arrivals is the superposed arrival stream of RunG and RunSched.  N
+// independent Poisson sources are exactly one Poisson stream of rate
+// Σλ in which each arrival comes from source i with probability λ_i/Σλ,
+// so the engines keep one pending arrival instead of one per source.
+// Each arrival's gap and source are one PairBatch pair: the exponential
+// scaled by 1/Σλ, the uniform scaled by Σλ into the prefix sums.  The
+// batch prefetches full blocks even when a classifier or a service law
+// draws from the same rng in between: the stream is then still a pure
+// function of the seed, only not the unbatched one.
+type arrivals struct {
+	pb    randdist.PairBatch
+	cum   []float64
+	total float64
+	t     float64 // time of the pending arrival
+	src   int     // its source
+}
+
+// init starts the stream at time 0 and draws its first arrival; total
+// is Σ rates as checkConfig sums it.
+func (a *arrivals) init(rng *rand.Rand, rates []float64, total float64) {
+	a.pb.Init(rng, randdist.BlockSize(true))
+	a.cum = cumRates(rates)
+	a.total = total
+	a.t = 0
+	a.next()
+}
+
+// next replaces the pending arrival with the one after it.
+//
+//lint:hotpath
+func (a *arrivals) next() {
+	e, u := a.pb.Pair()
+	a.t += e / a.total
+	a.src = pickSource(a.cum, u*a.total)
 }

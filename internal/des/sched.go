@@ -4,7 +4,6 @@ import (
 	"context"
 	"math"
 
-	"greednet/internal/des/calq"
 	"greednet/internal/randdist"
 	"greednet/internal/stats"
 )
@@ -14,8 +13,8 @@ import (
 // the setting of real packet networks and of the Fair Queueing algorithm
 // of Demers, Keshav & Shenker that §5.2 discusses.  (The preemptive
 // priority engine lives in gsim.go; the memoryless CTMC engine in des.go.)
-// Like gsim.go, the event core is the internal/des/calq calendar queue
-// with the frozen heap baseline preserved in heapref.go.
+// Like gsim.go, the engine holds only the next superposed arrival and the
+// in-service completion.
 
 // Scheduler selects the next packet to transmit.
 type Scheduler interface {
@@ -238,21 +237,9 @@ func RunSched(cfg SchedConfig) (Result, error) {
 // cancellation contract (typed error, no partial statistics).
 func RunSchedCtx(ctx context.Context, cfg SchedConfig) (Result, error) {
 	n := len(cfg.Rates)
-	if n == 0 {
-		return Result{}, ErrBadConfig
-	}
-	total := 0.0
-	for _, r := range cfg.Rates {
-		if r <= 0 || math.IsNaN(r) {
-			return Result{}, ErrBadConfig
-		}
-		total += r
-	}
-	if total >= 1 {
-		return Result{}, ErrBadConfig
-	}
-	if !validSpan(cfg.Horizon) || !validSpan(cfg.Warmup) {
-		return Result{}, ErrBadConfig
+	total, err := checkConfig(cfg.Rates, &cfg.Horizon, &cfg.Warmup, &cfg.Batches)
+	if err != nil {
+		return Result{}, err
 	}
 	if cfg.Service == nil {
 		cfg.Service = randdist.Exponential{}
@@ -260,129 +247,77 @@ func RunSchedCtx(ctx context.Context, cfg SchedConfig) (Result, error) {
 	if cfg.Sched == nil {
 		cfg.Sched = &FCFSSched{}
 	}
-	if cfg.Horizon <= 0 {
-		cfg.Horizon = 2e5
-	}
-	if cfg.Warmup <= 0 {
-		cfg.Warmup = 0.05 * cfg.Horizon
-	}
-	if cfg.Batches <= 0 {
-		cfg.Batches = 20
-	}
 
 	rng := randdist.NewRand(cfg.Seed)
 	cfg.Sched.Reset(cfg.Rates)
 
 	end := cfg.Warmup + cfg.Horizon
-	batchLen := cfg.Horizon / float64(cfg.Batches)
-	lq := newLazyQueues(n, cfg.Batches, cfg.Warmup, end, batchLen)
+	lq := newLazyQueues(n, cfg.Batches, cfg.Warmup, end, cfg.Horizon/float64(cfg.Batches))
 	var totalAvg stats.TimeAverage
 	delaySum := make([]float64, n)
 	departed := make([]int64, n)
 	var res Result
-	res.AvgQueue = make([]float64, n)
-	res.QueueCI95 = make([]float64, n)
-	res.AvgDelay = make([]float64, n)
-	res.Throughput = make([]float64, n)
 
-	// The Scheduler interface has no rng access (Reset takes only rates),
-	// so after seeding the draw order is pure ExpFloat64 exactly when the
-	// service distribution is exponential; then arrivals AND transmission
-	// times prefetch from one batch.  Otherwise block size 1 reproduces
-	// the unbatched stream.
-	pureExp := randdist.IsExponential(cfg.Service)
-	var eb randdist.ExpBatch
-	eb.Init(rng, randdist.BlockSize(pureExp))
-
-	var events calq.Queue
-	seedArrivals(&events, rng, cfg.Rates)
-
+	var arr arrivals
+	arr.init(rng, cfg.Rates, total)
 	var pool gpacketPool
 	var serving *gpacket
+	done := math.Inf(1) // completion time of the packet in transmission
 	inSystem := 0
 	prev := 0.0
 
 	gate := ctxGate{ctx: ctx}
-	for events.Len() > 0 {
+	for {
 		if err := gate.Err(); err != nil {
 			return Result{}, err
 		}
-		ev, _ := events.DequeueMin()
-		now := ev.T
-		if now > end {
-			now = end
-		}
+		t := min(arr.t, done)
 		// O(1) total-queue average per event; per-user integrals advance
 		// lazily at count changes (lq.bump).
+		now := min(t, end)
 		if now > cfg.Warmup && now > prev {
-			lo := max(prev, cfg.Warmup)
-			span := now - lo
-			if span > 0 {
+			if span := now - max(prev, cfg.Warmup); span > 0 {
 				totalAvg.Accumulate(float64(inSystem), span)
 			}
 		}
 		prev = now
-		if ev.T > end {
+		if t > end {
 			break
 		}
-		if ev.Arr {
-			u := int(ev.User)
-			events.Enqueue(calq.Event{T: ev.T + eb.Next()/cfg.Rates[u], User: ev.User, Arr: true})
+		if arr.t <= done {
+			u := arr.src
+			arr.next()
 			p := pool.get()
 			p.user = u
 			p.class = 0
-			p.arrive = ev.T
-			if pureExp {
-				p.remaining = eb.Next()
-			} else {
-				p.remaining = cfg.Service.Sample(rng)
-			}
-			lq.bump(u, ev.T, 1)
+			p.arrive = t
+			p.remaining = cfg.Service.Sample(rng)
+			lq.bump(u, t, 1)
 			inSystem++
-			if ev.T >= cfg.Warmup {
+			if t >= cfg.Warmup {
 				res.Arrivals++
 			}
 			if serving == nil {
-				serving = p
-				events.Enqueue(calq.Event{T: ev.T + p.remaining})
+				serving, done = p, t+p.remaining
 			} else {
-				cfg.Sched.Enqueue(p, ev.T)
+				cfg.Sched.Enqueue(p, t)
 			}
-		} else {
-			if serving == nil {
-				continue
-			}
-			p := serving
-			lq.bump(p.user, ev.T, -1)
-			inSystem--
-			if ev.T >= cfg.Warmup {
-				res.Departures++
-				departed[p.user]++
-				delaySum[p.user] += ev.T - p.arrive
-			}
-			pool.put(p)
-			serving = nil
-			if cfg.Sched.Len() > 0 {
-				serving = cfg.Sched.Dequeue(ev.T)
-				events.Enqueue(calq.Event{T: ev.T + serving.remaining})
-			}
+			continue
+		}
+		p := serving
+		lq.bump(p.user, t, -1)
+		inSystem--
+		if t >= cfg.Warmup {
+			res.Departures++
+			departed[p.user]++
+			delaySum[p.user] += t - p.arrive
+		}
+		pool.put(p)
+		serving, done = nil, math.Inf(1)
+		if cfg.Sched.Len() > 0 {
+			serving = cfg.Sched.Dequeue(t)
+			done = t + serving.remaining
 		}
 	}
-
-	lq.finish()
-
-	res.Duration = cfg.Horizon
-	//lint:allow ctxflow O(n) post-run stats assembly over per-source accumulators; the event loop above already honored the deadline
-	for i := 0; i < n; i++ {
-		res.AvgQueue[i] = lq.avgQueue(i)
-		res.QueueCI95[i] = batchCI(lq.batchRow(i), batchLen)
-		if departed[i] > 0 {
-			res.AvgDelay[i] = delaySum[i] / float64(departed[i])
-		} else {
-			res.AvgDelay[i] = math.NaN()
-		}
-		res.Throughput[i] = float64(departed[i]) / cfg.Horizon
-	}
-	res.TotalAvgQueue = totalAvg.Value()
-	return res, nil
+	return finishResult(res, lq, &totalAvg, delaySum, departed, cfg.Horizon), nil
 }

@@ -19,20 +19,19 @@ func runSched(t *testing.T, cfg SchedConfig) Result {
 
 func TestFCFSSchedMatchesPK(t *testing.T) {
 	// The FCFS scheduler must reproduce the P-K mean for any service law.
-	rates := []float64{0.2, 0.3}
-	for _, cv2 := range []float64{0, 1, 2} {
+	eachGenerated(t, 21, func(t *testing.T, rates []float64, load, cv2, horizon float64, seed int64) {
 		res := runSched(t, SchedConfig{
 			Rates:   rates,
 			Service: randdist.FromCV2(cv2),
 			Sched:   &FCFSSched{},
-			Horizon: 4e5,
-			Seed:    21,
+			Horizon: horizon,
+			Seed:    seed,
 		})
-		want := mm1.MG1{CV2: cv2}.L(0.5)
+		want := mm1.MG1{CV2: cv2}.L(load)
 		if math.Abs(res.TotalAvgQueue-want) > 0.06*want {
-			t.Errorf("cv²=%v: total %v, want %v", cv2, res.TotalAvgQueue, want)
+			t.Errorf("total %v, want %v", res.TotalAvgQueue, want)
 		}
-	}
+	})
 }
 
 func TestFQTotalQueueConservedDeterministic(t *testing.T) {

@@ -1,22 +1,22 @@
 package des
 
-// Stream-free markers.  The engines share one seeded rng per run, and the
-// batched variate generation in internal/randdist may only prefetch whole
+// Stream-free markers.  Run and RunTandem share one seeded rng per run
+// with their disciplines, and their PairBatch may only prefetch whole
 // blocks when nothing else consumes that stream mid-run — otherwise the
 // prefetch would reorder draws and change every seeded result.  A
-// discipline, classifier, or scheduler declares that it never draws from
-// the run's rng (after Reset) by implementing StreamFree; anything
-// without the marker — including randomized disciplines like
-// ProcessorSharing (rng.Intn per departure), the FairShareSplitter and
-// SerialClass thinners (rng.Float64 per arrival), and any external
-// implementation — falls back to block size 1, which is byte-identical to
-// the unbatched stream no matter who draws in between.  Claiming the
-// marker falsely is the one way to change seeded results, so new
-// randomized implementations must simply not implement it.
+// discipline declares that it never draws from the run's rng (after
+// Reset) by implementing StreamFree; anything without the marker —
+// including randomized disciplines like ProcessorSharing (rng.Intn per
+// departure), the FairShareSplitter thinner (rng.Float64 per arrival),
+// and any external implementation — falls back to block size 1, which is
+// byte-identical to the unbatched stream no matter who draws in between.
+// Claiming the marker falsely is the one way to change seeded results, so
+// new randomized disciplines must simply not implement it.  (RunG and
+// RunSched batch their arrival pairs at full block size whoever draws in
+// between; see arrivals in lazy.go.)
 
-// StreamFree is implemented by disciplines, classifiers, and schedulers
-// that perform no draws from the run's shared rng between Reset and the
-// end of the run.
+// StreamFree is implemented by disciplines that perform no draws from
+// the run's shared rng between Reset and the end of the run.
 type StreamFree interface {
 	// StreamFree reports that the implementation is draw-free for the
 	// whole run.
@@ -47,19 +47,3 @@ func (s *StrictPriority) StreamFree() bool { return true }
 // StreamFree implements the draw-free marker: the rank table is computed
 // at Reset and the underlying strict-priority queues are deterministic.
 func (r *RatePriority) StreamFree() bool { return true }
-
-// StreamFree implements the draw-free marker: the single class is
-// constant.
-func (SingleClass) StreamFree() bool { return true }
-
-// StreamFree implements the draw-free marker: ranks are computed at
-// Reset.
-func (rc *RankClass) StreamFree() bool { return true }
-
-// StreamFree implements the draw-free marker: the Scheduler interface
-// gives schedulers no access to the run's rng at all (Reset takes only
-// rates); declared for uniformity.
-func (f *FCFSSched) StreamFree() bool { return true }
-
-// StreamFree implements the draw-free marker; see FCFSSched.StreamFree.
-func (f *FQSched) StreamFree() bool { return true }

@@ -4,111 +4,123 @@ import (
 	"runtime"
 
 	"greednet/internal/des"
+	"greednet/internal/randdist"
 )
 
-// The events/sec headline family: the same seeded general-service run
-// executed by the calendar-queue engine (des.RunG) and by the frozen
-// container/heap baseline (des.RunGHeap), at three event-queue
-// populations.  The two engines are bit-identical in results and event
-// sequence (internal/des's differential suite pins that), so each pair
-// processes EXACTLY the same events and the events/sec ratio reduces to
-// the inverse runtime ratio — which is what greedbench's events layer
-// gates on.
-// Ratios are machine-relative by construction, so the gate travels
-// across hosts, unlike absolute events/sec, which the JSON artifact
-// records for trending only.
+// The events layer's cases: the DES engines the experiment suite runs,
+// each timed per processed event.  RunG (E15(b)'s engine) runs at four
+// populations of equal-rate sources at total load 0.9; RunSched runs at
+// E18's mixed population under Fair Queueing and RunCtx at E14's under
+// the Fair Share splitter.  Every engine keeps at most two pending
+// times — the next superposed arrival and the current completion — so
+// its cost per event grows with the population only through the O(log N)
+// source pick and the cache misses of the per-user statistics, never
+// through an event set.  Each case carries an absolute ns/event ceiling;
+// the comment on EventScales derives them.
 
-// EventScale is one population point of the events/sec family.
+// EventScale is one case of the events layer: an engine at a population.
 type EventScale struct {
 	// Name is the stable identifier recorded in BENCH_events.json.
 	Name string
-	// Sources is the number of Poisson sources; the event-queue population
-	// is Sources+1 (one pending arrival per source plus the in-service
-	// completion).
-	Sources int
-	// Horizon is the simulated time span (events scale with it at ≈1.8
-	// events per unit time under the fixed 0.9 total load).
+	// Engine names the engine the case runs: "RunG", "RunSched" or
+	// "RunCtx".
+	Engine string
+	// Rates are the per-source Poisson rates.
+	Rates []float64
+	// Horizon is the simulated time span (events scale with it at about
+	// twice the total load per unit time).
 	Horizon float64
-	// RatioFloor is the minimum calendar/heap events-per-second ratio the
-	// events layer accepts.  From N=10² up, where calq runs its bucket
-	// calendar, the O(1)-vs-O(log N) gap widens with the population, so
-	// the floor rises with Sources; at N=10² the calendar only has to not
-	// lose.  At N=4 the floor sits between the calendar's ratio and the
-	// flat representation's, so losing the flat mode fails the gate.
-	RatioFloor float64
+	// NsPerEventMax is the events layer's ceiling on the median
+	// nanoseconds per processed event.
+	NsPerEventMax float64
 }
 
 // AllocsPerEventBudget is the events layer's ceiling on steady-state
-// allocations per event in the calendar-queue engine.  The two-horizon
-// delta cancels all setup and ramp-up allocations, so the warm event
-// loop must measure as allocation-free; the budget is nonzero only to
-// absorb measurement noise (stray runtime allocations between the
-// MemStats reads), not to license any per-event allocation.
+// allocations per event in every engine.  The two-horizon delta cancels
+// all setup and ramp-up allocations, so the warm event loop must measure
+// as allocation-free; the budget is nonzero only to absorb measurement
+// noise (stray runtime allocations between the MemStats reads), not to
+// license any per-event allocation.
 const AllocsPerEventBudget = 0.01
 
-// EventScales returns the benchmark family in emission order:
-// N = 4, 10², 10⁴, 10⁵ sources.
+// equalRates is n sources sharing total load 0.9.
+func equalRates(n int) []float64 {
+	r := make([]float64, n)
+	for i := range r {
+		r[i] = 0.9 / float64(n)
+	}
+	return r
+}
+
+// EventScales returns the events layer's cases in emission order.
+//
+// The ceilings come from recorded runs on a 2-vCPU shared host (seven
+// 100 ms rounds per case, median ns/event, five runs), taken while the
+// frozen container/heap engines the two-time engines replaced still
+// existed.  Each ceiling sits about twice above the two-time engine's
+// slowest median and below the fastest single round any heap run
+// recorded at that scale, so an engine that went back to an O(log N)
+// event set would fail it:
+//
+//	case       two-time medians  heap medians   heap fastest round  ceiling
+//	n4          56–84            214–288        175                 150
+//	n1e2        81–94            340–368        293                 200
+//	n1e4       191–228           687–794        577                 450
+//	n1e5       282–329          1035–1142       916                 700
+//	sched_e18   80–95            215–275        183                 170
+//	ctx_e14     71–95            (RunCtx never had an event set)    180
+//
+// The calendar queue before them measured 105–122, 150–161, 294–343,
+// 593–605 and 117–129 ns/event on the first five cases.
 func EventScales() []EventScale {
 	return []EventScale{
-		// The paper's own scale (E15 and E18 run two to four sources):
-		// five pending events, which calq keeps in its flat slice.  On a
-		// 2-vCPU shared host the bucket calendar measured 1.32–2.02 here
-		// (28 sequential runs of the events gate, one above the floor)
-		// and the flat slice 2.16–3.69 (15 runs).
-		{Name: "n4", Sources: 4, Horizon: 2e4, RatioFloor: 2.0},
-		{Name: "n1e2", Sources: 100, Horizon: 2e4, RatioFloor: 0.9},
-		{Name: "n1e4", Sources: 10_000, Horizon: 5e4, RatioFloor: 1.3},
+		// The paper's own scale: E15 and E18 run two to four sources.
+		{Name: "n4", Engine: "RunG", Rates: equalRates(4), Horizon: 2e4, NsPerEventMax: 150},
+		{Name: "n1e2", Engine: "RunG", Rates: equalRates(100), Horizon: 2e4, NsPerEventMax: 200},
+		{Name: "n1e4", Engine: "RunG", Rates: equalRates(10_000), Horizon: 5e4, NsPerEventMax: 450},
 		// The largest scale runs a longer horizon so per-run event work
-		// dominates the O(N) fixed costs both engines share (seeding the
-		// first arrivals, assembling per-user statistics): events/sec is a
-		// steady-state throughput claim, and a short horizon would dilute
-		// the queue-op gap with identical setup time.
-		{Name: "n1e5", Sources: 100_000, Horizon: 6e5, RatioFloor: 2.0},
+		// dominates the O(N) fixed cost of assembling per-user statistics:
+		// ns/event is a steady-state claim.
+		{Name: "n1e5", Engine: "RunG", Rates: equalRates(100_000), Horizon: 6e5, NsPerEventMax: 700},
+		// E18 (a)'s mixed load: light, medium and heavy flows under DKS
+		// Fair Queueing with exponential packet lengths.
+		{Name: "sched_e18", Engine: "RunSched", Rates: []float64{0.05, 0.2, 0.6}, Horizon: 2e4, NsPerEventMax: 170},
+		// E14's three hill climbers at their starting profile under the
+		// Fair Share splitter.
+		{Name: "ctx_e14", Engine: "RunCtx", Rates: []float64{0.05, 0.3, 0.15}, Horizon: 2e4, NsPerEventMax: 180},
 	}
 }
 
-// eventConfig builds the scale's run: equal-rate sources at total load
-// 0.9, near-zero warmup so every processed event is counted, and a fixed
-// seed so calendar and heap runs consume identical streams.
-func eventConfig(s EventScale, horizonScale float64) des.GConfig {
-	rates := make([]float64, s.Sources)
-	for i := range rates {
-		rates[i] = 0.9 / float64(s.Sources)
-	}
-	return des.GConfig{
-		Rates:   rates,
-		Horizon: s.Horizon * horizonScale,
-		Warmup:  1e-9,
-		Seed:    17,
-	}
-}
-
-// EventRun executes the calendar-queue engine at scale s with the
-// horizon stretched by horizonScale, returning the number of processed
-// (counted) events: arrivals plus departures.
+// EventRun executes case s with the horizon stretched by horizonScale,
+// returning the number of processed (counted) events: arrivals plus
+// departures.  The warmup is near zero so every processed event counts,
+// and the seed is fixed.
 func EventRun(s EventScale, horizonScale float64) (int64, error) {
-	res, err := des.RunG(eventConfig(s, horizonScale))
+	h := s.Horizon * horizonScale
+	const warmup, seed = 1e-9, 17
+	var res des.Result
+	var err error
+	switch s.Engine {
+	case "RunSched":
+		res, err = des.RunSched(des.SchedConfig{Rates: s.Rates, Service: randdist.Exponential{}, Sched: &des.FQSched{},
+			Horizon: h, Warmup: warmup, Seed: seed})
+	case "RunCtx":
+		res, err = des.Run(des.Config{Rates: s.Rates, Discipline: &des.FairShareSplitter{},
+			Horizon: h, Warmup: warmup, Seed: seed})
+	default:
+		res, err = des.RunG(des.GConfig{Rates: s.Rates, Horizon: h, Warmup: warmup, Seed: seed})
+	}
 	if err != nil {
 		return 0, err
 	}
 	return res.Arrivals + res.Departures, nil
 }
 
-// EventRunHeap is EventRun on the frozen heap baseline; it processes the
-// identical event sequence.
-func EventRunHeap(s EventScale, horizonScale float64) (int64, error) {
-	res, err := des.RunGHeap(eventConfig(s, horizonScale))
-	if err != nil {
-		return 0, err
-	}
-	return res.Arrivals + res.Departures, nil
-}
-
-// EventAllocsPerEvent measures the calendar engine's steady-state
-// allocations per event by the two-horizon delta: runs at H and 2H
-// allocate identically during setup and ramp-up (same config shapes,
-// same pool high-water marks by determinism), so the malloc difference
-// divided by the event difference isolates the warm per-event cost.
+// EventAllocsPerEvent measures case s's steady-state allocations per
+// event by the two-horizon delta: runs at H and 2H allocate identically
+// during setup and ramp-up (same config shapes, same pool high-water
+// marks by determinism), so the malloc difference divided by the event
+// difference isolates the warm per-event cost.
 func EventAllocsPerEvent(s EventScale) (float64, error) {
 	a1, e1, err := eventRunMallocs(s, 1)
 	if err != nil {

@@ -2,58 +2,29 @@ package hotpath
 
 import "testing"
 
-// BenchmarkEventsPerSec runs the events/sec family as sub-benchmarks:
-// the calendar-queue engine and its frozen heap baseline at each
-// population scale, with the processed-events rate attached as a custom
-// metric.  `go test -bench EventsPerSec ./internal/hotpath` times the
-// same engines `greedbench -bench events` records in BENCH_events.json.
+// BenchmarkEventsPerSec runs the events layer's cases as sub-benchmarks,
+// with the processed-events rate attached as a custom metric.  `go test
+// -bench EventsPerSec ./internal/hotpath` times the same runs `greedbench
+// -bench events` records in BENCH_events.json.
 func BenchmarkEventsPerSec(b *testing.B) {
 	for _, s := range EventScales() {
 		events, err := EventRun(s, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
-		bench := func(run func(EventScale, float64) (int64, error)) func(b *testing.B) {
-			return func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := run(s, 1); err != nil {
-						b.Fatal(err)
-					}
+		b.Run(s.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := EventRun(s, 1); err != nil {
+					b.Fatal(err)
 				}
-				b.ReportMetric(float64(events)*float64(b.N)/b.Elapsed().Seconds(), "events/s")
 			}
-		}
-		b.Run("calq/"+s.Name, bench(EventRun))
-		b.Run("heap/"+s.Name, bench(EventRunHeap))
+			b.ReportMetric(float64(events)*float64(b.N)/b.Elapsed().Seconds(), "events/s")
+		})
 	}
 }
 
-// The two engines must process identical event counts — they are pinned
-// bit-identical in internal/des; this guards the benchmark pairing
-// itself (same config, same seed) so the events/sec ratio stays a pure
-// runtime ratio.  The two smallest scales cover both calq
-// representations: n4 runs its flat slice, n1e2 its bucket calendar.
-func TestEventEnginesProcessSameEvents(t *testing.T) {
-	for _, s := range EventScales()[:2] {
-		calq, err := EventRun(s, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		heap, err := EventRunHeap(s, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if calq != heap {
-			t.Fatalf("%s: event counts diverged: calendar %d, heap %d", s.Name, calq, heap)
-		}
-		if calq < int64(float64(s.Horizon)) {
-			t.Fatalf("%s: suspiciously few events (%d) for horizon %g", s.Name, calq, s.Horizon)
-		}
-	}
-}
-
-// The warm calendar-queue event loop must be allocation-free at every
+// The warm event loop of every engine must be allocation-free at every
 // scale: the two-horizon delta cancels setup and ramp-up, so anything
 // above the noise budget means a per-event allocation crept in.
 func TestEventAllocsPerEventWithinBudget(t *testing.T) {
@@ -71,10 +42,10 @@ func TestEventAllocsPerEventWithinBudget(t *testing.T) {
 	}
 }
 
-// Scale metadata must be coherent: unique names, rising populations,
-// positive ratio floors, and a horizon long enough that per-run event
-// counts dwarf the population (so seeding cost cannot masquerade as
-// steady state).
+// Case metadata must be coherent: unique names, a known engine, RunG
+// populations rising, positive ceilings, and a horizon long enough that
+// per-run event counts dwarf the population (so setup cost cannot
+// masquerade as steady state).
 func TestEventScaleMetadata(t *testing.T) {
 	names := make(map[string]bool)
 	prevSources := 0
@@ -83,15 +54,21 @@ func TestEventScaleMetadata(t *testing.T) {
 			t.Fatalf("bad or duplicate scale name %q", s.Name)
 		}
 		names[s.Name] = true
-		if s.Sources <= prevSources {
-			t.Fatalf("scale %s: sources %d not increasing", s.Name, s.Sources)
+		switch s.Engine {
+		case "RunG":
+			if len(s.Rates) <= prevSources {
+				t.Fatalf("scale %s: sources %d not increasing", s.Name, len(s.Rates))
+			}
+			prevSources = len(s.Rates)
+		case "RunSched", "RunCtx":
+		default:
+			t.Fatalf("scale %s: unknown engine %q", s.Name, s.Engine)
 		}
-		prevSources = s.Sources
-		if s.RatioFloor <= 0 {
-			t.Fatalf("scale %s: ratio floor %g not positive", s.Name, s.RatioFloor)
+		if s.NsPerEventMax <= 0 {
+			t.Fatalf("scale %s: ns/event ceiling %g not positive", s.Name, s.NsPerEventMax)
 		}
-		if s.Horizon < float64(s.Sources) {
-			t.Fatalf("scale %s: horizon %g shorter than population %d", s.Name, s.Horizon, s.Sources)
+		if s.Horizon < float64(len(s.Rates)) {
+			t.Fatalf("scale %s: horizon %g shorter than population %d", s.Name, s.Horizon, len(s.Rates))
 		}
 	}
 }

@@ -5,49 +5,22 @@ import "math/rand"
 // Batched variate generation for the DES engines.  The engines' seeded
 // streams are part of the repository's reproducibility contract (every
 // EXPERIMENTS.md number is a function of its seed), so batching must
-// not reorder a single draw.  Three shapes cover the engines:
-//
-//   - FillExp fills a workspace slice with consecutive ExpFloat64
-//     draws — the event-queue seeding loops (one draw per source) are
-//     exactly this shape, so prefetching them in one call is
-//     order-preserving by construction.
-//
-//   - ExpBatch serves a run whose remaining draws are a pure
-//     ExpFloat64 sequence (exponential service, stream-free
-//     classifier).  With block size 1 each Next() performs the draw at
-//     the exact point the unbatched engine would have; larger blocks
-//     prefetch runs of draws that were going to be consecutive anyway.
-//
-//   - PairBatch serves the memoryless engines' strict per-iteration
-//     (ExpFloat64, Float64) alternation.  Refills draw E,F,E,F,… in
-//     today's consumption order; block size 1 is always safe (the two
-//     draws of a pair are adjacent in the unbatched stream), larger
-//     blocks require that nothing else draws from the rng mid-run.
+// not reorder a single draw of an engine that promises the unbatched
+// stream.  PairBatch serves the engines' per-event (ExpFloat64,
+// Float64) pairs.  Refills draw E,F,E,F,… in consumption order; block
+// size 1 is always order-preserving (the two draws of a pair are
+// adjacent in the unbatched stream), larger blocks reproduce the
+// unbatched stream only when nothing else draws from the rng mid-run,
+// and are a deterministic function of the seed either way.
 //
 // A block's trailing variates may be drawn past the run's final event;
 // the rng is per-run and discarded, so no later consumer can observe
-// the overshoot.  Differential tests in internal/des pin all of this
-// against frozen unbatched engines, bit for bit.
+// the overshoot.  Differential tests in internal/des pin the batched
+// memoryless engines against frozen unbatched ones, bit for bit.
 
 // batchCap bounds a batch's buffer; blocks live inline in the struct so
 // an engine-stack batch adds zero heap allocations.
 const batchCap = 256
-
-// FillExp fills dst with len(dst) consecutive rng.ExpFloat64 draws, in
-// index order — byte-identical to the loop it replaces.
-func FillExp(rng *rand.Rand, dst []float64) {
-	for i := range dst {
-		dst[i] = rng.ExpFloat64()
-	}
-}
-
-// IsExponential reports whether d's Sample is exactly one
-// rng.ExpFloat64 draw — the condition for funneling service draws
-// through an ExpBatch.
-func IsExponential(d Dist) bool {
-	_, ok := d.(Exponential)
-	return ok
-}
 
 // BlockSize picks a batch's block size: the full buffer when the run's
 // draw order is provably batch-safe, else 1, which preserves the
@@ -57,49 +30,6 @@ func BlockSize(batchSafe bool) int {
 		return batchCap
 	}
 	return 1
-}
-
-// ExpBatch serves ExpFloat64 draws from a prefetched block.
-type ExpBatch struct {
-	rng *rand.Rand
-	k   int // block size (1..batchCap)
-	pos int // next unread index; pos == k means empty
-	buf [batchCap]float64
-}
-
-// Init readies the batch with the given block size (clamped to
-// [1, 256]).  No draws happen until the first Next.
-func (b *ExpBatch) Init(rng *rand.Rand, k int) {
-	if k < 1 {
-		k = 1
-	}
-	if k > batchCap {
-		k = batchCap
-	}
-	b.rng = rng
-	b.k = k
-	b.pos = k
-}
-
-// Next returns the next exponential variate, refilling the block
-// in-place when it runs dry.
-//
-//lint:hotpath
-func (b *ExpBatch) Next() float64 {
-	if b.pos >= b.k {
-		b.refill()
-	}
-	v := b.buf[b.pos]
-	b.pos++
-	return v
-}
-
-//lint:hotpath
-func (b *ExpBatch) refill() {
-	for i := 0; i < b.k; i++ {
-		b.buf[i] = b.rng.ExpFloat64()
-	}
-	b.pos = 0
 }
 
 // PairBatch serves (ExpFloat64, Float64) pairs in the memoryless

@@ -5,35 +5,6 @@ import (
 	"testing"
 )
 
-// TestFillExpMatchesLoop pins FillExp against the loop it replaces:
-// same seed, same draws, bit for bit.
-func TestFillExpMatchesLoop(t *testing.T) {
-	a, b := NewRand(11), NewRand(11)
-	got := make([]float64, 100)
-	FillExp(a, got)
-	for i := range got {
-		if want := b.ExpFloat64(); math.Float64bits(got[i]) != math.Float64bits(want) {
-			t.Fatalf("draw %d: got %v, want %v", i, got[i], want)
-		}
-	}
-}
-
-// TestExpBatchStreamOrder pins ExpBatch at every block size against the
-// unbatched stream: a pure ExpFloat64 consumer sees identical values in
-// identical order regardless of the prefetch block.
-func TestExpBatchStreamOrder(t *testing.T) {
-	for _, k := range []int{1, 2, 7, 256, 0, -5, 10_000} {
-		ref := NewRand(42)
-		var eb ExpBatch
-		eb.Init(NewRand(42), k)
-		for i := 0; i < 1000; i++ {
-			if got, want := eb.Next(), ref.ExpFloat64(); math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("k=%d draw %d: got %v, want %v", k, i, got, want)
-			}
-		}
-	}
-}
-
 // TestPairBatchStreamOrder pins PairBatch's refill order (E,F,E,F,…)
 // against the unbatched alternation for every block size.
 func TestPairBatchStreamOrder(t *testing.T) {
@@ -71,16 +42,6 @@ func TestPairBatchBlockOneInterleaves(t *testing.T) {
 				t.Fatalf("interleaved draw %d diverged: got %v want %v", i, got, want)
 			}
 		}
-	}
-}
-
-// TestIsExponential pins the batch-safety predicate.
-func TestIsExponential(t *testing.T) {
-	if !IsExponential(Exponential{}) {
-		t.Error("Exponential{} not recognized")
-	}
-	if IsExponential(Deterministic{}) || IsExponential(Gamma{K: 2}) || IsExponential(nil) {
-		t.Error("non-exponential Dist recognized as exponential")
 	}
 }
 
