@@ -68,9 +68,9 @@ experiments-check:
 #   hotpath   ns/op, allocs/op, bytes/op of the hottest per-user paths;
 #   classes   the class-aggregated Nash solver at K classes over N users
 #             up to 10^6, after the K = N bit-equality check;
-#   events    median ns/event against an absolute ceiling: RunG at
-#             N = 4, 10^2, 10^4, 10^5 sources, RunSched at E18's and RunCtx
-#             at E14's population; allocs/event, replication scaling;
+#   events    fastest-round ns/event against an absolute ceiling: RunG
+#             at N = 4, 10^2, 10^4, 10^5 sources, RunSched at E18's and
+#             RunCtx at E14's population; allocs/event, replication scaling;
 #   service   a thousand selfish clients plus four chaos injectors
 #             against an in-process greedd, and its drain;
 #   parallel  the fast suite on one worker and on GOMAXPROCS workers.

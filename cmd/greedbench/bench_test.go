@@ -104,15 +104,15 @@ func TestGateEventsCleanReportPasses(t *testing.T) {
 	wantFails(t, clean(t, "events", 1))
 }
 
-// The RunG and RunSched values are the fastest medians the heap engines
+// The RunG and RunSched values are the fastest rounds the heap engines
 // recorded (see hotpath.EventScales), so an engine back on an O(log N)
 // event set fails its ceiling; RunCtx, which never had one, is injected
 // at twice its ceiling.
 func TestGateEventsCatchesCeilingRegression(t *testing.T) {
-	wantFails(t, with(t, clean(t, "events", 4), "n1e5", "ns_per_event", 1035), "events/n1e5/ns_per_event")
-	wantFails(t, with(t, clean(t, "events", 4), "n4", "ns_per_event", 214), "events/n4/ns_per_event")
-	wantFails(t, with(t, clean(t, "events", 4), "sched_e18", "ns_per_event", 215), "events/sched_e18/ns_per_event")
-	wantFails(t, with(t, clean(t, "events", 4), "ctx_e14", "ns_per_event", 360), "events/ctx_e14/ns_per_event")
+	wantFails(t, with(t, clean(t, "events", 4), "n1e5", "ns_per_event", 916), "events/n1e5/ns_per_event")
+	wantFails(t, with(t, clean(t, "events", 4), "n4", "ns_per_event", 175), "events/n4/ns_per_event")
+	wantFails(t, with(t, clean(t, "events", 4), "sched_e18", "ns_per_event", 183), "events/sched_e18/ns_per_event")
+	wantFails(t, with(t, clean(t, "events", 4), "ctx_e14", "ns_per_event", 400), "events/ctx_e14/ns_per_event")
 }
 
 func TestGateEventsCatchesAllocRegression(t *testing.T) {
@@ -132,7 +132,7 @@ func TestGateEventsIgnoresInvalidSpeedup(t *testing.T) {
 }
 
 func TestGateEventsReportsEveryRegression(t *testing.T) {
-	a := with(t, clean(t, "events", 4), "n1e2", "ns_per_event", 340)
+	a := with(t, clean(t, "events", 4), "n1e2", "ns_per_event", 293)
 	a = with(t, a, "n1e5", "allocs_per_event", 1.0)
 	a = with(t, a, replicationCase, "speedup", 0.9)
 	wantFails(t, a, "events/n1e2/ns_per_event", "events/n1e5/allocs_per_event", "events/replication/speedup")

@@ -287,7 +287,7 @@ func RunGCtx(ctx context.Context, cfg GConfig) (Result, error) {
 			return Result{}, err
 		}
 		t := min(arr.t, done)
-		// Accumulate the O(1) total-queue average over [prev, t); the
+		// Accumulate the O(1) total-queue average over [prev, now); the
 		// per-user integrals advance lazily at count changes (lq.bump).
 		now := min(t, end)
 		if now > cfg.Warmup && now > prev {
@@ -318,7 +318,7 @@ func RunGCtx(ctx context.Context, cfg GConfig) (Result, error) {
 			case p.class < serving.class:
 				// Preempt: bank the remaining work, resume it later, and
 				// re-time the completion for the newcomer.
-				serving.remaining = max(done-t, 0)
+				serving.remaining = done - t
 				classes[serving.class].pushFront(serving)
 				start(p, t)
 			default:

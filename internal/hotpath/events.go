@@ -30,8 +30,8 @@ type EventScale struct {
 	// Horizon is the simulated time span (events scale with it at about
 	// twice the total load per unit time).
 	Horizon float64
-	// NsPerEventMax is the events layer's ceiling on the median
-	// nanoseconds per processed event.
+	// NsPerEventMax is the events layer's ceiling on the nanoseconds per
+	// processed event of the case's fastest timed round.
 	NsPerEventMax float64
 }
 
@@ -54,40 +54,45 @@ func equalRates(n int) []float64 {
 
 // EventScales returns the events layer's cases in emission order.
 //
-// The ceilings come from recorded runs on a 2-vCPU shared host (seven
-// 100 ms rounds per case, median ns/event, five runs), taken while the
-// frozen container/heap engines the two-time engines replaced still
-// existed.  Each ceiling sits about twice above the two-time engine's
-// slowest median and below the fastest single round any heap run
-// recorded at that scale, so an engine that went back to an O(log N)
-// event set would fail it:
+// The ceilings gate each case's fastest round (greedbench runs seven
+// rounds of at least 100 ms), because co-tenant load on a shared host
+// only ever adds time.  Between runs it moved the median of seven rounds
+// by up to 3× and the fastest round by up to 2.5×; at sched_e18 the
+// two-time engine's slowest median (228) passed the heap's fastest
+// (215), while the fastest rounds stay apart at every case.  The
+// ceilings come from recorded runs on a 2-vCPU shared host: seven taken while the frozen
+// container/heap engines the two-time engines replaced still existed,
+// and fifteen of the events layer after.  Each ceiling sits under the
+// fastest round any heap run recorded at that case, so an engine that
+// went back to an O(log N) event set would fail it, and 1.2–1.8× over
+// the slowest fastest round of the two-time engine (ns/event):
 //
-//	case       two-time medians  heap medians   heap fastest round  ceiling
-//	n4          56–84            214–288        175                 150
-//	n1e2        81–94            340–368        293                 200
-//	n1e4       191–228           687–794        577                 450
-//	n1e5       282–329          1035–1142       916                 700
-//	sched_e18   80–95            215–275        183                 170
-//	ctx_e14     71–95            (RunCtx never had an event set)    180
+//	case       two-time  heap      ceiling
+//	n4          53–134    175–294   170
+//	n1e2        66–142    293–476   250
+//	n1e4       152–448    577–996   550
+//	n1e5       249–580    916–1477  850
+//	sched_e18   67–138    183–370   170
+//	ctx_e14     66–128    -         200
 //
-// The calendar queue before them measured 105–122, 150–161, 294–343,
-// 593–605 and 117–129 ns/event on the first five cases.
+// RunCtx has no event set to regress to; its ceiling keeps about the
+// n1e5 case's 1.5× over its slowest fastest round.
 func EventScales() []EventScale {
 	return []EventScale{
 		// The paper's own scale: E15 and E18 run two to four sources.
-		{Name: "n4", Engine: "RunG", Rates: equalRates(4), Horizon: 2e4, NsPerEventMax: 150},
-		{Name: "n1e2", Engine: "RunG", Rates: equalRates(100), Horizon: 2e4, NsPerEventMax: 200},
-		{Name: "n1e4", Engine: "RunG", Rates: equalRates(10_000), Horizon: 5e4, NsPerEventMax: 450},
+		{Name: "n4", Engine: "RunG", Rates: equalRates(4), Horizon: 2e4, NsPerEventMax: 170},
+		{Name: "n1e2", Engine: "RunG", Rates: equalRates(100), Horizon: 2e4, NsPerEventMax: 250},
+		{Name: "n1e4", Engine: "RunG", Rates: equalRates(10_000), Horizon: 5e4, NsPerEventMax: 550},
 		// The largest scale runs a longer horizon so per-run event work
 		// dominates the O(N) fixed cost of assembling per-user statistics:
 		// ns/event is a steady-state claim.
-		{Name: "n1e5", Engine: "RunG", Rates: equalRates(100_000), Horizon: 6e5, NsPerEventMax: 700},
+		{Name: "n1e5", Engine: "RunG", Rates: equalRates(100_000), Horizon: 6e5, NsPerEventMax: 850},
 		// E18 (a)'s mixed load: light, medium and heavy flows under DKS
 		// Fair Queueing with exponential packet lengths.
 		{Name: "sched_e18", Engine: "RunSched", Rates: []float64{0.05, 0.2, 0.6}, Horizon: 2e4, NsPerEventMax: 170},
 		// E14's three hill climbers at their starting profile under the
 		// Fair Share splitter.
-		{Name: "ctx_e14", Engine: "RunCtx", Rates: []float64{0.05, 0.3, 0.15}, Horizon: 2e4, NsPerEventMax: 180},
+		{Name: "ctx_e14", Engine: "RunCtx", Rates: []float64{0.05, 0.3, 0.15}, Horizon: 2e4, NsPerEventMax: 200},
 	}
 }
 
