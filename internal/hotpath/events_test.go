@@ -24,6 +24,34 @@ func BenchmarkEventsPerSec(b *testing.B) {
 	}
 }
 
+// greedbench counts a case's events in one run and divides every timed
+// round by that count, so each engine must process the same events on
+// every run of its case (fixed configuration, fixed seed), or ns/event
+// would count one workload and time another.  The cases up to 100
+// sources cover all three engines; a count under the horizon would mean
+// the case barely ran.
+func TestEventEnginesProcessSameEvents(t *testing.T) {
+	for _, s := range EventScales() {
+		if len(s.Rates) > 100 {
+			continue
+		}
+		first, err := EventRun(s, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		again, err := EventRun(s, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first != again {
+			t.Fatalf("%s: event counts diverged between runs: %d, then %d", s.Name, first, again)
+		}
+		if first < int64(s.Horizon) {
+			t.Fatalf("%s: suspiciously few events (%d) for horizon %g", s.Name, first, s.Horizon)
+		}
+	}
+}
+
 // The warm event loop of every engine must be allocation-free at every
 // scale: the two-horizon delta cancels setup and ramp-up, so anything
 // above the noise budget means a per-event allocation crept in.

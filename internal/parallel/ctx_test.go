@@ -41,6 +41,12 @@ func TestMapOrderedCtxUncanceledMatchesErr(t *testing.T) {
 // core.ErrCanceled is returned rather than any task error — the only
 // deterministic report once the executed set depends on scheduling.
 func TestMapOrderedCtxCancelMidFan(t *testing.T) {
+	// Every other task holds its worker until the cancellation, so no
+	// worker can drain the fan while the one holding task 0 is descheduled
+	// (on a loaded host the others once ran all n before it canceled).
+	// guard bounds the wait should task 0 never run.
+	guard, stopGuard := context.WithTimeout(context.Background(), 10*time.Second)
+	defer stopGuard()
 	for _, workers := range []int{1, 4} {
 		ctx, cancel := context.WithCancel(context.Background())
 		var ran atomic.Int64
@@ -49,6 +55,11 @@ func TestMapOrderedCtxCancelMidFan(t *testing.T) {
 			ran.Add(1)
 			if i == 0 {
 				cancel()
+			} else {
+				select {
+				case <-ctx.Done():
+				case <-guard.Done():
+				}
 			}
 			return errors.New("task error that cancellation must mask")
 		})
@@ -59,9 +70,9 @@ func TestMapOrderedCtxCancelMidFan(t *testing.T) {
 			t.Errorf("workers=%d: plain cancellation must not read as a deadline", workers)
 		}
 		// Task 0 cancels; only tasks claimed before the cancellation was
-		// observed may run.  With w workers at most w tasks are in flight
-		// when the flag flips, so far fewer than n run.
-		if got := ran.Load(); got >= n {
+		// observed may run.  No task finishes before it, so each worker
+		// holds at most one when the flag flips: at most w run.
+		if got := ran.Load(); got > int64(workers) {
 			t.Errorf("workers=%d: pool kept claiming after cancel (%d/%d ran)", workers, got, n)
 		}
 		cancel()
