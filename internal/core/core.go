@@ -144,49 +144,6 @@ func Clamp(x, lo, hi float64) float64 {
 	return x
 }
 
-// DefaultTol is the repository-wide default comparison tolerance, sized
-// for quantities solved to the game solvers' convergence thresholds.  Use
-// it with ApproxEq when no tighter context-specific tolerance applies.
-const DefaultTol = 1e-9
-
-// ApproxEq reports whether a and b agree to within tol, measured
-// absolutely near zero and relatively otherwise (|a−b| ≤ tol·max(1, |a|,
-// |b|)).  It is the sanctioned way to compare floating-point quantities —
-// the greedlint floateq analyzer flags raw == / != on floats.  Exact
-// equality (including matching infinities) always passes.
-func ApproxEq(a, b, tol float64) bool {
-	if a == b {
-		return true // fast path; also the only equality NaN-free Inf admits
-	}
-	scale := 1.0
-	if aa := math.Abs(a); aa > scale {
-		scale = aa
-	}
-	if ab := math.Abs(b); ab > scale {
-		scale = ab
-	}
-	return math.Abs(a-b) <= tol*scale
-}
-
-// ApproxZero reports whether |x| ≤ tol.
-func ApproxZero(x, tol float64) bool {
-	return math.Abs(x) <= tol
-}
-
-// ApproxEqSlice reports whether two vectors agree elementwise to within
-// tol under ApproxEq; slices of different lengths never agree.
-func ApproxEqSlice(a, b []float64, tol float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if !ApproxEq(a[i], b[i], tol) {
-			return false
-		}
-	}
-	return true
-}
-
 // IsFiniteVec reports whether every component is finite.
 func IsFiniteVec(v []float64) bool {
 	for _, x := range v {

@@ -62,7 +62,7 @@ func TestWorkspaceVecsIndependent(t *testing.T) {
 		b[i] = 2
 	}
 	for i := range a {
-		if ApproxEq(a[i], b[i], 0) {
+		if a[i] == b[i] {
 			t.Fatalf("VecA and VecB alias at %d", i)
 		}
 	}

@@ -1,6 +1,7 @@
 package des
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -369,9 +370,9 @@ func TestTandemMatchesRef(t *testing.T) {
 				cfg.Horizon = 1200
 				cfg.Seed = seed
 				cfg.NewDisc = mk
-				got, err := RunTandem(cfg)
+				got, err := RunTandemCtx(context.Background(), cfg)
 				if err != nil {
-					t.Fatalf("%s seed %d: RunTandem: %v", name, seed, err)
+					t.Fatalf("%s seed %d: RunTandemCtx: %v", name, seed, err)
 				}
 				want, err := refTandem(cfg)
 				if err != nil {

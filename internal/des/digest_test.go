@@ -1,6 +1,7 @@
 package des
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -57,7 +58,7 @@ func appendDigestTandem(buf []byte, res TandemResult) []byte {
 // TestEngineDigest pins all four DES engines' answers bit for bit, one
 // digest per engine: Run over its seven disciplines, RunG over three
 // classifiers and three service shapes, RunSched over FCFS and Fair
-// Queueing and the same services, and RunTandem under FIFO and Fair
+// Queueing and the same services, and RunTandemCtx under FIFO and Fair
 // Share, each over the differential rate sets plus a four-source set and
 // three seeds.  It needs no frozen engine, only the recorded digests.
 // It runs on amd64 only: other architectures may fuse multiply-adds and
@@ -157,7 +158,7 @@ func TestEngineDigest(t *testing.T) {
 				cfg.NewDisc = mk
 				cfg.Horizon = horizon
 				cfg.Seed = seed
-				res, err := RunTandem(cfg)
+				res, err := RunTandemCtx(context.Background(), cfg)
 				check("RunTandem", err)
 				buf = appendDigestTandem(buf, res)
 			}

@@ -1,6 +1,7 @@
 package des
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -26,20 +27,20 @@ func TestRunRejectsNaNConfig(t *testing.T) {
 		if _, err := RunSched(SchedConfig{Rates: rates, Warmup: v}); !errors.Is(err, ErrBadConfig) {
 			t.Errorf("RunSched(Warmup=%v): err=%v, want ErrBadConfig", v, err)
 		}
-		if _, err := RunTandem(TandemConfig{
+		if _, err := RunTandemCtx(context.Background(), TandemConfig{
 			LongRates: []float64{0.2},
 			NewDisc:   func() Discipline { return &FIFO{} },
 			Horizon:   v,
 		}); !errors.Is(err, ErrBadConfig) {
-			t.Errorf("RunTandem(Horizon=%v): err=%v, want ErrBadConfig", v, err)
+			t.Errorf("RunTandemCtx(Horizon=%v): err=%v, want ErrBadConfig", v, err)
 		}
 	}
 	// NaN rates must not slip through the stability sum either.
-	if _, err := RunTandem(TandemConfig{
+	if _, err := RunTandemCtx(context.Background(), TandemConfig{
 		LongRates: []float64{math.NaN()},
 		NewDisc:   func() Discipline { return &FIFO{} },
 	}); !errors.Is(err, ErrBadConfig) {
-		t.Error("RunTandem(NaN rate) should be ErrBadConfig")
+		t.Error("RunTandemCtx(NaN rate) should be ErrBadConfig")
 	}
 }
 

@@ -1,6 +1,6 @@
 package des
 
-// Stream-free markers.  Run and RunTandem share one seeded rng per run
+// Stream-free markers.  Run and RunTandemCtx share one seeded rng per run
 // with their disciplines, and their PairBatch may only prefetch whole
 // blocks when nothing else consumes that stream mid-run — otherwise the
 // prefetch would reorder draws and change every seeded result.  A

@@ -47,13 +47,8 @@ type TandemResult struct {
 	Departures []int64
 }
 
-// RunTandem simulates the tandem.  Both stations must be stable:
-// Σ(long)+Σ(crossA) < 1 and Σ(long)+Σ(crossB) < 1.
-func RunTandem(cfg TandemConfig) (TandemResult, error) {
-	return RunTandemCtx(context.Background(), cfg)
-}
-
-// RunTandemCtx is RunTandem under a context; see RunCtx for the
+// RunTandemCtx simulates the tandem.  Both stations must be stable:
+// Σ(long)+Σ(crossA) < 1 and Σ(long)+Σ(crossB) < 1.  See RunCtx for the
 // cancellation contract (typed error, no partial statistics).
 func RunTandemCtx(ctx context.Context, cfg TandemConfig) (TandemResult, error) {
 	nLong, nA, nB := len(cfg.LongRates), len(cfg.CrossA), len(cfg.CrossB)

@@ -1,6 +1,7 @@
 package des
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -20,7 +21,7 @@ func TestTandemFIFOMatchesJackson(t *testing.T) {
 		Horizon:   4e5,
 		Seed:      31,
 	}
-	res, err := RunTandem(cfg)
+	res, err := RunTandemCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +49,7 @@ func TestTandemFairShareApproximationQuality(t *testing.T) {
 		Horizon:   4e5,
 		Seed:      32,
 	}
-	res, err := RunTandem(cfg)
+	res, err := RunTandemCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +74,7 @@ func TestTandemFairShareApproximationQuality(t *testing.T) {
 
 func TestTandemCrossUsersUnaffectedByOtherStation(t *testing.T) {
 	// Cross-A users never appear at station B and vice versa.
-	res, err := RunTandem(TandemConfig{
+	res, err := RunTandemCtx(context.Background(), TandemConfig{
 		LongRates: []float64{0.1},
 		CrossA:    []float64{0.2},
 		CrossB:    []float64{0.2},
@@ -101,7 +102,7 @@ func TestTandemEndToEndDelayViaLittle(t *testing.T) {
 		Horizon:   3e5,
 		Seed:      34,
 	}
-	res, err := RunTandem(cfg)
+	res, err := RunTandemCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,17 +114,17 @@ func TestTandemEndToEndDelayViaLittle(t *testing.T) {
 }
 
 func TestTandemRejectsBadConfig(t *testing.T) {
-	if _, err := RunTandem(TandemConfig{}); err == nil {
+	if _, err := RunTandemCtx(context.Background(), TandemConfig{}); err == nil {
 		t.Error("empty config should error")
 	}
-	if _, err := RunTandem(TandemConfig{
+	if _, err := RunTandemCtx(context.Background(), TandemConfig{
 		LongRates: []float64{0.5},
 		CrossA:    []float64{0.6},
 		NewDisc:   func() Discipline { return &FIFO{} },
 	}); err == nil {
 		t.Error("overloaded station should error")
 	}
-	if _, err := RunTandem(TandemConfig{
+	if _, err := RunTandemCtx(context.Background(), TandemConfig{
 		CrossA:  []float64{0.2},
 		NewDisc: func() Discipline { return &FIFO{} },
 	}); err == nil {

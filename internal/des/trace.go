@@ -4,7 +4,6 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"math"
 	"strconv"
 )
 
@@ -75,50 +74,6 @@ func (tr *Tracer) WriteCSV(w io.Writer) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// DelayPercentiles returns the requested delay percentiles (each in
-// [0, 100]) for one user's packets, or NaNs when the user has no records.
-func (tr *Tracer) DelayPercentiles(user int, ps ...float64) []float64 {
-	var delays []float64
-	for _, r := range tr.Records {
-		if r.User == user {
-			delays = append(delays, r.Delay())
-		}
-	}
-	out := make([]float64, len(ps))
-	if len(delays) == 0 {
-		for i := range out {
-			out[i] = math.NaN()
-		}
-		return out
-	}
-	insertionSort(delays)
-	for i, p := range ps {
-		idx := int(p / 100 * float64(len(delays)-1))
-		if idx < 0 {
-			idx = 0
-		}
-		if idx >= len(delays) {
-			idx = len(delays) - 1
-		}
-		out[i] = delays[idx]
-	}
-	return out
-}
-
-// insertionSort avoids importing sort for a hot loop on mostly-sorted
-// departure-ordered delays.
-func insertionSort(xs []float64) {
-	for i := 1; i < len(xs); i++ {
-		v := xs[i]
-		j := i - 1
-		for j >= 0 && xs[j] > v {
-			xs[j+1] = xs[j]
-			j--
-		}
-		xs[j+1] = v
-	}
 }
 
 // String summarizes the tracer.

@@ -2,7 +2,6 @@ package des
 
 import (
 	"errors"
-	"math"
 	"testing"
 )
 
@@ -44,29 +43,5 @@ func TestWriteCSVMidRecordError(t *testing.T) {
 	// so the failure surfaces from a record write or the final flush.
 	if err := tr.WriteCSV(&limitWriter{limit: 4096}); !errors.Is(err, errSinkFull) {
 		t.Errorf("WriteCSV to a filling writer = %v, want %v", err, errSinkFull)
-	}
-}
-
-func TestDelayPercentilesNoRecordsIsNaN(t *testing.T) {
-	tr := NewTracer(10)
-	tr.Observe(Packet{User: 0, Arrive: 1}, 2)
-	got := tr.DelayPercentiles(7, 50, 99) // user 7 never departed
-	if len(got) != 2 || !math.IsNaN(got[0]) || !math.IsNaN(got[1]) {
-		t.Errorf("DelayPercentiles(absent user) = %v, want NaNs", got)
-	}
-}
-
-func TestDelayPercentilesClampsRange(t *testing.T) {
-	tr := NewTracer(10)
-	for i := 0; i < 4; i++ {
-		tr.Observe(Packet{User: 0, Arrive: 0}, float64(i+1)) // delays 1..4
-	}
-	got := tr.DelayPercentiles(0, -5, 0, 100, 150)
-	want := []float64{1, 1, 4, 4}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("DelayPercentiles clamp: got %v, want %v", got, want)
-			break
-		}
 	}
 }

@@ -3,6 +3,7 @@ package des
 import (
 	"bytes"
 	"math"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -78,21 +79,6 @@ func TestTracerCSV(t *testing.T) {
 	}
 }
 
-func TestDelayPercentiles(t *testing.T) {
-	tr := NewTracer(10)
-	for i, d := range []float64{5, 1, 3, 2, 4} {
-		tr.Observe(Packet{User: 0, Arrive: float64(i)}, float64(i)+d)
-	}
-	ps := tr.DelayPercentiles(0, 0, 50, 100)
-	if ps[0] != 1 || ps[1] != 3 || ps[2] != 5 {
-		t.Errorf("percentiles = %v", ps)
-	}
-	missing := tr.DelayPercentiles(7, 50)
-	if !math.IsNaN(missing[0]) {
-		t.Errorf("missing user percentile should be NaN: %v", missing)
-	}
-}
-
 func TestTracedTailDelaysFSvsFIFO(t *testing.T) {
 	// The tracer enables a claim the mean can't show: under Fair Share a
 	// light user's TAIL delay is also insulated from a heavy sender.
@@ -113,9 +99,20 @@ func TestTracedTailDelaysFSvsFIFO(t *testing.T) {
 	}
 	fifo := run(&FIFO{})
 	fs := run(&FairShareSplitter{})
-	p99FIFO := fifo.DelayPercentiles(0, 99)[0]
-	p99FS := fs.DelayPercentiles(0, 99)[0]
+	p99FIFO, p99FS := p99(fifo, 0), p99(fs, 0)
 	if p99FS >= 0.7*p99FIFO {
 		t.Errorf("FS should cut the light user's p99 delay: %v vs %v", p99FS, p99FIFO)
 	}
+}
+
+// p99 is the 99th-percentile delay of one user's traced packets.
+func p99(tr *Tracer, user int) float64 {
+	var delays []float64
+	for _, r := range tr.Records {
+		if r.User == user {
+			delays = append(delays, r.Delay())
+		}
+	}
+	sort.Float64s(delays)
+	return delays[len(delays)*99/100]
 }

@@ -144,21 +144,16 @@ func growVec(buf []float64, n int) []float64 {
 	return buf[:n]
 }
 
-// RoundEliminate performs one sound elimination round on the box: for each
-// user it discards candidate rates whose best possible payoff against any
-// profile in the box is worse than the guaranteed payoff of some other
+// roundEliminateWS performs one sound elimination round on the box: for
+// each user it discards candidate rates whose best possible payoff against
+// any profile in the box is worse than the guaranteed payoff of some other
 // candidate.  Soundness relies on MAC monotonicity: C_i(·|s) over the box
 // is bracketed by its values at the others-lo and others-hi corners, and
 // U_i is decreasing in congestion.  The returned box is the interval hull
-// of the surviving grid values (padded by one grid cell).
-func RoundEliminate(a core.Allocation, us core.Profile, b Box, opt EliminationOptions) Box {
-	return roundEliminateWS(nil, a, us, b, opt)
-}
-
-// roundEliminateWS is RoundEliminate on caller-owned scratch, bit-identical
-// to it (the public entry point delegates here with nil).  The corner
-// probes go through alloc.CongestionOfInto, so disciplines with a fast
-// path evaluate without per-probe allocation.
+// of the surviving grid values (padded by one grid cell).  It runs on
+// caller-owned scratch (nil means transient scratch); the corner probes go
+// through alloc.CongestionOfInto, so disciplines with a fast path evaluate
+// without per-probe allocation.
 func roundEliminateWS(ws *elimWorkspace, a core.Allocation, us core.Profile, b Box, opt EliminationOptions) Box {
 	opt = opt.withDefaults()
 	n := len(b.Lo)
@@ -222,15 +217,15 @@ func roundEliminateWS(ws *elimWorkspace, a core.Allocation, us core.Profile, b B
 	return out
 }
 
-// GeneralizedHillClimb iterates RoundEliminate until the box collapses, the
-// round budget is exhausted, or no further progress is made.  Under Fair
-// Share the box collapses around the unique Nash equilibrium (Theorem
-// 5(1)); under the proportional allocation it typically stalls while still
-// wide, because a candidate's guaranteed payoff is −Inf whenever the rest
-// of the box can overload the switch.
+// GeneralizedHillClimb iterates elimination rounds until the box
+// collapses, the round budget is exhausted, or no further progress is
+// made.  Under Fair Share the box collapses around the unique Nash
+// equilibrium (Theorem 5(1)); under the proportional allocation it
+// typically stalls while still wide, because a candidate's guaranteed
+// payoff is −Inf whenever the rest of the box can overload the switch.
 //
 // Note on completeness: the paper eliminates s when some ŝ beats it at
-// every profile r in S^t; RoundEliminate uses the sound relaxation
+// every profile r in S^t; roundEliminateWS uses the sound relaxation
 // "guaranteed payoff of ŝ exceeds best-case payoff of s" with independent
 // corner bounds, which discards the correlation between the two payoffs.
 // The relaxation shrinks the box like √w per round and therefore stalls at
@@ -318,17 +313,10 @@ func (o HillClimbOptions) withDefaults(n int) HillClimbOptions {
 	return o
 }
 
-// HillClimb runs naive simultaneous gradient hill climbing: each user, on
-// its own period, probes its payoff derivative and takes a bounded step in
-// the uphill direction.  It returns the trajectory of rate vectors (one
-// entry per round, including the start).
-func HillClimb(a core.Allocation, us core.Profile, r0 []core.Rate, opt HillClimbOptions) [][]float64 {
-	// The background context cannot fire, so the error path is dead.
-	traj, _ := HillClimbCtx(context.Background(), a, us, r0, opt)
-	return traj
-}
-
-// HillClimbCtx is HillClimb under a context, polled once per round.  On
+// HillClimbCtx runs naive simultaneous gradient hill climbing: each user,
+// on its own period, probes its payoff derivative and takes a bounded step
+// in the uphill direction.  It returns the trajectory of rate vectors (one
+// entry per round, including the start).  It polls ctx once per round; on
 // cancellation it returns the trajectory simulated so far (every entry is
 // real dynamics, just truncated) with the typed core.ErrCanceled /
 // core.ErrDeadline.

@@ -1,6 +1,7 @@
 package dynamics
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -97,7 +98,7 @@ func TestRoundEliminateSound(t *testing.T) {
 	want := (1 - math.Sqrt(gamma)) / float64(n)
 	b := NewBox(n, 1e-6, 1-1e-6)
 	for round := 0; round < 30; round++ {
-		b = RoundEliminate(alloc.FairShare{}, us, b, EliminationOptions{})
+		b = roundEliminateWS(nil, alloc.FairShare{}, us, b, EliminationOptions{})
 		for i := 0; i < n; i++ {
 			if want < b.Lo[i]-1e-9 || want > b.Hi[i]+1e-9 {
 				t.Fatalf("round %d: Nash rate %v eliminated from [%v, %v]",
@@ -111,10 +112,13 @@ func TestHillClimbConvergesFairShare(t *testing.T) {
 	n := 3
 	gamma := 0.25
 	us := utility.Identical(utility.NewLinear(1, gamma), n)
-	traj := HillClimb(alloc.FairShare{}, us, []float64{0.05, 0.2, 0.4}, HillClimbOptions{
+	traj, err := HillClimbCtx(context.Background(), alloc.FairShare{}, us, []float64{0.05, 0.2, 0.4}, HillClimbOptions{
 		Step:   0.005,
 		Rounds: 4000,
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	final := traj[len(traj)-1]
 	want := (1 - math.Sqrt(gamma)) / float64(n)
 	for i, v := range final {
@@ -129,11 +133,14 @@ func TestHillClimbHeterogeneousPeriods(t *testing.T) {
 	n := 3
 	gamma := 0.25
 	us := utility.Identical(utility.NewLinear(1, gamma), n)
-	traj := HillClimb(alloc.FairShare{}, us, []float64{0.3, 0.1, 0.1}, HillClimbOptions{
+	traj, err := HillClimbCtx(context.Background(), alloc.FairShare{}, us, []float64{0.3, 0.1, 0.1}, HillClimbOptions{
 		Step:   0.005,
 		Rounds: 8000,
 		Period: []int{7, 1, 1},
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	final := traj[len(traj)-1]
 	want := (1 - math.Sqrt(gamma)) / float64(n)
 	for i, v := range final {
@@ -145,7 +152,10 @@ func TestHillClimbHeterogeneousPeriods(t *testing.T) {
 
 func TestHillClimbTrajectoryShape(t *testing.T) {
 	us := utility.Identical(utility.NewLinear(1, 0.3), 2)
-	traj := HillClimb(alloc.FairShare{}, us, []float64{0.1, 0.1}, HillClimbOptions{Rounds: 10})
+	traj, err := HillClimbCtx(context.Background(), alloc.FairShare{}, us, []float64{0.1, 0.1}, HillClimbOptions{Rounds: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(traj) != 11 {
 		t.Fatalf("trajectory length %d, want 11", len(traj))
 	}

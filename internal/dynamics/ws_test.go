@@ -1,6 +1,7 @@
 package dynamics
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -10,7 +11,7 @@ import (
 )
 
 // A reused elimination workspace must be stateless across rounds: stepping
-// RoundEliminate (fresh transient scratch per call) bit-matches the shared
+// roundEliminateWS with nil scratch (fresh per call) bit-matches the shared
 // workspace that GeneralizedHillClimb threads through all its rounds.
 func TestGHCSharedWorkspaceBitMatchesStepwiseRounds(t *testing.T) {
 	for _, a := range []core.Allocation{alloc.FairShare{}, alloc.Proportional{}} {
@@ -20,7 +21,7 @@ func TestGHCSharedWorkspaceBitMatchesStepwiseRounds(t *testing.T) {
 
 		b := NewBox(3, 1e-6, 1-1e-6)
 		for round := 0; round < res.Rounds; round++ {
-			b = RoundEliminate(a, us, b, opt)
+			b = roundEliminateWS(nil, a, us, b, opt)
 		}
 		for i := range b.Lo {
 			if math.Float64bits(res.Final.Lo[i]) != math.Float64bits(b.Lo[i]) ||
@@ -40,7 +41,10 @@ func TestHillClimbMatchesWithRateProbes(t *testing.T) {
 	us := utility.Identical(utility.NewLinear(1, 0.3), 3)
 	r0 := []core.Rate{0.05, 0.2, 0.12}
 	opt := HillClimbOptions{Rounds: 40, Period: []int{1, 2, 3}}
-	traj := HillClimb(a, us, r0, opt)
+	traj, err := HillClimbCtx(context.Background(), a, us, r0, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	o := opt.withDefaults(len(r0))
 	r := append([]float64(nil), r0...)

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"sync"
 	"text/tabwriter"
 	"time"
@@ -122,16 +121,6 @@ func ByID(id string) (Experiment, bool) {
 	})
 	e, ok := registryByID[id]
 	return e, ok
-}
-
-// IDs returns all registered IDs sorted.
-func IDs() []string {
-	var ids []string
-	for _, e := range All() {
-		ids = append(ids, e.ID)
-	}
-	sort.Strings(ids)
-	return ids
 }
 
 // table wraps a tabwriter with convenience row helpers.  Write errors are

@@ -29,8 +29,8 @@ func TestByID(t *testing.T) {
 	if _, ok := ByID("E99"); ok {
 		t.Error("E99 should not exist")
 	}
-	if len(IDs()) != 21 {
-		t.Error("IDs should list 21 experiments")
+	if len(All()) != 21 {
+		t.Error("the registry should list 21 experiments")
 	}
 }
 

@@ -41,11 +41,6 @@ func (o BROptions) withDefaults() BROptions {
 	return o
 }
 
-// Payoff returns user i's utility at rate vector r under allocation a.
-func Payoff(a core.Allocation, u core.Utility, r []core.Rate, i int) float64 {
-	return u.Value(r[i], a.CongestionOf(r, i))
-}
-
 // BestResponse maximizes user i's utility over its own rate, holding the
 // other rates in r fixed.  It returns the maximizing rate and the utility
 // achieved.  The search is grid-seeded golden section over [Lo, Hi].

@@ -113,17 +113,6 @@ func (cg ClassGame) Rates() []core.Rate {
 	return out
 }
 
-// Key renders the canonical profile key of the game (profkey class
-// form): two games share a key iff they expand to the same multiset of
-// (utility spec, bit-exact rate) users.
-func (cg ClassGame) Key() string {
-	entries := make([]profkey.ClassEntry, len(cg.Classes))
-	for i, c := range cg.Classes {
-		entries[i] = profkey.ClassEntry{Spec: UtilitySpec(c.U), RateVal: c.Rate, Count: c.Count}
-	}
-	return profkey.Classes(entries)
-}
-
 // Aggregate coalesces a per-user game into its class representation.
 // Users belong to the same class iff their utilities render to the same
 // spec AND their rates are bit-equal — an ulp of rate difference is a
@@ -191,7 +180,6 @@ func (cg ClassGame) ExpandVec(dst []float64, v []float64) []float64 {
 			k++
 		}
 	}
-	_ = k
 	return dst
 }
 

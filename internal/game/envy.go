@@ -39,12 +39,6 @@ func MaxEnvy(us core.Profile, p core.Point) (amount float64, envier, envied int)
 	return amount, envier, envied
 }
 
-// IsEnvyFree reports whether no user envies another within tol.
-func IsEnvyFree(us core.Profile, p core.Point, tol float64) bool {
-	amount, _, _ := MaxEnvy(us, p)
-	return amount <= tol
-}
-
 // UnilateralEnvy measures the paper's unilaterally-envy-free condition
 // (Definition 4) for user i: it replaces r_i with user i's best response to
 // the other components of r, then returns the maximum envy user i feels at

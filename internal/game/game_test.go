@@ -141,7 +141,7 @@ func TestProportionalNashNotPareto(t *testing.T) {
 		t.Fatal("solve failed")
 	}
 	p := core.Point{R: res.R, C: res.C}
-	if IsParetoFDC(us, p, 1e-6) {
+	if numeric.VecNormInf(ParetoResidual(us, p)) <= 1e-6 {
 		t.Error("proportional Nash should violate the Pareto FDC")
 	}
 	// Constructive: a dominating feasible point exists.
@@ -163,7 +163,7 @@ func TestFairShareSymmetricNashIsPareto(t *testing.T) {
 		t.Fatal("solve failed")
 	}
 	p := core.Point{R: res.R, C: res.C}
-	if !IsParetoFDC(us, p, 1e-4) {
+	if numeric.VecNormInf(ParetoResidual(us, p)) > 1e-4 {
 		t.Errorf("FS symmetric Nash should satisfy the Pareto FDC; residual %v",
 			ParetoResidual(us, p))
 	}
@@ -190,7 +190,7 @@ func TestHeterogeneousFairShareNashNotPareto(t *testing.T) {
 	if math.Abs(res.R[0]-res.R[1]) < 1e-6 {
 		t.Fatal("expected asymmetric equilibrium")
 	}
-	if IsParetoFDC(us, core.Point{R: res.R, C: res.C}, 1e-6) {
+	if numeric.VecNormInf(ParetoResidual(us, core.Point{R: res.R, C: res.C})) <= 1e-6 {
 		t.Error("asymmetric FS Nash should not satisfy the Pareto FDC (Theorem 2)")
 	}
 }
@@ -227,8 +227,7 @@ func TestFairShareNashEnvyFree(t *testing.T) {
 		if err != nil || !res.Converged {
 			t.Fatalf("trial %d: solve failed", trial)
 		}
-		if !IsEnvyFree(us, core.Point{R: res.R, C: res.C}, 1e-7) {
-			amount, i, j := MaxEnvy(us, core.Point{R: res.R, C: res.C})
+		if amount, i, j := MaxEnvy(us, core.Point{R: res.R, C: res.C}); amount > 1e-7 {
 			t.Fatalf("trial %d: FS Nash envious: user %d envies %d by %v", trial, i, j, amount)
 		}
 	}
@@ -415,17 +414,6 @@ func TestNewtonDivergesProportional(t *testing.T) {
 	hist := NewtonConvergence(alloc.Proportional{}, us, start, 8)
 	if hist[len(hist)-1] < hist[0] {
 		t.Errorf("expected Newton residual growth under FIFO, got %v", hist)
-	}
-}
-
-func TestNashTrajectoryRecordsRounds(t *testing.T) {
-	us := utility.Identical(utility.NewLinear(1, 0.3), 2)
-	traj := NashTrajectory(alloc.FairShare{}, us, []float64{0.1, 0.2}, NashOptions{}, 5)
-	if len(traj) != 6 {
-		t.Fatalf("trajectory length %d, want 6", len(traj))
-	}
-	if traj[0][0] != 0.1 || traj[0][1] != 0.2 {
-		t.Error("trajectory should start at r0")
 	}
 }
 

@@ -263,29 +263,6 @@ func (g *finiteGame) congestion(dst, r []float64) {
 	}
 }
 
-// NashTrajectory records the rate vectors visited by best-response
-// iteration (including the start), up to maxRounds rounds, without any
-// convergence requirement.  Useful for plotting and stability experiments.
-func NashTrajectory(a core.Allocation, us core.Profile, r0 []core.Rate, opt NashOptions, maxRounds int) [][]float64 {
-	opt.MaxIter = 1
-	// One workspace serves every round; each round's SolveNashWS returns a
-	// freshly allocated R, so the trajectory can keep it directly instead
-	// of re-copying (the per-round append+copy this loop historically did).
-	ws := NewWorkspace()
-	traj := make([][]float64, 0, maxRounds+1)
-	traj = append(traj, append([]float64(nil), r0...))
-	r := r0
-	for k := 0; k < maxRounds; k++ {
-		res, err := SolveNashWS(context.Background(), ws, a, us, r, opt)
-		if err != nil {
-			break
-		}
-		r = res.R
-		traj = append(traj, r)
-	}
-	return traj
-}
-
 // MultiStartResult reports a multi-start Nash search.  Dropped makes the
 // failure mode visible: a sweep where 0 of N starts converged (Dropped ==
 // N, All empty) is distinguishable from a sweep that was handed no starts

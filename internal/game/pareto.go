@@ -23,19 +23,6 @@ func ParetoResidual(us core.Profile, p core.Point) []float64 {
 	return out
 }
 
-// IsParetoFDC reports whether the Pareto first-derivative condition holds
-// within tol at the point.  For the paper's convex feasible set, FDC plus
-// convexity implies Pareto optimality, and FDC failure at an interior point
-// implies the point is not Pareto optimal.
-func IsParetoFDC(us core.Profile, p core.Point, tol float64) bool {
-	for _, v := range ParetoResidual(us, p) {
-		if math.Abs(v) > tol {
-			return false
-		}
-	}
-	return true
-}
-
 // SymmetricParetoRate solves for the common rate r at which the completely
 // symmetric allocation (r, ..., r) with equal congestion split g(n·r)/n
 // satisfies the Pareto FDC for n users sharing the same utility u:

@@ -3,7 +3,6 @@ package game
 import (
 	"math"
 
-	"greednet/internal/alloc"
 	"greednet/internal/core"
 	"greednet/internal/numeric"
 )
@@ -78,13 +77,4 @@ func NewtonConvergence(a core.Allocation, us core.Profile, r0 []core.Rate, steps
 		}
 	}
 	return out
-}
-
-// FSRelaxationAnalytic builds the relaxation matrix for the Fair Share
-// allocation using its analytic triangular structure, valid at points with
-// pairwise-distinct rates.  It exists to cross-check RelaxationMatrix and
-// to exhibit the lower-triangular, zero-diagonal form directly.
-func FSRelaxationAnalytic(us core.Profile, r []core.Rate) *numeric.Matrix {
-	fs := alloc.FairShare{}
-	return RelaxationMatrix(fs, us, r, 0)
 }

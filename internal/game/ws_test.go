@@ -334,26 +334,3 @@ func TestBestResponseWSZeroAllocs(t *testing.T) {
 		t.Errorf("warm Proportional BestResponseWS allocs/op = %v, want 0", got)
 	}
 }
-
-// NashTrajectory must report the same rate vectors as stepping SolveNash
-// round by round (its historical definition).
-func TestNashTrajectoryMatchesStepwiseSolves(t *testing.T) {
-	us := core.Profile{utility.NewLinear(1, 0.25), utility.NewLinear(0.7, 0.4), utility.NewLinear(1.2, 0.2)}
-	r0 := []core.Rate{0.3, 0.1, 0.05}
-	const rounds = 6
-	traj := NashTrajectory(alloc.FairShare{}, us, r0, NashOptions{}, rounds)
-	opt := NashOptions{MaxIter: 1}
-	r := r0
-	for k := 1; k < len(traj); k++ {
-		res, err := SolveNash(alloc.FairShare{}, us, r, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r = res.R
-		for i := range r {
-			if math.Float64bits(traj[k][i]) != math.Float64bits(r[i]) {
-				t.Fatalf("round %d user %d: trajectory %v, stepwise %v", k, i, traj[k][i], r[i])
-			}
-		}
-	}
-}

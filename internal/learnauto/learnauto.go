@@ -180,15 +180,3 @@ func sample(rng *rand.Rand, p []float64) int {
 	}
 	return len(p) - 1
 }
-
-// Mean returns each user's distribution-mean rate (a smoother summary
-// than the mode).
-func (r Result) Mean() []float64 {
-	out := make([]float64, len(r.Probs))
-	for i, p := range r.Probs {
-		for k, v := range p {
-			out[i] += v * r.Grid[k]
-		}
-	}
-	return out
-}

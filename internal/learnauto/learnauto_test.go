@@ -56,17 +56,6 @@ func TestProbabilitiesRemainSimplex(t *testing.T) {
 	}
 }
 
-func TestMeanSummary(t *testing.T) {
-	res := Result{
-		Grid:  []float64{0.1, 0.2},
-		Probs: [][]float64{{0.25, 0.75}},
-	}
-	m := res.Mean()
-	if math.Abs(m[0]-0.175) > 1e-12 {
-		t.Errorf("Mean = %v, want 0.175", m)
-	}
-}
-
 func TestInfinitePayoffsHandled(t *testing.T) {
 	// A payoff function that returns −Inf outside a narrow band must not
 	// corrupt the distributions.
@@ -85,4 +74,16 @@ func TestInfinitePayoffsHandled(t *testing.T) {
 			t.Errorf("automaton %d modal %v, want ≈0.2", i, m)
 		}
 	}
+}
+
+// mean returns each user's distribution-mean rate: a smoother summary of
+// the automata's final distributions than the mode.
+func mean(r Result) []float64 {
+	out := make([]float64, len(r.Probs))
+	for i, p := range r.Probs {
+		for k, v := range p {
+			out[i] += v * r.Grid[k]
+		}
+	}
+	return out
 }

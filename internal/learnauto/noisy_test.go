@@ -37,7 +37,7 @@ func TestAutomataConvergeUnderNoise(t *testing.T) {
 func TestAutomataMeanTracksModal(t *testing.T) {
 	us := utility.Identical(utility.NewLinear(1, 0.25), 2)
 	res := Run(AnalyticPayoff(alloc.FairShare{}, us), 2, Options{Seed: 13, Rounds: 12000})
-	means := res.Mean()
+	means := mean(res)
 	for i := range means {
 		if math.Abs(means[i]-res.Modal[i]) > 0.1 {
 			t.Errorf("automaton %d mean %v far from modal %v", i, means[i], res.Modal[i])

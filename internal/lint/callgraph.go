@@ -62,7 +62,6 @@ type FuncFact struct {
 
 // PkgFacts bundles one package's exported function facts.
 type PkgFacts struct {
-	Path  string              `json:"path"`
 	Funcs map[string]FuncFact `json:"funcs"`
 }
 
@@ -70,13 +69,12 @@ type PkgFacts struct {
 // transitively: a package's vetx output re-exports everything it imported,
 // so dependents see the whole downward closure.
 type FactStore struct {
-	pkgs  map[string]bool
 	funcs map[string]FuncFact
 }
 
 // NewFactStore returns an empty store.
 func NewFactStore() *FactStore {
-	return &FactStore{pkgs: make(map[string]bool), funcs: make(map[string]FuncFact)}
+	return &FactStore{funcs: make(map[string]FuncFact)}
 }
 
 // Add merges one package's facts into the store.
@@ -84,7 +82,6 @@ func (s *FactStore) Add(pf *PkgFacts) {
 	if pf == nil {
 		return
 	}
-	s.pkgs[pf.Path] = true
 	for k, f := range pf.Funcs {
 		s.funcs[k] = f
 	}
@@ -96,9 +93,6 @@ func (s *FactStore) Merge(o *FactStore) {
 	if o == nil {
 		return
 	}
-	for p := range o.pkgs {
-		s.pkgs[p] = true
-	}
 	for k, f := range o.funcs {
 		s.funcs[k] = f
 	}
@@ -109,9 +103,6 @@ func (s *FactStore) Lookup(key string) (FuncFact, bool) {
 	f, ok := s.funcs[key]
 	return f, ok
 }
-
-// HasPkg reports whether facts for the package path were loaded.
-func (s *FactStore) HasPkg(path string) bool { return s.pkgs[path] }
 
 // An AllocSite is one heap-allocating construct found in a function body.
 type AllocSite struct {
@@ -362,7 +353,7 @@ func buildGraph(pass *Pass, store *FactStore) *Graph {
 
 	// Export: this package's functions plus a re-export of everything
 	// imported, so facts flow transitively through the vetx chain.
-	g.Facts = &PkgFacts{Path: pass.Pkg.Path(), Funcs: make(map[string]FuncFact)}
+	g.Facts = &PkgFacts{Funcs: make(map[string]FuncFact)}
 	for _, fi := range g.Funcs {
 		g.Facts.Funcs[fi.Key] = fi.Fact
 	}
@@ -791,24 +782,12 @@ func capturedLocal(pass *Pass, decl *ast.FuncDecl, lit *ast.FuncLit) string {
 	return captured
 }
 
-// SortedFuncKeys returns the fact keys of pf in sorted order (stable
-// iteration for encoders and tests).
-func SortedFuncKeys(pf *PkgFacts) []string {
-	keys := make([]string, 0, len(pf.Funcs))
-	for k := range pf.Funcs {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
 // factsHeader versions the vetx payload; a reader that sees a different
 // header treats the file as having no facts rather than failing the build.
 const factsHeader = "greedlintv4\n"
 
 // factsFile is the serialized form of a FactStore.
 type factsFile struct {
-	Pkgs  []string            `json:"pkgs"`
 	Funcs map[string]FuncFact `json:"funcs"`
 }
 
@@ -817,12 +796,7 @@ type factsFile struct {
 // stores produce identical bytes — the build cache content-compares vetx
 // files, and nondeterminism would defeat caching.
 func EncodeFacts(s *FactStore) ([]byte, error) {
-	ff := factsFile{Funcs: s.funcs}
-	for p := range s.pkgs {
-		ff.Pkgs = append(ff.Pkgs, p)
-	}
-	sort.Strings(ff.Pkgs)
-	data, err := json.Marshal(ff)
+	data, err := json.Marshal(factsFile{Funcs: s.funcs})
 	if err != nil {
 		return nil, fmt.Errorf("lint: encode facts: %w", err)
 	}
@@ -840,9 +814,6 @@ func DecodeFacts(data []byte) (*FactStore, error) {
 	var ff factsFile
 	if err := json.Unmarshal(data[len(factsHeader):], &ff); err != nil {
 		return nil, fmt.Errorf("lint: decode facts: %w", err)
-	}
-	for _, p := range ff.Pkgs {
-		s.pkgs[p] = true
 	}
 	for k, f := range ff.Funcs {
 		s.funcs[k] = f

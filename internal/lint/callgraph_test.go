@@ -231,8 +231,8 @@ func WorkCtx(ctx context.Context, xs []float64) float64 {
 
 	store := NewFactStore()
 	store.Add(fxA.graph.Facts)
-	if !store.HasPkg("a") {
-		t.Fatalf("store does not record package a after Add")
+	if _, ok := store.Lookup("a.Alloc"); !ok {
+		t.Fatalf("store does not record package a's facts after Add")
 	}
 
 	srcB := `package b
@@ -296,7 +296,6 @@ func DropsCtx(ctx context.Context, xs []float64) float64 { return a.Work(xs) }
 func TestFactStoreEncodeDecode(t *testing.T) {
 	store := NewFactStore()
 	store.Add(&PkgFacts{
-		Path: "x",
 		Funcs: map[string]FuncFact{
 			"x.F": {Hotpath: true, Allocates: true, Witness: "make at f.go:3"},
 			"x.G": {TakesCtx: true, CtxVariant: ""},
@@ -309,9 +308,6 @@ func TestFactStoreEncodeDecode(t *testing.T) {
 	back, err := DecodeFacts(data)
 	if err != nil {
 		t.Fatalf("DecodeFacts: %v", err)
-	}
-	if !back.HasPkg("x") {
-		t.Errorf("decoded store lost package x")
 	}
 	f, ok := back.Lookup("x.F")
 	if !ok || !f.Hotpath || !f.Allocates || f.Witness != "make at f.go:3" {

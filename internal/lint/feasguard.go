@@ -22,7 +22,7 @@ import (
 // derivative helpers (GPrime, GPrime2, LPrime, LPrime2).  The call is
 // clean when, on every path to it, a dominating block performs a
 // feasibility check connected to the same rate data: a call to
-// Feasible/InDomain/CheckFeasible/CheckFeasibleG/DomainSlack, a read of a
+// Feasible/InDomain/CheckFeasible/CheckFeasibleG, a read of a
 // FeasibilityReport's Feasible field, or a direct comparison against 1.
 //
 // Exemptions, in the spirit of "fewer findings when unclear":
@@ -77,7 +77,6 @@ var guardFuncs = map[string]bool{
 	"InDomain":       true,
 	"CheckFeasible":  true,
 	"CheckFeasibleG": true,
-	"DomainSlack":    true,
 }
 
 // derivHelpers are congestion-formula derivatives whose results are plain

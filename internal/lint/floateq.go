@@ -22,15 +22,14 @@ var approvedToleranceHelpers = map[string]bool{
 // complex) values, and switch statements on a floating-point tag.  Raw
 // float equality is how numerical drift turns into silent wrong verdicts —
 // the M/M/1 feasibility identity Σc_i = g(Σr_i) only holds to a tolerance.
-// Compare through core.ApproxEq / core.ApproxZero instead, or annotate an
-// intentional exact comparison with //lint:allow floateq.  Test files are
-// exempt: tests assert exact golden values and byte-identical RNG streams
-// deliberately.
+// Compare against an explicit tolerance instead, or annotate an
+// intentional exact comparison with //lint:allow floateq <reason>.  Test
+// files are exempt: tests assert exact golden values and byte-identical
+// RNG streams deliberately.
 var FloatEq = &Analyzer{
 	Name: "floateq",
-	Doc: "flags == and != on floating-point operands outside approved " +
-		"tolerance helpers (core.ApproxEq and friends); use a named " +
-		"tolerance or annotate with //lint:allow floateq",
+	Doc: "flags == and != on floating-point operands; compare against " +
+		"an explicit tolerance or annotate //lint:allow floateq <reason>",
 	Run: runFloatEq,
 }
 
@@ -79,7 +78,7 @@ func runFloatEq(pass *Pass) error {
 					return true // x != x is the canonical NaN probe
 				}
 				pass.Reportf(n.OpPos,
-					"floating-point %s comparison; use core.ApproxEq/ApproxZero with a named tolerance (or annotate //lint:allow floateq)",
+					"floating-point %s comparison; compare against an explicit tolerance or annotate //lint:allow floateq <reason>",
 					n.Op)
 			case *ast.SwitchStmt:
 				if n.Tag != nil && isFloatExpr(pass, n.Tag) && !inExempt() {

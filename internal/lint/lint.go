@@ -1,8 +1,9 @@
 // Package lint is greednet's in-tree static-analysis suite.  It enforces
 // the numerical and simulation invariants the compiler cannot see:
 //
-//   - floateq: floating-point values must be compared through named
-//     tolerance helpers (core.ApproxEq and friends), never with raw == / !=.
+//   - floateq: floating-point values are never compared with raw == / !=:
+//     compare against an explicit tolerance or annotate
+//     //lint:allow floateq <reason>.
 //   - rngsource: every stochastic component must draw from an explicitly
 //     seeded stream constructed by internal/randdist, so the EXPERIMENTS.md
 //     verdicts stay bit-for-bit reproducible.

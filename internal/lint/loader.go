@@ -75,12 +75,6 @@ func LoadPackage(cfg LoadConfig) (*Package, error) {
 	return &Package{Fset: fset, Files: files, Pkg: pkg, Info: info}, nil
 }
 
-// Analyze loads the package and runs the given analyzers over it.
-func Analyze(cfg LoadConfig, analyzers []*Analyzer) ([]Diagnostic, *token.FileSet, error) {
-	diags, fset, _, err := AnalyzePkg(cfg, analyzers, nil)
-	return diags, fset, err
-}
-
 // AnalyzePkg loads the package and runs the analyzers with the facts of
 // its dependencies available in store (nil means none), returning the
 // package's own exported facts alongside the findings.  Drivers call this

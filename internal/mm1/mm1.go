@@ -51,14 +51,6 @@ func GPrime2(x core.Rate) float64 {
 	return 2 / (d * d * d)
 }
 
-// GInverse solves g(y) = q for y given q ≥ 0: y = q/(1+q).
-func GInverse(q core.Congestion) core.Rate {
-	if math.IsInf(q, 1) {
-		return 1
-	}
-	return q / (1 + q)
-}
-
 // Sum returns the total of the vector.
 func Sum(r []core.Rate) core.Rate {
 	var s core.Rate
@@ -80,10 +72,6 @@ func InDomain(r []core.Rate) bool {
 	}
 	return s < 1
 }
-
-// DomainSlack returns 1 − Σ r, the residual capacity.  Negative values mean
-// the server is overloaded.
-func DomainSlack(r []core.Rate) core.Rate { return 1 - Sum(r) }
 
 // FeasibilityReport describes how a proposed allocation (r, c) relates to
 // the feasible set of work-conserving service disciplines.

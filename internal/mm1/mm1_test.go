@@ -38,17 +38,6 @@ func TestGDerivativesMatchFD(t *testing.T) {
 	}
 }
 
-func TestGInverse(t *testing.T) {
-	for _, x := range []float64{0.01, 0.25, 0.5, 0.9, 0.99} {
-		if got := GInverse(G(x)); math.Abs(got-x) > 1e-12 {
-			t.Errorf("GInverse(G(%v)) = %v", x, got)
-		}
-	}
-	if GInverse(math.Inf(1)) != 1 {
-		t.Error("GInverse(+Inf) should be 1")
-	}
-}
-
 func TestGConvexityProperty(t *testing.T) {
 	// g is strictly increasing and strictly convex on [0, 1).
 	f := func(a, b uint16) bool {

@@ -5,15 +5,6 @@ import (
 	"testing"
 )
 
-func TestDomainSlack(t *testing.T) {
-	if s := DomainSlack([]float64{0.2, 0.3}); math.Abs(s-0.5) > 1e-15 {
-		t.Errorf("DomainSlack = %v", s)
-	}
-	if s := DomainSlack([]float64{0.7, 0.7}); s >= 0 {
-		t.Errorf("overload slack should be negative: %v", s)
-	}
-}
-
 func TestModelNames(t *testing.T) {
 	if (MM1{}).Name() != "mm1" {
 		t.Error("MM1 name")

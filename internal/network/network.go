@@ -130,9 +130,6 @@ func (nw *Network) ProtectionBound(i int, ri core.Rate) core.Congestion {
 	return total
 }
 
-// UsersAt exposes the users crossing switch a (shared slice; do not modify).
-func (nw *Network) UsersAt(a int) []int { return nw.usersAt[a] }
-
 // Line builds the classic line topology with k switches: one "long" user
 // (index 0) crossing every switch, plus one "cross" user per switch
 // crossing only it.  Total users = k + 1.
@@ -144,27 +141,5 @@ func Line(k int, disc core.Allocation) (*Network, error) {
 		routes[a+1] = []int{a}
 	}
 	routes[0] = long
-	return New(k, routes, disc)
-}
-
-// Star builds a hub-and-spoke topology: k spoke switches feed one hub
-// switch (index k).  User i (i < k) crosses its spoke then the hub, and
-// user k is hub-local.  Total users = k + 1, switches = k + 1.
-func Star(k int, disc core.Allocation) (*Network, error) {
-	routes := make([][]int, k+1)
-	for i := 0; i < k; i++ {
-		routes[i] = []int{i, k}
-	}
-	routes[k] = []int{k}
-	return New(k+1, routes, disc)
-}
-
-// Ring builds a k-switch ring where user i crosses switches i and
-// (i+1) mod k — every switch shared by exactly two users.
-func Ring(k int, disc core.Allocation) (*Network, error) {
-	routes := make([][]int, k)
-	for i := 0; i < k; i++ {
-		routes[i] = []int{i, (i + 1) % k}
-	}
 	return New(k, routes, disc)
 }

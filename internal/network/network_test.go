@@ -135,69 +135,9 @@ func TestNetworkOverloadPropagatesInf(t *testing.T) {
 	}
 }
 
-func TestStarTopology(t *testing.T) {
-	nw, err := Star(3, alloc.FairShare{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Hub switch (index 3) carries all four users.
-	if got := nw.UsersAt(3); len(got) != 4 {
-		t.Errorf("hub should carry 4 users, got %v", got)
-	}
-	// Spoke users pay spoke + hub congestion; hub-local user only hub.
-	r := []float64{0.1, 0.1, 0.1, 0.1}
-	c := nw.Congestion(r)
-	if c[0] <= c[3] {
-		t.Errorf("spoke user should pay more than hub-local: %v", c)
-	}
-}
-
-func TestStarNashSolves(t *testing.T) {
-	nw, err := Star(2, alloc.FairShare{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	us := core.Profile{
-		utility.NewLinear(1, 0.25),
-		utility.NewLinear(1, 0.25),
-		utility.NewLinear(1, 0.25),
-	}
-	res, err := game.SolveNash(nw, us, []float64{0.1, 0.1, 0.1}, game.NashOptions{})
-	if err != nil || !res.Converged {
-		t.Fatalf("star Nash failed: %v", err)
-	}
-	// Two-hop spoke users send less than the one-hop hub user.
-	if res.R[0] >= res.R[2] {
-		t.Errorf("spoke users should send less: %v", res.R)
-	}
-}
-
-func TestRingTopology(t *testing.T) {
-	nw, err := Ring(4, alloc.FairShare{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Every switch carries exactly two users.
-	for a := 0; a < 4; a++ {
-		if got := nw.UsersAt(a); len(got) != 2 {
-			t.Errorf("switch %d carries %v", a, got)
-		}
-	}
-	// Symmetric rates give symmetric congestion.
-	c := nw.Congestion([]float64{0.2, 0.2, 0.2, 0.2})
-	for i := 1; i < 4; i++ {
-		if math.Abs(c[i]-c[0]) > 1e-12 {
-			t.Errorf("ring symmetry broken: %v", c)
-		}
-	}
-	if _, err := Ring(1, alloc.FairShare{}); err == nil {
-		t.Error("1-ring should be rejected (duplicate switch on route)")
-	}
-}
-
 func TestUsersAt(t *testing.T) {
 	nw, _ := Line(2, alloc.FairShare{})
-	if got := nw.UsersAt(0); len(got) != 2 || got[0] != 0 || got[1] != 1 {
-		t.Errorf("UsersAt(0) = %v", got)
+	if got := nw.usersAt[0]; len(got) != 2 || got[0] != 0 || got[1] != 1 {
+		t.Errorf("usersAt[0] = %v", got)
 	}
 }

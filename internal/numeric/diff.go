@@ -25,66 +25,6 @@ func SecondDerivative(f func(float64) float64, x, h float64) float64 {
 	return (f(x+h) - 2*f(x) + f(x-h)) / (h * h)
 }
 
-// Gradient estimates ∇f(x) component-wise with central differences.
-// The input vector is not modified.
-func Gradient(f func([]float64) float64, x []float64, h float64) []float64 {
-	g := make([]float64, len(x))
-	xx := append([]float64(nil), x...)
-	for i := range x {
-		hi := h
-		if hi <= 0 {
-			hi = defaultStep(x[i])
-		}
-		orig := xx[i]
-		xx[i] = orig + hi
-		fp := f(xx)
-		xx[i] = orig - hi
-		fm := f(xx)
-		xx[i] = orig
-		g[i] = (fp - fm) / (2 * hi)
-	}
-	return g
-}
-
-// Partial estimates ∂f/∂x_i at x with a central difference.
-func Partial(f func([]float64) float64, x []float64, i int, h float64) float64 {
-	if h <= 0 {
-		h = defaultStep(x[i])
-	}
-	xx := append([]float64(nil), x...)
-	xx[i] = x[i] + h
-	fp := f(xx)
-	xx[i] = x[i] - h
-	fm := f(xx)
-	return (fp - fm) / (2 * h)
-}
-
-// Partial2 estimates ∂²f/∂x_i∂x_j at x.  For i == j it uses the standard
-// three-point stencil; otherwise the four-point mixed stencil.
-func Partial2(f func([]float64) float64, x []float64, i, j int, h float64) float64 {
-	if h <= 0 {
-		h = 1e-4 * (math.Abs(x[i]) + math.Abs(x[j]) + 1)
-	}
-	xx := append([]float64(nil), x...)
-	if i == j {
-		f0 := f(xx)
-		xx[i] = x[i] + h
-		fp := f(xx)
-		xx[i] = x[i] - h
-		fm := f(xx)
-		return (fp - 2*f0 + fm) / (h * h)
-	}
-	xx[i], xx[j] = x[i]+h, x[j]+h
-	fpp := f(xx)
-	xx[i], xx[j] = x[i]+h, x[j]-h
-	fpm := f(xx)
-	xx[i], xx[j] = x[i]-h, x[j]+h
-	fmp := f(xx)
-	xx[i], xx[j] = x[i]-h, x[j]-h
-	fmm := f(xx)
-	return (fpp - fpm - fmp + fmm) / (4 * h * h)
-}
-
 // JacobianFD estimates the Jacobian of a vector field F: R^n → R^m with
 // central differences; the result has m rows and n columns.
 func JacobianFD(F func([]float64) []float64, x []float64, h float64) *Matrix {

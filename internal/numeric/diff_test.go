@@ -19,39 +19,6 @@ func TestSecondDerivative(t *testing.T) {
 	}
 }
 
-func TestGradient(t *testing.T) {
-	f := func(x []float64) float64 { return x[0]*x[0] + 3*x[0]*x[1] }
-	g := Gradient(f, []float64{2, 5}, 0)
-	if math.Abs(g[0]-19) > 1e-6 || math.Abs(g[1]-6) > 1e-6 {
-		t.Errorf("∇f = %v, want [19 6]", g)
-	}
-}
-
-func TestGradientDoesNotMutate(t *testing.T) {
-	x := []float64{1, 2}
-	Gradient(func(v []float64) float64 { return v[0] + v[1] }, x, 0)
-	if x[0] != 1 || x[1] != 2 {
-		t.Error("Gradient mutated its input")
-	}
-}
-
-func TestPartial(t *testing.T) {
-	f := func(x []float64) float64 { return math.Exp(x[0]) * x[1] }
-	if d := Partial(f, []float64{0, 3}, 0, 0); math.Abs(d-3) > 1e-6 {
-		t.Errorf("∂f/∂x0 = %v, want 3", d)
-	}
-}
-
-func TestPartial2Mixed(t *testing.T) {
-	f := func(x []float64) float64 { return x[0] * x[0] * x[1] }
-	if d := Partial2(f, []float64{3, 4}, 0, 1, 0); math.Abs(d-6) > 1e-3 {
-		t.Errorf("∂²f/∂x0∂x1 = %v, want 6", d)
-	}
-	if d := Partial2(f, []float64{3, 4}, 0, 0, 0); math.Abs(d-8) > 1e-3 {
-		t.Errorf("∂²f/∂x0² = %v, want 8", d)
-	}
-}
-
 func TestJacobianFD(t *testing.T) {
 	F := func(x []float64) []float64 {
 		return []float64{x[0] * x[1], x[0] + 2*x[1], math.Sin(x[0])}

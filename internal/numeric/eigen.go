@@ -334,37 +334,6 @@ func hqr(a *Matrix) ([]complex128, error) {
 	return ev, nil
 }
 
-// PowerIteration estimates the dominant eigenvalue magnitude of a by the
-// power method with the given iteration budget.  It returns the Rayleigh
-// estimate of |λ_max|; for matrices whose dominant eigenvalue is complex
-// the estimate oscillates and the max over a trailing window is returned.
-func PowerIteration(a *Matrix, iters int) float64 {
-	n := a.Rows()
-	if n == 0 {
-		return 0
-	}
-	x := make([]float64, n)
-	for i := range x {
-		x[i] = 1 / math.Sqrt(float64(n))
-	}
-	best := 0.0
-	for k := 0; k < iters; k++ {
-		y := a.MulVec(x)
-		ny := VecNorm2(y)
-		if ny == 0 { //lint:allow floateq exactly-zero iterate: matrix annihilates the start vector
-			return 0
-		}
-		if k >= iters-10 && ny > best {
-			best = ny
-		}
-		for i := range y {
-			y[i] /= ny
-		}
-		x = y
-	}
-	return best
-}
-
 // IsNilpotent reports whether the square matrix a is nilpotent within the
 // numeric tolerance tol: a^n must have max-norm ≤ tol·(1+‖a‖∞ⁿ scale).
 func IsNilpotent(a *Matrix, tol float64) bool {

@@ -13,7 +13,6 @@ var ErrSingular = errors.New("numeric: singular matrix")
 type LU struct {
 	lu    *Matrix
 	pivot []int
-	sign  float64
 }
 
 // Factor computes the LU factorization of the square matrix a with partial
@@ -25,7 +24,6 @@ func Factor(a *Matrix) (*LU, error) {
 	n := a.Rows()
 	lu := a.Clone()
 	pivot := make([]int, n)
-	sign := 1.0
 	for k := 0; k < n; k++ {
 		// Find pivot.
 		p, mx := k, math.Abs(lu.At(k, k))
@@ -39,7 +37,6 @@ func Factor(a *Matrix) (*LU, error) {
 			return nil, ErrSingular
 		}
 		if p != k {
-			sign = -sign
 			for j := 0; j < n; j++ {
 				t := lu.At(k, j)
 				lu.Set(k, j, lu.At(p, j))
@@ -58,7 +55,7 @@ func Factor(a *Matrix) (*LU, error) {
 			}
 		}
 	}
-	return &LU{lu: lu, pivot: pivot, sign: sign}, nil
+	return &LU{lu: lu, pivot: pivot}, nil
 }
 
 // Solve solves A·x = b for the factored A.  b is not modified.
@@ -97,16 +94,6 @@ func (f *LU) Solve(b []float64) ([]float64, error) {
 	return x, nil
 }
 
-// Det returns det(A) of the factored matrix.
-func (f *LU) Det() float64 {
-	d := f.sign
-	n := f.lu.Rows()
-	for i := 0; i < n; i++ {
-		d *= f.lu.At(i, i)
-	}
-	return d
-}
-
 // Solve solves A·x = b directly (factor + solve).
 func Solve(a *Matrix, b []float64) ([]float64, error) {
 	f, err := Factor(a)
@@ -114,29 +101,4 @@ func Solve(a *Matrix, b []float64) ([]float64, error) {
 		return nil, err
 	}
 	return f.Solve(b)
-}
-
-// Inverse returns A⁻¹, or ErrSingular.
-func Inverse(a *Matrix) (*Matrix, error) {
-	f, err := Factor(a)
-	if err != nil {
-		return nil, err
-	}
-	n := a.Rows()
-	inv := NewMatrix(n, n)
-	e := make([]float64, n)
-	for j := 0; j < n; j++ {
-		for i := range e {
-			e[i] = 0
-		}
-		e[j] = 1
-		col, err := f.Solve(e)
-		if err != nil {
-			return nil, err
-		}
-		for i := 0; i < n; i++ {
-			inv.Set(i, j, col[i])
-		}
-	}
-	return inv, nil
 }

@@ -37,15 +37,6 @@ func MatrixFromRows(rows [][]float64) *Matrix {
 	return m
 }
 
-// Identity returns the n×n identity matrix.
-func Identity(n int) *Matrix {
-	m := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		m.Set(i, i, 1)
-	}
-	return m
-}
-
 // Rows returns the number of rows.
 func (m *Matrix) Rows() int { return m.rows }
 
@@ -63,11 +54,6 @@ func (m *Matrix) Clone() *Matrix {
 	c := NewMatrix(m.rows, m.cols)
 	copy(c.data, m.data)
 	return c
-}
-
-// Row returns a copy of row i.
-func (m *Matrix) Row(i int) []float64 {
-	return append([]float64(nil), m.data[i*m.cols:(i+1)*m.cols]...)
 }
 
 // Mul returns the matrix product m·b.
@@ -92,59 +78,12 @@ func (m *Matrix) Mul(b *Matrix) *Matrix {
 	return out
 }
 
-// MulVec returns m·x.
-func (m *Matrix) MulVec(x []float64) []float64 {
-	if m.cols != len(x) {
-		panic("numeric: MulVec dimension mismatch") //lint:allow panicfree shape invariant: mismatched vector length is a programmer error (gonum convention)
-	}
-	out := make([]float64, m.rows)
-	for i := 0; i < m.rows; i++ {
-		s := 0.0
-		row := m.data[i*m.cols : (i+1)*m.cols]
-		for j, v := range row {
-			s += v * x[j]
-		}
-		out[i] = s
-	}
-	return out
-}
-
-// Add returns m + b.
-func (m *Matrix) Add(b *Matrix) *Matrix {
-	m.assertSameShape(b)
-	out := m.Clone()
-	for i := range out.data {
-		out.data[i] += b.data[i]
-	}
-	return out
-}
-
 // Sub returns m − b.
 func (m *Matrix) Sub(b *Matrix) *Matrix {
 	m.assertSameShape(b)
 	out := m.Clone()
 	for i := range out.data {
 		out.data[i] -= b.data[i]
-	}
-	return out
-}
-
-// Scale returns s·m.
-func (m *Matrix) Scale(s float64) *Matrix {
-	out := m.Clone()
-	for i := range out.data {
-		out.data[i] *= s
-	}
-	return out
-}
-
-// Transpose returns mᵀ.
-func (m *Matrix) Transpose() *Matrix {
-	out := NewMatrix(m.cols, m.rows)
-	for i := 0; i < m.rows; i++ {
-		for j := 0; j < m.cols; j++ {
-			out.Set(j, i, m.At(i, j))
-		}
 	}
 	return out
 }
@@ -158,15 +97,6 @@ func (m *Matrix) MaxAbs() float64 {
 		}
 	}
 	return mx
-}
-
-// FrobeniusNorm returns √Σ m_ij².
-func (m *Matrix) FrobeniusNorm() float64 {
-	s := 0.0
-	for _, v := range m.data {
-		s += v * v
-	}
-	return math.Sqrt(s)
 }
 
 // IsSquare reports whether the matrix is square.
@@ -203,15 +133,6 @@ func VecNormInf(x []float64) float64 {
 		}
 	}
 	return mx
-}
-
-// VecNorm2 returns the Euclidean norm.
-func VecNorm2(x []float64) float64 {
-	s := 0.0
-	for _, v := range x {
-		s += v * v
-	}
-	return math.Sqrt(s)
 }
 
 // VecSub returns a − b as a new slice.

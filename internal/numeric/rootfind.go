@@ -1,7 +1,6 @@
 // Package numeric is the from-scratch numerical substrate for greednet:
-// scalar root finding, bounded one-dimensional maximization, finite
-// differences, dense linear algebra, and a real-matrix eigenvalue solver.
-// Only the Go standard library is used.
+// Brent root finding, finite differences, dense LU solves, and a
+// real-matrix eigenvalue solver.  Only the Go standard library is used.
 package numeric
 
 import (
@@ -17,38 +16,6 @@ var ErrNoBracket = errors.New("numeric: interval does not bracket a root")
 // ErrMaxIter is returned when an iterative method exhausts its iteration
 // budget before meeting its tolerance.
 var ErrMaxIter = errors.New("numeric: maximum iterations exceeded")
-
-// Bisect finds a root of f in [a, b] by bisection.  f(a) and f(b) must have
-// opposite signs (or one of them must be zero).  The result is accurate to
-// within tol in the argument.
-func Bisect(f func(float64) float64, a, b, tol float64) (float64, error) {
-	fa, fb := f(a), f(b)
-	if fa == 0 { //lint:allow floateq exact root at the endpoint needs no iteration
-		return a, nil
-	}
-	if fb == 0 { //lint:allow floateq exact root at the endpoint needs no iteration
-		return b, nil
-	}
-	if math.Signbit(fa) == math.Signbit(fb) {
-		return 0, fmt.Errorf("%w: f(%g)=%g, f(%g)=%g", ErrNoBracket, a, fa, b, fb)
-	}
-	for i := 0; i < 200; i++ {
-		m := a + (b-a)/2
-		if b-a <= tol || m == a || m == b { //lint:allow floateq midpoint collapse: no representable point remains between a and b
-			return m, nil
-		}
-		fm := f(m)
-		if fm == 0 { //lint:allow floateq exact root terminates bisection
-			return m, nil
-		}
-		if math.Signbit(fm) == math.Signbit(fa) {
-			a, fa = m, fm
-		} else {
-			b = m
-		}
-	}
-	return a + (b-a)/2, nil
-}
 
 // Brent finds a root of f in the bracketing interval [a, b] using Brent's
 // method (inverse quadratic interpolation guarded by bisection).  It
@@ -114,48 +81,4 @@ func Brent(f func(float64) float64, a, b, tol float64) (float64, error) {
 		}
 	}
 	return b, ErrMaxIter
-}
-
-// Newton1D runs Newton's method on f with derivative df starting from x0.
-// It stops when |f(x)| ≤ ftol or the step falls below xtol.  If the
-// derivative vanishes or iterations are exhausted it returns ErrMaxIter
-// with the best iterate found.
-func Newton1D(f, df func(float64) float64, x0, xtol, ftol float64, maxIter int) (float64, error) {
-	x := x0
-	for i := 0; i < maxIter; i++ {
-		fx := f(x)
-		if math.Abs(fx) <= ftol {
-			return x, nil
-		}
-		d := df(x)
-		if d == 0 || math.IsNaN(d) || math.IsInf(d, 0) { //lint:allow floateq division guard: any nonzero derivative is usable
-			return x, fmt.Errorf("%w: derivative unusable at x=%g", ErrMaxIter, x)
-		}
-		step := fx / d
-		x -= step
-		if math.Abs(step) <= xtol {
-			return x, nil
-		}
-	}
-	return x, ErrMaxIter
-}
-
-// FindBracket expands outward from [a, b] by the golden ratio until f takes
-// opposite signs at the ends or the budget is exhausted.
-func FindBracket(f func(float64) float64, a, b float64) (lo, hi float64, err error) {
-	const grow = 1.618033988749895
-	fa, fb := f(a), f(b)
-	for i := 0; i < 64; i++ {
-		if math.Signbit(fa) != math.Signbit(fb) || fa == 0 || fb == 0 { //lint:allow floateq exact zero at an endpoint is a valid bracket
-			return a, b, nil
-		}
-		if math.Abs(fa) < math.Abs(fb) {
-			a += grow * (a - b)
-			fa = f(a)
-		} else {
-			b += grow * (b - a)
-			fb = f(b)
-		}
-	}
-	return a, b, ErrNoBracket
 }

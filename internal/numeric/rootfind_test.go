@@ -5,34 +5,6 @@ import (
 	"testing"
 )
 
-func TestBisectSimple(t *testing.T) {
-	f := func(x float64) float64 { return x*x - 2 }
-	x, err := Bisect(f, 0, 2, 1e-12)
-	if err != nil {
-		t.Fatalf("Bisect: %v", err)
-	}
-	if math.Abs(x-math.Sqrt2) > 1e-10 {
-		t.Errorf("Bisect got %v, want √2", x)
-	}
-}
-
-func TestBisectEndpointRoot(t *testing.T) {
-	f := func(x float64) float64 { return x }
-	if x, err := Bisect(f, 0, 1, 1e-12); err != nil || x != 0 {
-		t.Errorf("Bisect endpoint: got %v, %v", x, err)
-	}
-	if x, err := Bisect(f, -1, 0, 1e-12); err != nil || x != 0 {
-		t.Errorf("Bisect endpoint hi: got %v, %v", x, err)
-	}
-}
-
-func TestBisectNoBracket(t *testing.T) {
-	f := func(x float64) float64 { return x*x + 1 }
-	if _, err := Bisect(f, -1, 1, 1e-12); err == nil {
-		t.Error("Bisect should fail without a bracket")
-	}
-}
-
 func TestBrentPolynomial(t *testing.T) {
 	f := func(x float64) float64 { return (x + 3) * (x - 1) * (x - 1) * (x - 4) }
 	x, err := Brent(f, 2, 5, 1e-13)
@@ -60,36 +32,5 @@ func TestBrentNoBracket(t *testing.T) {
 	f := func(x float64) float64 { return 1 + x*x }
 	if _, err := Brent(f, -2, 2, 1e-12); err == nil {
 		t.Error("Brent should fail without a bracket")
-	}
-}
-
-func TestNewton1D(t *testing.T) {
-	f := func(x float64) float64 { return x*x*x - 8 }
-	df := func(x float64) float64 { return 3 * x * x }
-	x, err := Newton1D(f, df, 3, 1e-14, 1e-14, 100)
-	if err != nil {
-		t.Fatalf("Newton1D: %v", err)
-	}
-	if math.Abs(x-2) > 1e-10 {
-		t.Errorf("Newton1D got %v, want 2", x)
-	}
-}
-
-func TestNewton1DZeroDerivative(t *testing.T) {
-	f := func(x float64) float64 { return x*x + 1 }
-	df := func(x float64) float64 { return 2 * x }
-	if _, err := Newton1D(f, df, 0, 1e-14, 1e-14, 50); err == nil {
-		t.Error("Newton1D should report failure when derivative vanishes")
-	}
-}
-
-func TestFindBracket(t *testing.T) {
-	f := func(x float64) float64 { return x - 10 }
-	lo, hi, err := FindBracket(f, 0, 1)
-	if err != nil {
-		t.Fatalf("FindBracket: %v", err)
-	}
-	if math.Signbit(f(lo)) == math.Signbit(f(hi)) {
-		t.Errorf("FindBracket returned non-bracket [%v, %v]", lo, hi)
 	}
 }

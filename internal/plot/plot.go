@@ -1,5 +1,5 @@
-// Package plot renders small ASCII line charts and sparklines for the
-// convergence trajectories and parameter sweeps the experiments produce —
+// Package plot renders small ASCII line charts for the convergence
+// trajectories and parameter sweeps the experiments produce —
 // terminal-native stand-ins for the figures a paper reproduction would
 // normally plot.
 package plot
@@ -9,47 +9,6 @@ import (
 	"math"
 	"strings"
 )
-
-// sparkRunes are the eight block heights used by Spark.
-var sparkRunes = []rune("▁▂▃▄▅▆▇█")
-
-// Spark renders a one-line sparkline of the series.  NaN/Inf samples
-// render as spaces.  An empty series yields an empty string.
-func Spark(xs []float64) string {
-	if len(xs) == 0 {
-		return ""
-	}
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, v := range xs {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			continue
-		}
-		lo = math.Min(lo, v)
-		hi = math.Max(hi, v)
-	}
-	if math.IsInf(lo, 1) {
-		return strings.Repeat(" ", len(xs))
-	}
-	var b strings.Builder
-	for _, v := range xs {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			b.WriteRune(' ')
-			continue
-		}
-		idx := 0
-		if hi > lo {
-			idx = int((v - lo) / (hi - lo) * float64(len(sparkRunes)-1))
-		}
-		if idx < 0 {
-			idx = 0
-		}
-		if idx >= len(sparkRunes) {
-			idx = len(sparkRunes) - 1
-		}
-		b.WriteRune(sparkRunes[idx])
-	}
-	return b.String()
-}
 
 // Series is one named line in a Chart.
 type Series struct {

@@ -1,44 +1,9 @@
 package plot
 
 import (
-	"math"
 	"strings"
 	"testing"
 )
-
-func TestSparkBasic(t *testing.T) {
-	s := Spark([]float64{0, 1, 2, 3})
-	if len([]rune(s)) != 4 {
-		t.Fatalf("spark length %d", len([]rune(s)))
-	}
-	runes := []rune(s)
-	if runes[0] != '▁' || runes[3] != '█' {
-		t.Errorf("spark endpoints wrong: %q", s)
-	}
-}
-
-func TestSparkFlatSeries(t *testing.T) {
-	s := Spark([]float64{5, 5, 5})
-	if len([]rune(s)) != 3 {
-		t.Fatalf("length %d", len([]rune(s)))
-	}
-}
-
-func TestSparkHandlesNaNInf(t *testing.T) {
-	s := []rune(Spark([]float64{1, math.NaN(), 2, math.Inf(1)}))
-	if s[1] != ' ' || s[3] != ' ' {
-		t.Errorf("NaN/Inf should render as spaces: %q", string(s))
-	}
-}
-
-func TestSparkEmpty(t *testing.T) {
-	if Spark(nil) != "" {
-		t.Error("empty input should yield empty string")
-	}
-	if Spark([]float64{math.NaN()}) != " " {
-		t.Error("all-NaN input should yield spaces")
-	}
-}
 
 func TestChartRender(t *testing.T) {
 	out := Chart{Width: 30, Height: 8}.Render(

@@ -83,9 +83,6 @@ func (w *Welford) Add(x float64) {
 	w.m2 += d * (x - w.mean)
 }
 
-// N returns the number of samples.
-func (w *Welford) N() int { return w.n }
-
 // Mean returns the running mean (NaN when empty).
 func (w *Welford) Mean() float64 {
 	if w.n == 0 {
@@ -122,6 +119,3 @@ func (t *TimeAverage) Value() float64 {
 	}
 	return t.integral / t.duration
 }
-
-// Duration returns the accumulated time span.
-func (t *TimeAverage) Duration() float64 { return t.duration }

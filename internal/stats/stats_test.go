@@ -90,9 +90,6 @@ func TestTimeAverage(t *testing.T) {
 	if v := ta.Value(); math.Abs(v-0.5) > 1e-15 {
 		t.Errorf("TimeAverage = %v, want 0.5", v)
 	}
-	if ta.Duration() != 4 {
-		t.Errorf("Duration = %v", ta.Duration())
-	}
 	var empty TimeAverage
 	if !math.IsNaN(empty.Value()) {
 		t.Error("empty time average should be NaN")

@@ -57,37 +57,3 @@ func TestSweepCtxCanceled(t *testing.T) {
 		}
 	}
 }
-
-// TestSweepCtxLiveMatchesPlain checks the wrapper contract on one pooled
-// and one sequential sweep: under a live context the Ctx variant produces
-// the same table as the plain function.
-func TestSweepCtxLiveMatchesPlain(t *testing.T) {
-	gammas := []float64{0.2, 0.3}
-	plain, err := Eigenvalue(1, 3, gammas)
-	if err != nil {
-		t.Fatalf("Eigenvalue: %v", err)
-	}
-	viaCtx, err := EigenvalueCtx(context.Background(), 1, 3, gammas)
-	if err != nil {
-		t.Fatalf("EigenvalueCtx: %v", err)
-	}
-	if len(plain.Rows) != len(viaCtx.Rows) {
-		t.Fatalf("row counts differ: %d vs %d", len(plain.Rows), len(viaCtx.Rows))
-	}
-	for k := range plain.Rows {
-		for i := range plain.Rows[k] {
-			if plain.Rows[k][i] != viaCtx.Rows[k][i] { // deterministic sweeps must agree bitwise with and without a live ctx
-				t.Errorf("row %d col %d: %v vs %v", k, i, plain.Rows[k][i], viaCtx.Rows[k][i])
-			}
-		}
-	}
-	bulk := []float64{0.1, 0.4}
-	p2 := InteractiveDelay(0.05, bulk)
-	c2, err := InteractiveDelayCtx(context.Background(), 0.05, bulk)
-	if err != nil {
-		t.Fatalf("InteractiveDelayCtx: %v", err)
-	}
-	if len(p2.Rows) != len(c2.Rows) {
-		t.Fatalf("row counts differ: %d vs %d", len(p2.Rows), len(c2.Rows))
-	}
-}

@@ -24,9 +24,9 @@ func TestSweepsByteIdenticalAcrossWorkers(t *testing.T) {
 		name string
 		fn   func(workers int) (Table, error)
 	}{
-		{"eigenvalue", func(w int) (Table, error) { return Eigenvalue(w, 4, []float64{0.5, 0.1, 0.02}) }},
-		{"efficiency-gap", func(w int) (Table, error) { return EfficiencyGap(w, 0.2, []int{2, 4, 8}) }},
-		{"newton-residuals", func(w int) (Table, error) { return NewtonResiduals(w, 3, 6) }},
+		{"eigenvalue", func(w int) (Table, error) { return EigenvalueCtx(bg, w, 4, []float64{0.5, 0.1, 0.02}) }},
+		{"efficiency-gap", func(w int) (Table, error) { return EfficiencyGapCtx(bg, w, 0.2, []int{2, 4, 8}) }},
+		{"newton-residuals", func(w int) (Table, error) { return NewtonResidualsCtx(bg, w, 3, 6) }},
 	}
 	for _, b := range builds {
 		seq, err := b.fn(1)
@@ -47,7 +47,7 @@ func TestSweepsByteIdenticalAcrossWorkers(t *testing.T) {
 // fix: both residual columns must carry finite leading entries (the old
 // map-keyed-by-Name() lookup turned a renamed column into silent NaN).
 func TestNewtonResidualsColumnsPopulated(t *testing.T) {
-	tab, err := NewtonResiduals(0, 3, 5)
+	tab, err := NewtonResidualsCtx(bg, 0, 3, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

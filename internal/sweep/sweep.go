@@ -75,21 +75,17 @@ func (t Table) Column(name string) []float64 {
 	return out
 }
 
-// Eigenvalue sweeps the proportional relaxation spectral radius against
+// EigenvalueCtx sweeps the proportional relaxation spectral radius against
 // the congestion sensitivity γ for N identical linear users, with the
 // analytic prediction and the 1−N limit (the paper's §4.2.3 claim).
 // Rows are computed independently on a pool of workers (≤ 0 means
 // runtime.GOMAXPROCS(0)) and assembled in γ order, so the table is
 // identical for every worker count; on error the table holds the rows
 // that precede the first failing γ, matching the sequential contract.
-func Eigenvalue(workers, n int, gammas []float64) (Table, error) {
-	return EigenvalueCtx(context.Background(), workers, n, gammas)
-}
-
-// EigenvalueCtx is Eigenvalue under a context: the pool stops claiming new
-// γ rows once ctx fires and the typed core.ErrCanceled / core.ErrDeadline
-// is returned with whatever prefix of rows completed (assembly stops at
-// the first missing row, so the partial table is still a clean prefix).
+// The pool stops claiming new γ rows once ctx fires and the typed
+// core.ErrCanceled / core.ErrDeadline is returned with whatever prefix of
+// rows completed (assembly stops at the first missing row, so the partial
+// table is still a clean prefix).
 func EigenvalueCtx(ctx context.Context, workers, n int, gammas []float64) (Table, error) {
 	t := Table{
 		Name:   "eigenvalue",
@@ -142,17 +138,12 @@ func EigenvalueCtx(ctx context.Context, workers, n int, gammas []float64) (Table
 	return t, nil
 }
 
-// EfficiencyGap sweeps the per-user utility loss of the FIFO Nash
+// EfficiencyGapCtx sweeps the per-user utility loss of the FIFO Nash
 // equilibrium relative to the symmetric Pareto point as the population
 // grows (the tragedy-of-the-commons curve of §4.1.1).  Per-population
 // rows run on a pool of workers and assemble in input order; see
-// Eigenvalue for the determinism contract.
-func EfficiencyGap(workers int, gamma float64, ns []int) (Table, error) {
-	return EfficiencyGapCtx(context.Background(), workers, gamma, ns)
-}
-
-// EfficiencyGapCtx is EfficiencyGap under a context; see EigenvalueCtx
-// for the cancellation contract (typed error, clean prefix of rows).
+// EigenvalueCtx for the determinism and cancellation contracts (typed
+// error, clean prefix of rows).
 func EfficiencyGapCtx(ctx context.Context, workers int, gamma float64, ns []int) (Table, error) {
 	t := Table{
 		Name:   "efficiency-gap",
@@ -205,18 +196,11 @@ func EfficiencyGapCtx(ctx context.Context, workers int, gamma float64, ns []int)
 	return t, nil
 }
 
-// Protection sweeps a victim's congestion against the attacker's rate
+// ProtectionCtx sweeps a victim's congestion against the attacker's rate
 // under FIFO and Fair Share, with the Definition-7 bound (the cheater
-// curve).
-func Protection(victimRate float64, victims int, attackRates []float64) Table {
-	// The background context cannot fire, so the error path is dead.
-	t, _ := ProtectionCtx(context.Background(), victimRate, victims, attackRates)
-	return t
-}
-
-// ProtectionCtx is Protection under a context, polled once per attack
-// rate; a canceled sweep returns the rows computed so far with the typed
-// core.ErrCanceled / core.ErrDeadline.
+// curve).  It polls ctx once per attack rate; a canceled sweep returns
+// the rows computed so far with the typed core.ErrCanceled /
+// core.ErrDeadline.
 func ProtectionCtx(ctx context.Context, victimRate float64, victims int, attackRates []float64) (Table, error) {
 	t := Table{
 		Name:   "protection",
@@ -240,19 +224,13 @@ func ProtectionCtx(ctx context.Context, victimRate float64, victims int, attackR
 	return t, nil
 }
 
-// GHCWidths sweeps the generalized-hill-climbing candidate-box width per
-// elimination round under both disciplines (the Theorem-5 collapse curve).
-// Rows are padded with the terminal width once a run stops.
-func GHCWidths(n int, gamma float64, rounds int) Table {
-	// The background context cannot fire, so the error path is dead.
-	t, _ := GHCWidthsCtx(context.Background(), n, gamma, rounds)
-	return t
-}
-
-// GHCWidthsCtx is GHCWidths under a context, threaded through both
-// elimination runs; a canceled sweep returns an empty-rowed table with
-// the typed core.ErrCanceled / core.ErrDeadline (per-round widths from a
-// truncated run would silently flatten the collapse curve).
+// GHCWidthsCtx sweeps the generalized-hill-climbing candidate-box width
+// per elimination round under both disciplines (the Theorem-5 collapse
+// curve).  Rows are padded with the terminal width once a run stops.  The
+// context is threaded through both elimination runs; a canceled sweep
+// returns an empty-rowed table with the typed core.ErrCanceled /
+// core.ErrDeadline (per-round widths from a truncated run would silently
+// flatten the collapse curve).
 func GHCWidthsCtx(ctx context.Context, n int, gamma float64, rounds int) (Table, error) {
 	t := Table{
 		Name:   "ghc-widths",
@@ -284,18 +262,11 @@ func GHCWidthsCtx(ctx context.Context, n int, gamma float64, rounds int) (Table,
 	return t, nil
 }
 
-// InteractiveDelay sweeps the analytic delay of a fixed light flow as a
-// bulk flow's offered rate grows, under FIFO and Fair Share (the §5.2
-// FTP-vs-Telnet curve).
-func InteractiveDelay(lightRate float64, bulkRates []float64) Table {
-	// The background context cannot fire, so the error path is dead.
-	t, _ := InteractiveDelayCtx(context.Background(), lightRate, bulkRates)
-	return t
-}
-
-// InteractiveDelayCtx is InteractiveDelay under a context, polled once
-// per bulk rate; a canceled sweep returns the rows computed so far with
-// the typed core.ErrCanceled / core.ErrDeadline.
+// InteractiveDelayCtx sweeps the analytic delay of a fixed light flow as
+// a bulk flow's offered rate grows, under FIFO and Fair Share (the §5.2
+// FTP-vs-Telnet curve).  It polls ctx once per bulk rate; a canceled
+// sweep returns the rows computed so far with the typed core.ErrCanceled
+// / core.ErrDeadline.
 func InteractiveDelayCtx(ctx context.Context, lightRate float64, bulkRates []float64) (Table, error) {
 	t := Table{
 		Name:   "interactive-delay",
@@ -313,17 +284,12 @@ func InteractiveDelayCtx(ctx context.Context, lightRate float64, bulkRates []flo
 	return t, nil
 }
 
-// ReactionCurves samples the two users' best-reply functions on a grid —
-// the classic duopoly-style figure whose crossing is the Nash equilibrium.
-// Columns: the opponent's rate, user 1's best reply to it, and user 0's
-// best reply to it.
-func ReactionCurves(a core.Allocation, us core.Profile, points int) (Table, error) {
-	return ReactionCurvesCtx(context.Background(), a, us, points)
-}
-
-// ReactionCurvesCtx is ReactionCurves under a context, polled once per
-// grid point; a canceled sweep returns the rows computed so far with the
-// typed core.ErrCanceled / core.ErrDeadline.
+// ReactionCurvesCtx samples the two users' best-reply functions on a grid
+// — the classic duopoly-style figure whose crossing is the Nash
+// equilibrium.  Columns: the opponent's rate, user 1's best reply to it,
+// and user 0's best reply to it.  It polls ctx once per grid point; a
+// canceled sweep returns the rows computed so far with the typed
+// core.ErrCanceled / core.ErrDeadline.
 func ReactionCurvesCtx(ctx context.Context, a core.Allocation, us core.Profile, points int) (Table, error) {
 	t := Table{
 		Name:   "reaction-curves",
@@ -354,19 +320,14 @@ func ReactionCurvesCtx(ctx context.Context, a core.Allocation, us core.Profile, 
 	return t, nil
 }
 
-// NewtonResiduals sweeps synchronous-Newton residuals per step under both
-// disciplines near their equilibria (the Theorem-7 convergence curve).
-// The two disciplines' solves run concurrently on the pool, and results
-// are kept positionally — column i belongs to allocs[i] by construction,
-// so a renamed Name() can never silently turn a column into all-NaN.
-func NewtonResiduals(workers, n, steps int) (Table, error) {
-	return NewtonResidualsCtx(context.Background(), workers, n, steps)
-}
-
-// NewtonResidualsCtx is NewtonResiduals under a context; a canceled
-// sweep returns an empty-rowed table with the typed core.ErrCanceled /
-// core.ErrDeadline (a single missing discipline would leave an all-NaN
-// column that reads as divergence).
+// NewtonResidualsCtx sweeps synchronous-Newton residuals per step under
+// both disciplines near their equilibria (the Theorem-7 convergence
+// curve).  The two disciplines' solves run concurrently on the pool, and
+// results are kept positionally — column i belongs to allocs[i] by
+// construction, so a renamed Name() can never silently turn a column into
+// all-NaN.  A canceled sweep returns an empty-rowed table with the typed
+// core.ErrCanceled / core.ErrDeadline (a single missing discipline would
+// leave an all-NaN column that reads as divergence).
 func NewtonResidualsCtx(ctx context.Context, workers, n, steps int) (Table, error) {
 	t := Table{
 		Name:   "newton-residuals",

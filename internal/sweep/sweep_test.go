@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"bytes"
+	"context"
 
 	"greednet/internal/alloc"
 	"greednet/internal/core"
@@ -11,8 +12,11 @@ import (
 	"testing"
 )
 
+// bg is the context of every sweep these tests run to completion.
+var bg = context.Background()
+
 func TestEigenvalueSweepShape(t *testing.T) {
-	tab, err := Eigenvalue(0, 4, []float64{0.5, 0.1, 0.02})
+	tab, err := EigenvalueCtx(bg, 0, 4, []float64{0.5, 0.1, 0.02})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +42,7 @@ func TestEigenvalueSweepShape(t *testing.T) {
 }
 
 func TestEfficiencyGapGrowsWithN(t *testing.T) {
-	tab, err := EfficiencyGap(0, 0.2, []int{2, 4, 8})
+	tab, err := EfficiencyGapCtx(bg, 0, 0.2, []int{2, 4, 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +58,10 @@ func TestEfficiencyGapGrowsWithN(t *testing.T) {
 }
 
 func TestProtectionSweep(t *testing.T) {
-	tab := Protection(0.1, 2, []float64{0.2, 0.5, 0.7})
+	tab, err := ProtectionCtx(bg, 0.1, 2, []float64{0.2, 0.5, 0.7})
+	if err != nil {
+		t.Fatal(err)
+	}
 	fifo := tab.Column("victim_c_fifo")
 	fs := tab.Column("victim_c_fairshare")
 	bound := tab.Column("bound")
@@ -73,7 +80,10 @@ func TestProtectionSweep(t *testing.T) {
 }
 
 func TestGHCWidthsSweep(t *testing.T) {
-	tab := GHCWidths(3, 0.25, 12)
+	tab, err := GHCWidthsCtx(bg, 3, 0.25, 12)
+	if err != nil {
+		t.Fatal(err)
+	}
 	fs := tab.Column("width_fairshare")
 	fifo := tab.Column("width_fifo")
 	if fs[len(fs)-1] > 0.01 {
@@ -85,7 +95,10 @@ func TestGHCWidthsSweep(t *testing.T) {
 }
 
 func TestInteractiveDelaySweep(t *testing.T) {
-	tab := InteractiveDelay(0.02, []float64{0.1, 0.5, 0.9})
+	tab, err := InteractiveDelayCtx(bg, 0.02, []float64{0.1, 0.5, 0.9})
+	if err != nil {
+		t.Fatal(err)
+	}
 	df := tab.Column("delay_fifo")
 	ds := tab.Column("delay_fairshare")
 	// FS delay for the light flow is flat; FIFO delay explodes.
@@ -98,7 +111,7 @@ func TestInteractiveDelaySweep(t *testing.T) {
 }
 
 func TestNewtonResidualsSweep(t *testing.T) {
-	tab, err := NewtonResiduals(0, 3, 6)
+	tab, err := NewtonResidualsCtx(bg, 0, 3, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +123,7 @@ func TestNewtonResidualsSweep(t *testing.T) {
 
 func TestReactionCurves(t *testing.T) {
 	us := core.Profile{utility.NewLinear(1, 0.25), utility.NewLinear(1, 0.25)}
-	tab, err := ReactionCurves(alloc.FairShare{}, us, 20)
+	tab, err := ReactionCurvesCtx(bg, alloc.FairShare{}, us, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,11 +141,11 @@ func TestReactionCurves(t *testing.T) {
 	}
 	// And the flat level is the user's standalone optimum against equal
 	// senders.
-	if _, err := ReactionCurves(alloc.FairShare{}, us[:1], 10); err == nil {
+	if _, err := ReactionCurvesCtx(bg, alloc.FairShare{}, us[:1], 10); err == nil {
 		t.Error("needs exactly two users")
 	}
 	// FIFO reaction curves keep decreasing (coupling).
-	tabF, err := ReactionCurves(alloc.Proportional{}, us, 20)
+	tabF, err := ReactionCurvesCtx(bg, alloc.Proportional{}, us, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +163,10 @@ func mathAbs(x float64) float64 {
 }
 
 func TestWriteCSV(t *testing.T) {
-	tab := Protection(0.1, 2, []float64{0.2, 0.5})
+	tab, err := ProtectionCtx(bg, 0.1, 2, []float64{0.2, 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
 	if err := tab.WriteCSV(&buf); err != nil {
 		t.Fatal(err)
