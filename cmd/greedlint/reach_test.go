@@ -89,15 +89,16 @@ func loadReachUnits(t *testing.T, dir string) []reachUnit {
 }
 
 // TestInternalFuncsReached is the module's dead-code gate: every function
-// or method declared in a non-test file under internal/ must be referenced
-// (types.Info.Uses, so plain function values count as well as calls) from
-// another package — a main, an example, the greednet facade, perfbench
-// (its own module, loaded from perfbench/), or any other package's tests —
-// or from a non-test file of its own package outside its own body.  A
-// function only its own package's tests reach is dead code with a test.
-// Methods that satisfy an interface are exempt, since dispatch leaves no
-// reference to the concrete method; that includes the errors protocol, by
-// which errors.Is and errors.As reach Unwrap, Is and As.
+// or method, and every package-level named type, const and var, declared
+// in a non-test file under internal/ must be referenced (types.Info.Uses,
+// so plain function values count as well as calls) from another package —
+// a main, an example, the greednet facade, perfbench (its own module,
+// loaded from perfbench/), or any other package's tests — or from a
+// non-test file of its own package outside its own declaration.  A
+// declaration only its own package's tests reach is dead code with a
+// test.  Methods that satisfy an interface are exempt, since dispatch
+// leaves no reference to the concrete method; that includes the errors
+// protocol, by which errors.Is and errors.As reach Unwrap, Is and As.
 func TestInternalFuncsReached(t *testing.T) {
 	root, err := filepath.Abs(filepath.Join("..", ".."))
 	if err != nil {
@@ -117,7 +118,7 @@ func TestInternalFuncsReached(t *testing.T) {
 	units := append(loadReachUnits(t, root), loadReachUnits(t, filepath.Join(root, "perfbench"))...)
 
 	type declared struct {
-		fn  *types.Func
+		obj types.Object
 		pos string
 	}
 	decls := make(map[string]declared)
@@ -160,24 +161,40 @@ func TestInternalFuncsReached(t *testing.T) {
 		for _, f := range u.pkg.Files {
 			name := u.pkg.Fset.Position(f.Pos()).Filename
 			test := strings.HasSuffix(name, "_test.go")
+			// A function is one declaration; a type, const or var block
+			// is one per spec.
+			var nodes []ast.Node
 			for _, d := range f.Decls {
-				var self types.Object
-				if fd, ok := d.(*ast.FuncDecl); ok {
-					self = u.pkg.Info.Defs[fd.Name]
-					if fn, ok := self.(*types.Func); ok && !test && fn.Name() != "init" &&
-						strings.HasPrefix(u.own, "greednet/internal/") {
+				if gd, ok := d.(*ast.GenDecl); ok {
+					for _, spec := range gd.Specs {
+						nodes = append(nodes, spec)
+					}
+				} else {
+					nodes = append(nodes, d)
+				}
+			}
+			for _, n := range nodes {
+				self := make(map[string]bool)
+				for _, id := range declaredNames(n) {
+					obj := u.pkg.Info.Defs[id]
+					key := reachKey(obj)
+					if key == "" || obj.Name() == "_" || obj.Name() == "init" {
+						continue
+					}
+					self[key] = true
+					if !test && strings.HasPrefix(u.own, "greednet/internal/") {
 						rel, _ := filepath.Rel(root, name)
-						decls[lint.FuncKey(fn)] = declared{fn, fmt.Sprintf("%s:%d", rel, u.pkg.Fset.Position(fd.Pos()).Line)}
+						decls[key] = declared{obj, fmt.Sprintf("%s:%d", rel, u.pkg.Fset.Position(id.Pos()).Line)}
 					}
 				}
-				ast.Inspect(d, func(n ast.Node) bool {
+				ast.Inspect(n, func(n ast.Node) bool {
 					id, ok := n.(*ast.Ident)
 					if !ok {
 						return true
 					}
-					if fn, ok := u.pkg.Info.Uses[id].(*types.Func); ok && fn.Origin() != self && fn.Pkg() != nil &&
-						(!test || fn.Pkg().Path() != u.own) {
-						reached[lint.FuncKey(fn.Origin())] = true
+					obj := u.pkg.Info.Uses[id]
+					if key := reachKey(obj); key != "" && !self[key] && (!test || obj.Pkg().Path() != u.own) {
+						reached[key] = true
 					}
 					return true
 				})
@@ -187,7 +204,7 @@ func TestInternalFuncsReached(t *testing.T) {
 
 	var dead []string
 	for key, d := range decls {
-		if !reached[key] && !satisfiesInterface(d.fn, ifaces) {
+		if fn, ok := d.obj.(*types.Func); !reached[key] && !(ok && satisfiesInterface(fn, ifaces)) {
 			dead = append(dead, d.pos+": "+key)
 		}
 	}
@@ -195,6 +212,36 @@ func TestInternalFuncsReached(t *testing.T) {
 	for _, d := range dead {
 		t.Errorf("%s is referenced by nothing but its own package's tests: delete it, or move it into them", d)
 	}
+}
+
+// declaredNames returns the names a top-level declaration or spec binds.
+func declaredNames(n ast.Node) []*ast.Ident {
+	switch n := n.(type) {
+	case *ast.FuncDecl:
+		return []*ast.Ident{n.Name}
+	case *ast.TypeSpec:
+		return []*ast.Ident{n.Name}
+	case *ast.ValueSpec:
+		return n.Names
+	}
+	return nil
+}
+
+// reachKey names a function, a method or a package-level object, and is
+// "" for anything else (locals, fields, type parameters, the universe).
+// Keys are strings because each package is type-checked separately, so
+// one declaration is a distinct object in every package that imports it.
+func reachKey(obj types.Object) string {
+	if obj == nil || obj.Pkg() == nil {
+		return ""
+	}
+	if fn, ok := obj.(*types.Func); ok {
+		return lint.FuncKey(fn.Origin())
+	}
+	if obj.Pkg().Scope().Lookup(obj.Name()) != obj {
+		return ""
+	}
+	return obj.Pkg().Path() + "." + obj.Name()
 }
 
 // satisfiesInterface reports whether fn is a method of a type whose method

@@ -84,10 +84,11 @@ var (
 	ErrFluidAlloc   = game.ErrFluidAlloc
 )
 
-// SolveNashFluid solves the N → ∞ fluid equilibrium of a class game
-// directly in scaled units — the heavy-traffic operating point a large
-// finite-N solve converges to.  Class counts set the population shares;
-// the absolute N only matters when unscaling.
+// SolveNashFluid solves the N → ∞ fluid equilibrium of a class game in
+// closed form, in scaled units — the heavy-traffic operating point a
+// large finite-N solve converges to.  Class counts set the population
+// shares; the absolute N only matters when unscaling.  Of opt it reads
+// only Free: a held class keeps its scaled rate N·Rate.
 func SolveNashFluid(ctx context.Context, a Allocation, cg ClassGame, opt NashOptions) (FluidResult, error) {
 	return game.SolveNashFluid(ctx, a, cg, opt)
 }

@@ -127,7 +127,7 @@ func (fs FairShare) Jacobian(r []core.Rate) [][]float64 {
 	return fs.JacobianInto(nil, dst, r)
 }
 
-// JacobianInto implements core.WorkspaceJacobianer; see Jacobian.
+// JacobianInto is Jacobian into dst with scratch from ws; see Jacobian.
 //
 //lint:hotpath
 func (FairShare) JacobianInto(ws *core.Workspace, dst [][]float64, r []core.Rate) [][]float64 {

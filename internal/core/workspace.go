@@ -163,10 +163,3 @@ type WorkspaceOwnDeriver interface {
 	// any intermediate vectors.
 	OwnDerivsInto(ws *Workspace, r []Rate, i int) (d1, d2 float64)
 }
-
-// WorkspaceJacobianer is the scratch-reusing analogue of Jacobianer.  dst
-// must hold len(r) rows of len(r) columns; rows are fully overwritten.
-type WorkspaceJacobianer interface {
-	// JacobianInto writes the matrix J[i][j] = ∂C_i/∂r_j into dst.
-	JacobianInto(ws *Workspace, dst [][]float64, r []Rate) [][]float64
-}

@@ -187,7 +187,7 @@ type objective interface {
 }
 
 // objectiveFunc adapts a plain function to objective for callers off the
-// hot path (Stackelberg's leader search, the fluid deviator).
+// hot path (Stackelberg's leader search).
 type objectiveFunc func(float64) float64
 
 func (f objectiveFunc) payoff(x float64) float64 { return f(x) }

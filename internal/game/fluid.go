@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"math"
-	"sort"
 
 	"greednet/internal/alloc"
 	"greednet/internal/core"
@@ -12,40 +11,27 @@ import (
 	"greednet/internal/utility"
 )
 
-// Heavy-traffic / fluid-limit mode: solve the N → ∞ equilibrium of a
-// class game directly, following the scaling of "Heavy Traffic
-// Approximation of Equilibria in Resource Sharing Games" (PAPERS.md,
-// arXiv:1109.6166).  As N grows with class fractions α_j = Count_j/N
-// fixed, per-user rates shrink as ρ_j = ŷ_j/N and per-user congestions
-// as C_j = ĉ_j/N; the scaled pair (ŷ, ĉ) has an N-free fixed point.
+// Heavy-traffic / fluid-limit mode: the N → ∞ equilibrium of a class
+// game in the scaled units of "Heavy Traffic Approximation of Equilibria
+// in Resource Sharing Games" (PAPERS.md, arXiv:1109.6166).  With class
+// fractions α_j = Count_j/N fixed, per-user rates and congestions shrink
+// as ρ_j = ŷ_j/N and C_j = ĉ_j/N, and the scaled pair (ŷ, ĉ) is N-free.
+// Only linear utilities survive the scaling (N·U = A·ŷ − γ·ĉ), and both
+// supported disciplines have the equilibrium in closed form.
 //
-// Under Fair Share the per-user serial chain collapses onto class
-// blocks: with classes sorted by scaled rate ŷ and F_{j−1} the user
-// fraction before block j, σ_{j−1} the load volume before it,
+// Fair Share is serial cost sharing: a class, as the smallest of the
+// users left, stops where A = γ·g′(X), so its stage load is
+// X_j = 1 − √(γ_j/A_j).  Classes fix bottom-up: over the fraction F and
+// load σ already fixed, the class that reaches its X_j at the smallest
+// rate ŷ = (X_j − σ)/(1−F) fixes next, and its stage, of load
+// X = σ + (1−F)·ŷ, adds (g(X) − g(X_prev))/(1−F) to the scaled
+// congestion of its own class and of every class fixed after it.
 //
-//	X_j = (1−F_{j−1})·ŷ_j + σ_{j−1}
-//	ĉ_j = ĉ_{j−1} + (g(X_j) − g(X_{j−1})) / (1−F_{j−1})
-//
-// and a zero-mass deviator sending ŷ inserts by the same comparison with
-// ĉ(ŷ) = ĉ_pre + (g((1−F_pre)·ŷ + σ_pre) − g_pre)/(1−F_pre).  A deviator
-// strictly above every class has F_pre = 1: it carries its g-increment
-// alone, whose scaled limit is ĉ = ĉ_last + ŷ·g'(σ) — linear growth in
-// ŷ, the finite-N analogue of the top user paying the full marginal
-// congestion (the pack below stays insulated from it, as in the paper).
-//
-// Under the proportional allocation the zero-mass limit is
-// ĉ(ŷ) = ŷ/(1−s) with s = Σ α_j·ŷ_j: the deviator's own-rate effect on s
-// vanishes, the payoff A·ŷ − γ·ŷ/(1−s) turns linear in ŷ, and
-// best-response iteration degenerates to bang-bang.  The equilibrium is
-// instead closed-form: classes push load until the best per-unit margin
-// hits zero, so s* = 1 − min_j γ_j/A_j (clamped to [0, 1)), carried by
-// the critical class(es) attaining the min — matching the finite-N
-// FIFO equilibrium x = (1−s_o) − √(γ(1−s_o)) as N → ∞.
-//
-// Only linear utilities survive the scaling N-free (U = A·ρ − γ·C gives
-// N·U = A·ŷ − γ·ĉ), so the fluid solver requires utility.Linear classes
-// and the FairShare or Proportional allocation; Square's C = r²
-// degenerates at rate N⁻² and has no nontrivial limit.
+// Under the proportional allocation ĉ_j = ŷ_j/(1−s) with s = Σ α_j·ŷ_j:
+// a zero-mass user's payoff is linear in ŷ, so classes push load until
+// the best per-unit margin hits zero, s* = 1 − min_j γ_j/A_j, carried by
+// the critical class(es) attaining the min — the N → ∞ limit of the
+// finite FIFO equilibrium x = (1−s_o) − √(γ(1−s_o)).
 
 // ErrFluidUtility is returned when a class's utility is not linear —
 // the only family whose payoff is N-free under fluid scaling.
@@ -59,113 +45,14 @@ var ErrFluidAlloc = errors.New("game: fluid solver supports FairShare and Propor
 // congestion ĉ_j = lim N·C_j, both in canonical class order.  Divide by
 // N to compare against a finite-N solve.
 type FluidResult struct {
-	Y, Chat   []float64
+	Y, Chat []float64
+	// Converged is false only when a free class gains without bound;
+	// Iters is 1, the closed form's one pass.
 	Converged bool
 	Iters     int
 	// MaxGain is the largest remaining scaled deviation gain
 	// (per-user gain ≈ MaxGain/N).
 	MaxGain float64
-}
-
-// fluidChain holds the sorted block chain of one Fair Share fluid
-// evaluation: prefix fractions, volumes, and the g/ĉ accumulations.
-type fluidChain struct {
-	ord      []int // canonical class index by ascending ŷ
-	alpha, y []float64
-	f, sigma []float64 // prefix fraction / volume before sorted block j
-	gx, cacc []float64
-	flood    int // first flooded sorted block; k when none
-}
-
-func buildFluidChain(alpha, y []float64) *fluidChain {
-	k := len(y)
-	c := &fluidChain{
-		ord:   make([]int, k),
-		alpha: alpha,
-		y:     y,
-		f:     make([]float64, k+1),
-		sigma: make([]float64, k+1),
-		gx:    make([]float64, k),
-		cacc:  make([]float64, k),
-		flood: k,
-	}
-	for j := range c.ord {
-		c.ord[j] = j
-	}
-	sort.SliceStable(c.ord, func(a, b int) bool { return y[c.ord[a]] < y[c.ord[b]] })
-	prevG, acc := 0.0, 0.0
-	for j := 0; j < k; j++ {
-		o := c.ord[j]
-		c.f[j+1] = c.f[j] + alpha[o]
-		c.sigma[j+1] = c.sigma[j] + alpha[o]*y[o]
-		rem := 1 - c.f[j]
-		x := rem*y[o] + c.sigma[j]
-		g := mm1.G(x)
-		if math.IsInf(g, 1) {
-			c.flood = j
-			break
-		}
-		acc += (g - prevG) / rem
-		c.gx[j] = g
-		c.cacc[j] = acc
-		prevG = g
-	}
-	return c
-}
-
-// deviator returns the scaled congestion of a zero-mass member of class
-// d sending ŷ against the chain.
-func (c *fluidChain) deviator(d int, yv float64) float64 {
-	pos := 0
-	for pos < len(c.ord) {
-		o := c.ord[pos]
-		if c.y[o] < yv || (!(yv < c.y[o]) && o < d) {
-			pos++
-			continue
-		}
-		break
-	}
-	if pos > c.flood {
-		return math.Inf(1)
-	}
-	rem := 1 - c.f[pos]
-	if rem <= 0 {
-		// Strictly above every class: at finite N the deviator shares every
-		// chain increment (prevC) and then carries one solo step above the
-		// previous top user — whose own x already includes the deviator
-		// clamped to the top rate, so the step is
-		// N·(g(σ+ŷ/N) − g(σ+ŷ_top/N)) → (ŷ − ŷ_top)·g'(σ): linear in ŷ and
-		// continuous at ŷ = ŷ_top.  (Charging ŷ·g'(σ) instead would stack
-		// an artificial congestion cliff on top of the chain, pinning the
-		// top class at whatever rate it currently holds.  GPrime saturates
-		// to +Inf when the chain already fills capacity.)
-		prevC := 0.0
-		if pos >= 1 {
-			prevC = c.cacc[pos-1]
-		}
-		top := c.y[c.ord[len(c.ord)-1]]
-		return prevC + (yv-top)*mm1.GPrime(c.sigma[pos])
-	}
-	g := mm1.G(rem*yv + c.sigma[pos])
-	if math.IsInf(g, 1) {
-		return math.Inf(1)
-	}
-	prevG, prevC := 0.0, 0.0
-	if pos >= 1 {
-		prevG, prevC = c.gx[pos-1], c.cacc[pos-1]
-	}
-	return prevC + (g-prevG)/rem
-}
-
-// classChat writes each class's scaled congestion at the chain point.
-func (c *fluidChain) classChat(dst []float64) {
-	for j := range c.ord {
-		if j >= c.flood {
-			dst[c.ord[j]] = math.Inf(1)
-			continue
-		}
-		dst[c.ord[j]] = c.cacc[j]
-	}
 }
 
 // fluidLinear extracts the linear utilities of a class game, or fails.
@@ -182,23 +69,22 @@ func fluidLinear(cg ClassGame) ([]utility.Linear, error) {
 }
 
 // SolveNashFluid solves the heavy-traffic equilibrium of cg's class
-// structure: fractions α_j = Count_j/N and scaled starts ŷ_j = N·Rate_j
-// are read from the game, and best-response iteration — the same round
-// loop as SolveNash — runs entirely in scaled units, so the answer is
-// independent of N for fixed fractions and volumes.  Options keep their
-// SolveNashClass meanings with Tol and BR bounds interpreted in ŷ-space
-// (BR.Hi defaults to twice the current top scaled rate rather than the
-// per-user 1−1e-9).
+// structure in closed form: fractions α_j = Count_j/N are read from the
+// game, so the answer is the same at every N for fixed fractions.  Of
+// opt it reads only Free: a held class (Free[j] == false) keeps its
+// scaled rate ŷ_j = N·Rate_j.  A free class with A ≤ 0 sends nothing; one
+// with γ ≤ 0 < A gains without bound, so the result is unconverged with
+// MaxGain +Inf.  The solve is one O(K²) pass, so ctx is never polled.
 func SolveNashFluid(ctx context.Context, a core.Allocation, cg ClassGame, opt NashOptions) (FluidResult, error) {
 	k := cg.K()
 	if k == 0 {
 		return FluidResult{}, ErrBadClass
 	}
-	var prop bool
+	solve := solveFluidFairShare
 	switch a.(type) {
 	case alloc.FairShare:
 	case alloc.Proportional:
-		prop = true
+		solve = solveFluidProportional
 	default:
 		return FluidResult{}, ErrFluidAlloc
 	}
@@ -213,58 +99,75 @@ func SolveNashFluid(ctx context.Context, a core.Allocation, cg ClassGame, opt Na
 		alpha[j] = float64(c.Count) / n
 		y[j] = n * c.Rate
 	}
-	ws := NewWorkspace()
-	if prop {
-		free := opt.Free
-		if free == nil {
-			free = ws.allFree(k)
+	free := opt.Free
+	if free == nil {
+		free = NewWorkspace().allFree(k)
+	}
+	return solve(lus, alpha, y, free), nil
+}
+
+// solveFluidFairShare builds the Fair Share fluid equilibrium bottom-up.
+// Among the unfixed classes the smallest candidate rate fixes next,
+// together with every class whose candidate ties it bit for bit: a held
+// class's candidate is its own ŷ, a free class's the rate that brings
+// the stage load to its X_j, (X_j − σ)/(1−F) clamped at 0.  Fixing a
+// stage at ŷ leaves every other candidate at or above ŷ, so rates rise
+// stage by stage.  Each free class sits at its own first-order
+// condition and a deviator's serial cost is convex in its rate, so no
+// deviation gains: MaxGain is 0.
+func solveFluidFairShare(lus []utility.Linear, alpha, y []float64, free []bool) FluidResult {
+	k := len(y)
+	res := FluidResult{Y: y, Chat: make([]float64, k), Converged: true, Iters: 1}
+	target := make([]float64, k)
+	for j, lu := range lus {
+		switch {
+		case !free[j] || lu.A <= 0:
+		case lu.Gamma <= 0:
+			target[j] = 1
+			res.Converged = false
+			res.MaxGain = math.Inf(1)
+		default:
+			target[j] = 1 - math.Sqrt(lu.Gamma/lu.A)
 		}
-		return solveFluidProportional(lus, alpha, y, free), nil
 	}
-	res, err := ws.solve(ctx, &fluidGame{lus: lus, alpha: alpha, br: opt.BR}, y, opt, y, make([]float64, k))
-	return FluidResult{Y: res.R, Chat: res.C, Converged: res.Converged, Iters: res.Iters, MaxGain: res.MaxGain}, err
-}
-
-// fluidGame is the Fair Share fluid limit as a responder: players are
-// classes at scaled rates ŷ with population fractions α, each a
-// zero-mass deviator against the block chain, paid A·ŷ − γ·ĉ.
-type fluidGame struct {
-	lus   []utility.Linear
-	alpha []float64
-	br    BROptions
-}
-
-func (g *fluidGame) bestResponse(d int, y []float64) (float64, float64) {
-	br := g.br
-	if br.Lo <= 0 {
-		br.Lo = 1e-9
-	}
-	if br.Hi <= 0 {
-		top := 1.0
-		for _, v := range y {
-			if v > top {
-				top = v
+	fixed := make([]bool, k)
+	cand := make([]float64, k)
+	f, sigma, gPrev, chat := 0.0, 0.0, 0.0, 0.0
+	for left := k; left > 0; {
+		rem := 1 - f
+		next := -1
+		for j := range y {
+			if fixed[j] {
+				continue
+			}
+			cand[j] = y[j]
+			if free[j] {
+				cand[j] = math.Max(0, (target[j]-sigma)/rem)
+			}
+			if next < 0 || cand[j] < cand[next] {
+				next = j
 			}
 		}
-		br.Hi = 2 * top
+		yv := cand[next]
+		if g := mm1.G(sigma + rem*yv); math.IsInf(g, 1) {
+			chat = g
+		} else {
+			chat += (g - gPrev) / rem
+			gPrev = g
+		}
+		mass := 0.0
+		for j := range y {
+			if !fixed[j] && math.Float64bits(cand[j]) == math.Float64bits(yv) {
+				fixed[j] = true
+				left--
+				y[j], res.Chat[j] = yv, chat
+				mass += alpha[j]
+			}
+		}
+		f += mass
+		sigma += mass * yv
 	}
-	if br.GridPoints <= 0 {
-		br.GridPoints = 64
-	}
-	if br.Tol <= 0 {
-		br.Tol = 1e-10
-	}
-	chain := buildFluidChain(g.alpha, y)
-	dev := func(x float64) float64 { return g.value(d, x, chain.deviator(d, x)) }
-	return maximize(objectiveFunc(dev), br.Lo, br.Hi, br.GridPoints, br.Tol)
-}
-
-func (g *fluidGame) value(d int, yv, chat float64) float64 {
-	return g.lus[d].A*yv - g.lus[d].Gamma*chat
-}
-
-func (g *fluidGame) congestion(dst, y []float64) {
-	buildFluidChain(g.alpha, y).classChat(dst)
+	return res
 }
 
 // solveFluidProportional computes the closed-form proportional fluid

@@ -25,8 +25,9 @@ const (
 	Jacobi
 )
 
-// NashOptions configures the Nash solvers — per-user (SolveNash), class
-// (SolveNashClass) and fluid (SolveNashFluid) alike.
+// NashOptions configures the Nash solvers — per-user (SolveNash) and
+// class (SolveNashClass) alike; the closed-form SolveNashFluid reads only
+// Free.
 type NashOptions struct {
 	// Scheme is the update order; default GaussSeidel.
 	Scheme UpdateScheme
@@ -122,21 +123,8 @@ func SolveNashWS(ctx context.Context, ws *Workspace, a core.Allocation, us core.
 	return ws.solve(ctx, g, r0, opt, make([]float64, n), make([]float64, n))
 }
 
-// responder is a game as the best-response round loop sees it: players
-// d = 0..K−1 — users, classes, or the fluid limit's scaled classes —
-// each with a best response to the current iterate and a payoff at a
-// (rate, congestion) pair.
-type responder interface {
-	// bestResponse returns player d's best response to r and its payoff.
-	bestResponse(d int, r []float64) (x, val float64)
-	// value is player d's payoff at rate x and congestion c.
-	value(d int, x, c float64) float64
-	// congestion writes every player's congestion at r into dst.
-	congestion(dst, r []float64)
-}
-
-// solve is the one best-response round loop, shared by the per-user,
-// class and fluid solvers: Gauss–Seidel or Jacobi rounds from r0 with
+// solve is the one best-response round loop, shared by the per-user and
+// class solvers: Gauss–Seidel or Jacobi rounds from r0 with
 // damping r ← (1−d)·r + d·BR, stopping when the ∞-norm rate change falls
 // to Tol, with ctx polled once per round; then the congestion report and
 // the deviation audit, MaxGain = max over free players of best response
@@ -150,7 +138,7 @@ type responder interface {
 // a lower bound.
 //
 //lint:hotpath
-func (ws *Workspace) solve(ctx context.Context, g responder, r0 []float64, opt NashOptions, rdst, cdst []float64) (NashResult, error) {
+func (ws *Workspace) solve(ctx context.Context, g *finiteGame, r0 []float64, opt NashOptions, rdst, cdst []float64) (NashResult, error) {
 	k := len(r0)
 	opt = opt.withDefaults()
 	free := opt.Free
@@ -214,16 +202,17 @@ func (ws *Workspace) solve(ctx context.Context, g responder, r0 []float64, opt N
 			return res, err
 		}
 		_, best := g.bestResponse(d, rdst)
-		if gain := best - g.value(d, rdst[d], cdst[d]); gain > res.MaxGain {
+		if gain := best - g.us[d].Value(rdst[d], cdst[d]); gain > res.MaxGain {
 			res.MaxGain = gain
 		}
 	}
 	return res, nil
 }
 
-// finiteGame is a finite game as a responder: players with multiplicities
-// counts (all one for a per-user game), searched on the discipline's
-// class arithmetic or, under a generic discipline, per user through a.
+// finiteGame is a finite game as the round loop sees it: players with
+// multiplicities counts (all one for a per-user game), searched on the
+// discipline's class arithmetic or, under a generic discipline, per user
+// through a.
 type finiteGame struct {
 	ws     *Workspace
 	k      kernel
@@ -233,7 +222,7 @@ type finiteGame struct {
 	br     BROptions
 }
 
-// finite points the workspace's responder at one game.
+// finite aims the workspace's finiteGame at one game.
 func (ws *Workspace) finite(k kernel, a core.Allocation, us core.Profile, counts []int, br BROptions) *finiteGame {
 	g := &ws.game
 	g.ws, g.k, g.a, g.us, g.counts, g.br = ws, k, a, us, counts, br
@@ -244,8 +233,6 @@ func (ws *Workspace) finite(k kernel, a core.Allocation, us core.Profile, counts
 func (g *finiteGame) bestResponse(d int, r []float64) (float64, float64) {
 	return g.ws.bestResponse(g.k, g.a, g.us[d], r, g.counts, d, g.br)
 }
-
-func (g *finiteGame) value(d int, x, c float64) float64 { return g.us[d].Value(x, c) }
 
 //lint:hotpath
 func (g *finiteGame) congestion(dst, r []float64) {
