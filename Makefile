@@ -2,7 +2,7 @@ GO ?= go
 LINT := bin/greedlint
 FUZZTIME ?= 30s
 
-.PHONY: all build lint lint-changed lint-json lint-golden test race experiments-check bench escapes escapes-update fuzz clean
+.PHONY: all build lint lint-golden test race experiments-check bench escapes escapes-update fuzz clean
 
 all: build lint test
 
@@ -12,33 +12,17 @@ build:
 $(LINT): cmd/greedlint/*.go internal/lint/*.go
 	$(GO) build -o $(LINT) ./cmd/greedlint
 
-# The fail-fast pre-gate first (only the packages whose Go files changed
-# vs HEAD — seconds, not the whole module), then go vet's standard
-# checks, then the full in-tree greedlint suite — floateq, rngsource,
-# panicfree, errdrop, the dataflow-aware feasguard, detorder, dimcheck,
-# parsafe, the interprocedural allocfree, ctxflow, wsalias, and the
-# concurrency-contract guardedby, chanown, fanout — through the vettool
-# protocol (covers test files, flows call-graph facts through vetx),
-# then once standalone for the sorted listing.
-lint: $(LINT) lint-changed
+# go vet's standard checks, then the full in-tree greedlint suite over
+# every package, test files included: floateq, rngsource, panicfree,
+# errdrop, the dataflow-aware feasguard, detorder, dimcheck, the
+# interprocedural allocfree, ctxflow, wsalias, and the concurrency-contract
+# guardedby, chanown, fanout.  Its one sorted listing must be empty.
+lint: $(LINT)
 	$(GO) vet ./...
-	$(GO) vet -vettool=$(abspath $(LINT)) ./...
 	$(LINT) ./...
 
-# Standalone run scoped to the git-changed packages: the quick local
-# loop (and the first thing `make lint` tries, so a broken edit fails in
-# seconds).  A lower bound only — dependents of a changed package are
-# not re-checked until the full run.
-lint-changed: $(LINT)
-	$(LINT) -changed
-
-# Machine-readable findings stream (CI archives it as an artifact).
-# Exit 0 writes [], so the artifact always exists and always parses.
-lint-json: $(LINT)
-	$(LINT) -json ./... > LINT.json || true
-
-# Regenerate cmd/greedlint/testdata/golden.{txt,json} after changing
-# analyzer messages or the golden fixture module.
+# Regenerate cmd/greedlint/testdata/golden.txt after changing analyzer
+# messages or the golden fixture module.
 lint-golden:
 	$(GO) test ./cmd/greedlint -run TestGolden -update
 

@@ -81,18 +81,7 @@ func hotSpansOf(fset *token.FileSet, f *ast.File, relFile string) []hotSpan {
 	var spans []hotSpan
 	for _, d := range f.Decls {
 		fd, ok := d.(*ast.FuncDecl)
-		if !ok || fd.Doc == nil || fd.Body == nil {
-			continue
-		}
-		marked := false
-		for _, c := range fd.Doc.List {
-			rest, found := strings.CutPrefix(c.Text, lint.HotpathDirective)
-			if found && (rest == "" || rest[0] == ' ' || rest[0] == '\t') {
-				marked = true
-				break
-			}
-		}
-		if !marked {
+		if !ok || fd.Body == nil || !lint.HasHotpathDirective(fd) {
 			continue
 		}
 		name := f.Name.Name + "." + fd.Name.Name

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"flag"
 	"os"
@@ -10,57 +9,28 @@ import (
 	"testing"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/golden.txt and testdata/golden.json from the current output")
+var update = flag.Bool("update", false, "rewrite testdata/golden.txt from the current output")
 
-// buildLint compiles the real binary into a scratch dir and returns its
-// path, together with the absolute path of the fixture module.
-func buildLint(t *testing.T) (bin, modDir string) {
-	t.Helper()
-	bin = filepath.Join(t.TempDir(), "greedlint")
-	build := exec.Command("go", "build", "-o", bin, ".")
-	if out, err := build.CombinedOutput(); err != nil {
+// TestGoldenStandalone builds the real binary, runs it twice over the
+// self-contained fixture module in testdata/goldenmod, and requires
+// (a) byte-identical output across runs — the determinism contract that
+// lets the listing serve as a golden file — and (b) an exact match against
+// testdata/golden.txt.  The fixture module spans five packages with a
+// dependency edge (solver imports alloc), so the run also proves the
+// dependency-ordered fact flow of the interprocedural analyzers, and
+// report's test file proves that test files are linted.
+// Regenerate with:
+//
+//	go test ./cmd/greedlint -run TestGolden -update
+func TestGoldenStandalone(t *testing.T) {
+	bin := filepath.Join(t.TempDir(), "greedlint")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
 		t.Fatalf("building greedlint: %v\n%s", err, out)
 	}
 	modDir, err := filepath.Abs(filepath.Join("testdata", "goldenmod"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return bin, modDir
-}
-
-// checkGolden compares got against the named golden file, rewriting it
-// under -update.
-func checkGolden(t *testing.T, name string, got []byte) {
-	t.Helper()
-	golden := filepath.Join("testdata", name)
-	if *update {
-		if err := os.WriteFile(golden, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote %s", golden)
-		return
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("reading golden file (run with -update to create it): %v", err)
-	}
-	if string(got) != string(want) {
-		t.Errorf("output does not match %s:\n--- got\n%s--- want\n%s", golden, got, want)
-	}
-}
-
-// TestGoldenStandalone builds the real binary, runs it twice over the
-// self-contained fixture module in testdata/goldenmod, and requires
-// (a) byte-identical output across runs — the determinism contract that
-// lets the listing serve as a golden file — and (b) an exact match against
-// testdata/golden.txt.  The fixture module spans four packages with a
-// dependency edge (solver imports alloc), so the run also proves the
-// dependency-ordered fact flow of the interprocedural analyzers.
-// Regenerate with:
-//
-//	go test ./cmd/greedlint -run TestGolden -update
-func TestGoldenStandalone(t *testing.T) {
-	bin, modDir := buildLint(t)
 	run := func() []byte {
 		cmd := exec.Command(bin, "./...")
 		cmd.Dir = modDir
@@ -76,54 +46,22 @@ func TestGoldenStandalone(t *testing.T) {
 	first := run()
 	second := run()
 	if string(first) != string(second) {
-		t.Fatalf("standalone output is not deterministic across runs:\n--- first\n%s--- second\n%s",
+		t.Fatalf("output is not deterministic across runs:\n--- first\n%s--- second\n%s",
 			first, second)
 	}
-	checkGolden(t, "golden.txt", first)
-}
-
-// TestGoldenStandaloneJSON runs the same fixture module through -json and
-// goldens the machine-readable stream: stdout must be exactly the findings
-// array (CI parses it as an artifact), deterministic across runs, and in
-// the same order as the text listing.
-func TestGoldenStandaloneJSON(t *testing.T) {
-	bin, modDir := buildLint(t)
-	run := func() []byte {
-		cmd := exec.Command(bin, "-json", "./...")
-		cmd.Dir = modDir
-		out, err := cmd.Output() // stdout only: the JSON must stand alone
-		var ee *exec.ExitError
-		if !errors.As(err, &ee) || ee.ExitCode() != 2 {
-			t.Fatalf("greedlint -json ./... in %s: err = %v, want exit status 2; output:\n%s",
-				modDir, err, out)
+	golden := filepath.Join("testdata", "golden.txt")
+	if *update {
+		if err := os.WriteFile(golden, first, 0o644); err != nil {
+			t.Fatal(err)
 		}
-		return out
+		t.Logf("rewrote %s", golden)
+		return
 	}
-
-	first := run()
-	second := run()
-	if string(first) != string(second) {
-		t.Fatalf("-json output is not deterministic across runs:\n--- first\n%s--- second\n%s",
-			first, second)
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("reading golden file (run with -update to create it): %v", err)
 	}
-
-	var findings []struct {
-		File     string `json:"file"`
-		Line     int    `json:"line"`
-		Col      int    `json:"col"`
-		Message  string `json:"message"`
-		Analyzer string `json:"analyzer"`
+	if string(first) != string(want) {
+		t.Errorf("output does not match %s:\n--- got\n%s--- want\n%s", golden, first, want)
 	}
-	if err := json.Unmarshal(first, &findings); err != nil {
-		t.Fatalf("stdout is not a JSON findings array: %v\n%s", err, first)
-	}
-	if len(findings) == 0 {
-		t.Fatalf("-json reported no findings; the fixture module has several")
-	}
-	for i, f := range findings {
-		if f.File == "" || f.Line == 0 || f.Message == "" || f.Analyzer == "" {
-			t.Errorf("finding %d is missing fields: %+v", i, f)
-		}
-	}
-	checkGolden(t, "golden.json", first)
 }

@@ -1,31 +1,23 @@
 // Command greedlint runs greednet's in-tree static-analysis suite
 // (internal/lint): the syntactic analyzers floateq, rngsource, panicfree,
-// and errdrop; the dataflow-aware set feasguard, detorder, dimcheck, and
-// parsafe; the interprocedural set allocfree, ctxflow, and wsalias,
-// which flow per-function call-graph facts (who allocates, who carries a
-// Ctx sibling) across package boundaries; and the concurrency-contract
-// set guardedby, chanown, and fanout, which enforce the //lint:guardedby
-// lock discipline on a CFG lock-held lattice, //lint:chanowner channel
-// close ownership, and the parallel-only goroutine inventory.  A
-// framework-level staleallow check reports //lint:allow directives that
-// no longer suppress anything.
+// and errdrop; the dataflow-aware set feasguard, detorder, and dimcheck;
+// the interprocedural set allocfree, ctxflow, and wsalias, which flow
+// per-function call-graph facts (who allocates, who carries a Ctx sibling)
+// across package boundaries; and the concurrency-contract set guardedby,
+// chanown, and fanout, which enforce the //lint:guardedby lock discipline
+// on a CFG lock-held lattice, //lint:chanowner channel close ownership,
+// and the parallel-only goroutine inventory.  A framework-level staleallow
+// check reports //lint:allow directives that no longer suppress anything.
 //
-// It speaks the go command's (unpublished) vet driver protocol, so the
-// canonical invocation is through the build system, which supplies export
-// data, caches results, and forwards each dependency's facts through its
-// vetx file:
-//
-//	go build -o bin/greedlint ./cmd/greedlint
-//	go vet -vettool=bin/greedlint ./...
-//
-// It also runs standalone over package patterns, shelling out to `go list
-// -deps` for file lists and export data and analyzing in dependency order
-// so the facts flow the same way (test files are only covered by the
-// vettool form, which analyzes each package's test variants):
+// It runs over package patterns:
 //
 //	greedlint ./...
-//	greedlint -json ./...   # findings as a JSON array on stdout
-//	greedlint -changed      # only packages with Go files changed vs HEAD
+//	greedlint -analyzers floateq,errdrop ./internal/mm1
+//
+// One `go list -deps -test -export` call supplies file lists and export
+// data.  Each package is analyzed once with its test files, in dependency
+// order so the facts flow, and the findings in the named packages print
+// as one sorted listing with paths relative to the working directory.
 //
 // Suppress an intentional finding with a trailing or preceding comment:
 //
@@ -36,7 +28,7 @@ package main
 
 import (
 	"bytes"
-	"crypto/sha256"
+	"cmp"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -44,462 +36,187 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 
 	"greednet/internal/lint"
 )
 
-var (
-	analyzersFlag = flag.String("analyzers", "", "comma-separated analyzer subset to run (default: all)")
-	versionFlag   = flag.String("V", "", "print version and exit (use -V=full for the build-system form)")
-	flagsFlag     = flag.Bool("flags", false, "print analyzer flags in JSON (used by the go command)")
-	jsonFlag      = flag.Bool("json", false, "standalone mode: also emit findings as a JSON array on stdout")
-	changedFlag   = flag.Bool("changed", false, "standalone mode: lint only the packages holding Go files changed vs HEAD (plus untracked); exits 0 when nothing changed")
-)
+var analyzersFlag = flag.String("analyzers", "", "comma-separated analyzer subset to run (default: all)")
 
 func main() {
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: greedlint [-analyzers=a,b] package... | vet.cfg\n")
+		fmt.Fprintf(os.Stderr, "usage: greedlint [-analyzers=a,b] package...\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
-
-	if *versionFlag != "" {
-		printVersion()
-		return
-	}
-	if *flagsFlag {
-		printFlags()
-		return
-	}
-
 	analyzers, err := lint.ByName(*analyzersFlag)
 	if err != nil {
 		fatal(err)
 	}
-
-	args := flag.Args()
-	if *changedFlag {
-		if len(args) > 0 {
-			fatal(fmt.Errorf("greedlint: -changed selects its own packages; drop the %v arguments", args))
-		}
-		patterns, err := changedPackagePatterns()
-		if err != nil {
-			fatal(err)
-		}
-		if len(patterns) == 0 {
-			fmt.Fprintln(os.Stderr, "greedlint: no Go files changed vs HEAD")
-			return
-		}
-		runStandalone(patterns, analyzers)
-		return
-	}
-	if len(args) == 0 {
+	if flag.NArg() == 0 {
 		flag.Usage()
 		os.Exit(1)
 	}
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		runUnitchecker(args[0], analyzers)
-		return
-	}
-	runStandalone(args, analyzers)
-}
-
-// printVersion implements -V / -V=full, which the go command uses to stamp
-// the tool into its cache keys.  The output line must match the shape
-// "<name> version devel ... buildID=<id>".
-func printVersion() {
-	progname := filepath.Base(os.Args[0])
-	if *versionFlag != "full" {
-		fmt.Printf("%s version devel\n", progname)
-		return
-	}
-	id := "unknown"
-	if exe, err := os.Executable(); err == nil {
-		if data, err := os.ReadFile(exe); err == nil {
-			sum := sha256.Sum256(data)
-			id = fmt.Sprintf("%x", sum[:16])
-		}
-	}
-	fmt.Printf("%s version devel comments-go-here buildID=%s\n", progname, id)
-}
-
-// printFlags implements -flags: the go command queries the tool's flag set
-// as JSON before parsing the `go vet` command line.
-func printFlags() {
-	type jsonFlag struct {
-		Name  string
-		Bool  bool
-		Usage string
-	}
-	out := []jsonFlag{
-		{Name: "analyzers", Bool: false, Usage: "comma-separated analyzer subset to run"},
-	}
-	data, err := json.Marshal(out)
+	units, exports, err := listUnits("", flag.Args())
 	if err != nil {
 		fatal(err)
 	}
-	_, _ = os.Stdout.Write(data)
-}
 
-// vetConfig mirrors the JSON configuration cmd/go writes for each vetted
-// package (cmd/go/internal/work.vetConfig).
-type vetConfig struct {
-	ID           string
-	Compiler     string
-	Dir          string
-	ImportPath   string
-	GoFiles      []string
-	NonGoFiles   []string
-	IgnoredFiles []string
-
-	ImportMap   map[string]string
-	PackageFile map[string]string
-	Standard    map[string]bool
-	PackageVetx map[string]string
-	VetxOnly    bool
-	VetxOutput  string
-	GoVersion   string
-
-	SucceedOnTypecheckFailure bool
-}
-
-// runUnitchecker analyzes the single package described by a vet.cfg file.
-//
-// Facts protocol: the go command hands over each direct dependency's vetx
-// file in PackageVetx and names the file to write in VetxOutput.  Every
-// vetx file greedlint writes re-exports the merged transitive store (its
-// own package facts plus everything it imported), so summaries reach
-// dependents even though cmd/go only forwards direct dependencies.  A
-// VetxOnly pass computes and writes facts without running the reporting
-// analyzers.
-func runUnitchecker(cfgFile string, analyzers []*lint.Analyzer) {
-	data, err := os.ReadFile(cfgFile)
-	if err != nil {
-		fatal(err)
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fatal(fmt.Errorf("greedlint: parsing %s: %w", cfgFile, err))
-	}
+	// Thread one fact store through the dependency-ordered units, collect
+	// every finding, then render one globally sorted listing: byte-stable
+	// across runs and machines, so it can serve as a golden file.
 	store := lint.NewFactStore()
-	for _, vetxFile := range cfg.PackageVetx {
-		payload, err := os.ReadFile(vetxFile)
-		if err != nil {
-			continue // missing dependency facts degrade, never fail the build
-		}
-		dep, err := lint.DecodeFacts(payload)
-		if err != nil {
-			continue
-		}
-		store.Merge(dep)
-	}
-
-	// Always leave vetx output behind, even on failure: the go command
-	// caches it and skips re-running the tool on unchanged dependencies.
-	// The placeholder decodes as an empty store (header mismatch).
-	writeVetx := func(payload []byte) {
-		if cfg.VetxOutput == "" {
-			return
-		}
-		if err := os.WriteFile(cfg.VetxOutput, payload, 0o666); err != nil {
-			fatal(err)
-		}
-	}
-
-	run := analyzers
-	if cfg.VetxOnly {
-		run = nil // dependency pass: compute facts, report nothing
-	}
-	diags, fset, facts, err := lint.AnalyzePkg(lint.LoadConfig{
-		ImportPath:  cfg.ImportPath,
-		GoFiles:     cfg.GoFiles,
-		ImportMap:   cfg.ImportMap,
-		PackageFile: cfg.PackageFile,
-	}, run, store)
-	if err != nil {
-		writeVetx([]byte("greedlint\n"))
-		if cfg.SucceedOnTypecheckFailure {
-			return
-		}
-		fatal(err)
-	}
-	store.Add(facts)
-	payload, err := lint.EncodeFacts(store)
-	if err != nil {
-		fatal(err)
-	}
-	writeVetx(payload)
-	if cfg.VetxOnly {
-		return
-	}
-	if len(diags) > 0 {
-		for _, d := range diags {
-			fmt.Fprintf(os.Stderr, "%s: %s [%s]\n", fset.Position(d.Pos), d.Message, d.Analyzer)
-		}
-		os.Exit(2)
-	}
-}
-
-// listPackage is the subset of `go list -json` output the standalone mode
-// consumes.
-type listPackage struct {
-	ImportPath string
-	Dir        string
-	Export     string
-	GoFiles    []string
-	CgoFiles   []string
-	Imports    []string
-	DepOnly    bool
-	Standard   bool
-}
-
-// runStandalone resolves package patterns with `go list` and analyzes the
-// module's packages in dependency order against the build cache's export
-// data, threading one shared fact store through the sequence so the
-// interprocedural analyzers see every dependency's summaries.  Findings
-// are reported only for the named targets; dependency-only packages are
-// analyzed for their facts alone.
-func runStandalone(patterns []string, analyzers []*lint.Analyzer) {
-	args := append([]string{"list", "-e", "-deps", "-export",
-		"-json=ImportPath,Dir,Export,GoFiles,CgoFiles,Imports,DepOnly,Standard"}, patterns...)
-	cmd := exec.Command("go", args...)
-	cmd.Stderr = os.Stderr
-	out, err := cmd.Output()
-	if err != nil {
-		fatal(fmt.Errorf("greedlint: go list: %w", err))
-	}
-
-	exports := make(map[string]string)
-	var pkgs []listPackage
-	dec := json.NewDecoder(bytes.NewReader(out))
-	for {
-		var p listPackage
-		if err := dec.Decode(&p); err == io.EOF {
-			break
-		} else if err != nil {
-			fatal(fmt.Errorf("greedlint: decoding go list output: %w", err))
-		}
-		if p.Export != "" {
-			exports[p.ImportPath] = p.Export
-		}
-		if !p.Standard {
-			pkgs = append(pkgs, p)
-		}
-	}
-
-	// Collect every diagnostic across all target packages, then render one
-	// globally sorted listing: byte-stable across runs and machines (paths
-	// are reported relative to the working directory), so the output can
-	// serve directly as a golden file.
-	store := lint.NewFactStore()
-	var all []renderedDiag
-	for _, p := range topoOrder(pkgs) {
-		if len(p.CgoFiles) > 0 {
-			fmt.Fprintf(os.Stderr, "greedlint: skipping %s: cgo package\n", p.ImportPath)
-			continue
-		}
-		if len(p.GoFiles) == 0 {
-			continue
-		}
-		files := make([]string, len(p.GoFiles))
-		for i, f := range p.GoFiles {
-			files[i] = filepath.Join(p.Dir, f)
-		}
+	var all []finding
+	for _, u := range units {
 		run := analyzers
-		if p.DepOnly {
+		if u.DepOnly {
 			run = nil // facts only: not a named target
 		}
-		diags, fset, facts, err := lint.AnalyzePkg(lint.LoadConfig{
-			ImportPath:  p.ImportPath,
-			GoFiles:     files,
-			PackageFile: exports,
-		}, run, store)
+		diags, fset, facts, err := lint.AnalyzePkg(u.config(exports), run, store)
 		if err != nil {
 			fatal(err)
 		}
 		store.Add(facts)
-		if p.DepOnly {
+		if u.DepOnly {
 			continue
 		}
 		for _, d := range diags {
 			pos := fset.Position(d.Pos)
-			all = append(all, renderedDiag{
-				File:     relPath(pos.Filename),
-				Line:     pos.Line,
-				Col:      pos.Column,
-				Message:  d.Message,
-				Analyzer: d.Analyzer,
-			})
+			all = append(all, finding{relPath(pos.Filename), pos.Line, pos.Column, d.Analyzer, d.Message})
 		}
 	}
-	sort.Slice(all, func(i, j int) bool {
-		a, b := all[i], all[j]
-		if a.File != b.File {
-			return a.File < b.File
-		}
-		if a.Line != b.Line {
-			return a.Line < b.Line
-		}
-		if a.Col != b.Col {
-			return a.Col < b.Col
-		}
-		if a.Analyzer != b.Analyzer {
-			return a.Analyzer < b.Analyzer
-		}
-		return a.Message < b.Message
+	slices.SortFunc(all, func(a, b finding) int {
+		return cmp.Or(strings.Compare(a.file, b.file), cmp.Compare(a.line, b.line),
+			cmp.Compare(a.col, b.col), strings.Compare(a.analyzer, b.analyzer),
+			strings.Compare(a.message, b.message))
 	})
 	for _, d := range all {
-		fmt.Fprintf(os.Stderr, "%s:%d:%d: %s [%s]\n", d.File, d.Line, d.Col, d.Message, d.Analyzer)
-	}
-	if *jsonFlag {
-		// The machine-readable artifact: same findings, same order, on
-		// stdout (the text listing stays on stderr, so the two streams can
-		// be captured independently).  An empty run emits [] rather than
-		// null so consumers can always range over the result.
-		if all == nil {
-			all = []renderedDiag{}
-		}
-		data, err := json.MarshalIndent(all, "", "  ")
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(string(data))
+		fmt.Fprintf(os.Stderr, "%s:%d:%d: %s [%s]\n", d.file, d.line, d.col, d.message, d.analyzer)
 	}
 	if len(all) > 0 {
 		os.Exit(2)
 	}
 }
 
-// changedPackagePatterns maps the working tree's changed Go files —
-// `git diff --name-only HEAD` plus untracked files — to the package
-// patterns containing them, for the fail-fast pre-gate `greedlint
-// -changed`.  Files under a testdata element are skipped (fixtures are
-// not packages of this module), as are files whose directory no longer
-// exists or lies outside the working directory.  The result is a lower
-// bound on the full run, not a replacement: a change can break a
-// *dependent* package's contract, which only `greedlint ./...` sees.
-func changedPackagePatterns() ([]string, error) {
-	top, err := gitLines("rev-parse", "--show-toplevel")
-	if err != nil || len(top) == 0 {
-		return nil, fmt.Errorf("greedlint: -changed needs a git worktree: %v", err)
-	}
-	changed, err := gitLines("diff", "--name-only", "HEAD")
-	if err != nil {
-		return nil, fmt.Errorf("greedlint: git diff: %w", err)
-	}
-	untracked, err := gitLines("ls-files", "--others", "--exclude-standard")
-	if err != nil {
-		return nil, fmt.Errorf("greedlint: git ls-files: %w", err)
-	}
-	wd, err := os.Getwd()
-	if err != nil {
-		return nil, err
-	}
-	dirs := make(map[string]bool)
-	for _, f := range append(changed, untracked...) {
-		if !strings.HasSuffix(f, ".go") {
-			continue
-		}
-		// Git paths are repo-root-relative; patterns must be cwd-relative.
-		rel, err := filepath.Rel(wd, filepath.Join(top[0], f))
-		if err != nil || strings.HasPrefix(rel, "..") {
-			continue
-		}
-		dir := filepath.ToSlash(filepath.Dir(rel))
-		if dir != "." && slicesContainsTestdata(dir) {
-			continue
-		}
-		if st, err := os.Stat(filepath.Dir(rel)); err != nil || !st.IsDir() {
-			continue // the whole directory was deleted
-		}
-		dirs[dir] = true
-	}
-	patterns := make([]string, 0, len(dirs))
-	for dir := range dirs {
-		if dir == "." {
-			patterns = append(patterns, ".")
-		} else {
-			patterns = append(patterns, "./"+dir)
-		}
-	}
-	sort.Strings(patterns)
-	return patterns, nil
+// finding is one diagnostic resolved to its printable position.
+type finding struct {
+	file              string
+	line, col         int
+	analyzer, message string
 }
 
-// slicesContainsTestdata reports whether any element of the
-// slash-separated path is the go tool's reserved testdata directory.
-func slicesContainsTestdata(dir string) bool {
-	for _, seg := range strings.Split(dir, "/") {
-		if seg == "testdata" {
-			return true
-		}
-	}
-	return false
+// listPackage is the subset of `go list -json` output greedlint consumes.
+type listPackage struct {
+	ImportPath string
+	ForTest    string
+	Dir        string
+	Export     string
+	GoFiles    []string
+	Imports    []string
+	ImportMap  map[string]string
+	DepOnly    bool
+	Standard   bool
 }
 
-// gitLines runs a git subcommand and returns its non-empty output lines.
-func gitLines(args ...string) ([]string, error) {
-	cmd := exec.Command("git", args...)
+// path is the import path without go list's " [p.test]" suffix.  A test
+// variant is type-checked under it, so its fact keys are the package's.
+func (p *listPackage) path() string {
+	path, _, _ := strings.Cut(p.ImportPath, " [")
+	return path
+}
+
+// config describes the package to lint.LoadPackage, resolving its imports
+// through exports.
+func (p *listPackage) config(exports map[string]string) lint.LoadConfig {
+	files := make([]string, len(p.GoFiles))
+	for i, f := range p.GoFiles {
+		files[i] = filepath.Join(p.Dir, f)
+	}
+	return lint.LoadConfig{ImportPath: p.path(), GoFiles: files, ImportMap: p.ImportMap, PackageFile: exports}
+}
+
+// listUnits runs `go list -e -deps -test -export` over patterns in dir (""
+// for the working directory).  It returns the units to analyze,
+// dependencies first, and the export data of every listed package.  A unit
+// is a package outside the standard library, test files included: a
+// package with in-package tests as its test variant "p [p.test]", and
+// external tests as "p_test [p.test]".  Test mains and packages recompiled
+// for another package's tests are dropped.
+func listUnits(dir string, patterns []string) ([]listPackage, map[string]string, error) {
+	cmd := exec.Command("go", append([]string{"list", "-e", "-deps", "-test", "-export",
+		"-json=ImportPath,ForTest,Dir,Export,GoFiles,Imports,ImportMap,DepOnly,Standard"}, patterns...)...)
+	cmd.Dir = dir
 	cmd.Stderr = os.Stderr
 	out, err := cmd.Output()
 	if err != nil {
-		return nil, err
+		return nil, nil, fmt.Errorf("greedlint: go list: %w", err)
 	}
-	var lines []string
-	for _, l := range strings.Split(string(out), "\n") {
-		if l != "" {
-			lines = append(lines, l)
+	exports := make(map[string]string)
+	var pkgs []listPackage
+	tested := make(map[string]bool) // packages listed with their test variant
+	for dec := json.NewDecoder(bytes.NewReader(out)); ; {
+		var p listPackage
+		if err := dec.Decode(&p); err == io.EOF {
+			break
+		} else if err != nil {
+			return nil, nil, fmt.Errorf("greedlint: decoding go list output: %w", err)
+		}
+		exports[p.ImportPath] = p.Export
+		path := p.path()
+		if p.Standard || strings.HasSuffix(p.ImportPath, ".test") ||
+			p.ForTest != "" && path != p.ForTest && path != p.ForTest+"_test" {
+			continue
+		}
+		if path == p.ForTest {
+			tested[path] = true
+		}
+		pkgs = append(pkgs, p)
+	}
+	units := pkgs[:0]
+	for _, p := range pkgs {
+		if p.ForTest != "" || !tested[p.ImportPath] {
+			units = append(units, p)
 		}
 	}
-	return lines, nil
+	return topoOrder(units), exports, nil
 }
 
-// topoOrder sorts packages dependencies-first (imports restricted to the
-// listed set), so each package's analysis sees its dependencies' facts.
-// go list already emits mostly-sorted output, but the contract here must
-// not depend on that.
-func topoOrder(pkgs []listPackage) []listPackage {
-	byPath := make(map[string]*listPackage, len(pkgs))
-	for i := range pkgs {
-		byPath[pkgs[i].ImportPath] = &pkgs[i]
+// topoOrder sorts units dependencies first, so each unit's analysis sees
+// its dependencies' facts.  Units and imports are both keyed on the
+// suffix-free path: a test variant stands in for its package, and an
+// import of a package recompiled for a test ("q [p.test]") is an edge to
+// q's unit.  Two packages whose tests import each other would close a
+// cycle, and one of them would miss the other's facts.
+func topoOrder(units []listPackage) []listPackage {
+	byPath := make(map[string]*listPackage, len(units))
+	for i := range units {
+		byPath[units[i].path()] = &units[i]
 	}
 	var out []listPackage
-	state := make(map[string]int) // 0 unvisited, 1 visiting, 2 done
+	seen := make(map[string]bool)
 	var visit func(p *listPackage)
 	visit = func(p *listPackage) {
-		switch state[p.ImportPath] {
-		case 1, 2:
-			return // import cycles cannot happen in compiled Go code
+		if seen[p.path()] {
+			return
 		}
-		state[p.ImportPath] = 1
+		seen[p.path()] = true
 		for _, imp := range p.Imports {
-			if dep, ok := byPath[imp]; ok {
+			path, _, _ := strings.Cut(imp, " [")
+			if dep, ok := byPath[path]; ok {
 				visit(dep)
 			}
 		}
-		state[p.ImportPath] = 2
 		out = append(out, *p)
 	}
-	for i := range pkgs {
-		visit(&pkgs[i])
+	for i := range units {
+		visit(&units[i])
 	}
 	return out
 }
 
-// renderedDiag is one finding resolved to its printable position; the
-// field names are the -json output schema.
-type renderedDiag struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Message  string `json:"message"`
-	Analyzer string `json:"analyzer"`
-}
-
 // relPath reports p relative to the working directory when it lies inside
-// it, keeping standalone output (and golden files) machine-independent.
+// it, keeping the listing (and golden files) machine-independent.
 func relPath(p string) string {
 	wd, err := os.Getwd()
 	if err != nil {

@@ -1,14 +1,11 @@
 package main
 
 import (
-	"bytes"
-	"encoding/json"
+	"cmp"
 	"fmt"
 	"go/ast"
 	"go/types"
-	"io"
 	"io/fs"
-	"os/exec"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -25,67 +22,26 @@ type reachUnit struct {
 	pkg *lint.Package
 }
 
-// loadReachUnits type-checks every package that `go list -deps -test
-// -export ./...` reports in dir, test files included, each once: a
-// package with in-package tests only as its test variant, and the test
-// mains and dependency-only packages not at all.
+// loadReachUnits type-checks every unit greedlint would analyze over
+// ./... in dir, test files included, except the dependency-only ones.
 func loadReachUnits(t *testing.T, dir string) []reachUnit {
 	t.Helper()
-	cmd := exec.Command("go", "list", "-e", "-deps", "-test", "-export",
-		"-json=ImportPath,ForTest,Dir,Export,GoFiles,ImportMap,DepOnly,Standard", "./...")
-	cmd.Dir = dir
-	out, err := cmd.Output()
+	units, exports, err := listUnits(dir, []string{"./..."})
 	if err != nil {
-		t.Fatalf("go list in %s: %v", dir, err)
+		t.Fatal(err)
 	}
-	type testPackage struct {
-		listPackage
-		ForTest   string
-		ImportMap map[string]string
-	}
-	exports := make(map[string]string)
-	var pkgs []testPackage
-	hasTestVariant := make(map[string]bool)
-	for dec := json.NewDecoder(bytes.NewReader(out)); ; {
-		var p testPackage
-		if err := dec.Decode(&p); err == io.EOF {
-			break
-		} else if err != nil {
-			t.Fatal(err)
-		}
-		exports[p.ImportPath] = p.Export
-		base, _, _ := strings.Cut(p.ImportPath, " [")
-		if p.Standard || p.DepOnly || strings.HasSuffix(p.ImportPath, ".test") ||
-			p.ForTest != "" && base != p.ForTest && base != p.ForTest+"_test" {
-			continue // outside the module, a test main, or a package recompiled for another's test
-		}
-		if base == p.ForTest {
-			hasTestVariant[base] = true
-		}
-		pkgs = append(pkgs, p)
-	}
-	var units []reachUnit
-	for _, p := range pkgs {
-		if p.ForTest == "" && hasTestVariant[p.ImportPath] {
+	var out []reachUnit
+	for _, u := range units {
+		if u.DepOnly {
 			continue
 		}
-		base, _, _ := strings.Cut(p.ImportPath, " [")
-		files := make([]string, len(p.GoFiles))
-		for i, f := range p.GoFiles {
-			files[i] = filepath.Join(p.Dir, f)
-		}
-		pkg, err := lint.LoadPackage(lint.LoadConfig{ImportPath: base, GoFiles: files,
-			ImportMap: p.ImportMap, PackageFile: exports})
+		pkg, err := lint.LoadPackage(u.config(exports))
 		if err != nil {
 			t.Fatal(err)
 		}
-		own := p.ForTest
-		if own == "" {
-			own = base
-		}
-		units = append(units, reachUnit{own: own, pkg: pkg})
+		out = append(out, reachUnit{own: cmp.Or(u.ForTest, u.path()), pkg: pkg})
 	}
-	return units
+	return out
 }
 
 // TestInternalFuncsReached is the module's dead-code gate: every function

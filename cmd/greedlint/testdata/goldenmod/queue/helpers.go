@@ -1,6 +1,6 @@
 // Package queue is half of the golden fixture: a stdlib-only module with
-// one deliberate violation per dataflow analyzer, so the standalone
-// greedlint output can be diffed byte-for-byte against golden.txt.
+// one deliberate violation per dataflow analyzer, so the greedlint
+// listing can be diffed byte-for-byte against golden.txt.
 //
 // The formula helpers live in this file, separate from the call sites in
 // queue.go, because feasguard exempts same-file callees.

@@ -12,7 +12,7 @@ func Dump(m map[string]float64) {
 	}
 }
 
-// Count races a goroutine against the spawner on total: a parsafe finding.
+// Count spawns a goroutine outside internal/parallel: a fanout finding.
 func Count() int {
 	total := 0
 	go func() {

@@ -5,11 +5,10 @@ package lint
 // between packages.  Within one package the graph is exact for static
 // calls — function declarations linked by the calls their bodies (and
 // nested function literals) make.  Across packages it is carried by
-// FuncFact values: when package P is analyzed, the facts of every package
-// it imports are already available (the vettool protocol hands them over
-// as vetx files; the standalone driver analyzes packages in dependency
-// order), so a summary like "alloc.FairShare.CongestionInto does not
-// allocate" flows to callers without re-analyzing alloc.
+// FuncFact values: the driver analyzes packages in dependency order, so
+// when package P is analyzed the facts of every package it imports are
+// already in the store, and a summary like "alloc.FairShare.CongestionInto
+// does not allocate" flows to callers without re-analyzing alloc.
 //
 // The approximations, chosen so analyzers err toward fewer findings:
 //
@@ -26,7 +25,6 @@ package lint
 //     sort entry points, *rand.Rand draws).
 
 import (
-	"encoding/json"
 	"fmt"
 	"go/ast"
 	"go/token"
@@ -39,35 +37,35 @@ import (
 // A FuncFact is the exported, package-crossing summary of one function.
 type FuncFact struct {
 	// Hotpath marks a //lint:hotpath annotation on the declaration.
-	Hotpath bool `json:"hotpath,omitempty"`
+	Hotpath bool
 	// Allocates reports whether the function may heap-allocate, directly
 	// or through anything it statically calls.  Allocation sites carrying
 	// //lint:allow allocfree do not count.
-	Allocates bool `json:"allocates,omitempty"`
+	Allocates bool
 	// Witness names the reason for Allocates: the first allocating
 	// construct, or the first allocating callee.
-	Witness string `json:"witness,omitempty"`
+	Witness string
 	// TakesCtx reports a context.Context parameter in the signature.
-	TakesCtx bool `json:"takes_ctx,omitempty"`
+	TakesCtx bool
 	// CtxVariant is the key of the sibling context-aware variant (Foo →
 	// FooCtx, same receiver) when one exists, so callers holding a ctx can
 	// be pointed at it.
-	CtxVariant string `json:"ctx_variant,omitempty"`
+	CtxVariant string
 	// NeedsLocks lists the //lint:locked lock names of the declaration:
 	// locks every caller must hold (exclusive) around a call.  The
 	// guardedby analyzer checks call sites against its lock-held lattice,
 	// cross-package included.
-	NeedsLocks []string `json:"needs_locks,omitempty"`
+	NeedsLocks []string
 }
 
 // PkgFacts bundles one package's exported function facts.
 type PkgFacts struct {
-	Funcs map[string]FuncFact `json:"funcs"`
+	Funcs map[string]FuncFact
 }
 
-// A FactStore accumulates the facts of analyzed packages.  Stores merge
-// transitively: a package's vetx output re-exports everything it imported,
-// so dependents see the whole downward closure.
+// A FactStore accumulates the facts of analyzed packages.  The driver adds
+// each package's facts as it goes, so dependents see the whole downward
+// closure.
 type FactStore struct {
 	funcs map[string]FuncFact
 }
@@ -83,17 +81,6 @@ func (s *FactStore) Add(pf *PkgFacts) {
 		return
 	}
 	for k, f := range pf.Funcs {
-		s.funcs[k] = f
-	}
-}
-
-// Merge folds another store (e.g. decoded from a dependency's vetx file)
-// into this one.
-func (s *FactStore) Merge(o *FactStore) {
-	if o == nil {
-		return
-	}
-	for k, f := range o.funcs {
 		s.funcs[k] = f
 	}
 }
@@ -158,8 +145,7 @@ type Graph struct {
 	ByKey map[string]*FuncInfo
 	// Imported holds the facts of every dependency.
 	Imported *FactStore
-	// Facts is the package's own exported fact set (dependency facts
-	// re-exported for transitive flow).
+	// Facts is the package's own exported fact set.
 	Facts *PkgFacts
 }
 
@@ -284,7 +270,7 @@ func buildGraph(pass *Pass, store *FactStore) *Graph {
 				Display:  displayKey(obj),
 				Decl:     fd,
 				Obj:      obj,
-				Hotpath:  hasHotpathDirective(fd),
+				Hotpath:  HasHotpathDirective(fd),
 				Locked:   lockedDirective(fd),
 				TakesCtx: sigTakesCtx(sig),
 			}
@@ -351,8 +337,7 @@ func buildGraph(pass *Pass, store *FactStore) *Graph {
 		}
 	}
 
-	// Export: this package's functions plus a re-export of everything
-	// imported, so facts flow transitively through the vetx chain.
+	// Export: this package's functions, for the driver's fact store.
 	g.Facts = &PkgFacts{Funcs: make(map[string]FuncFact)}
 	for _, fi := range g.Funcs {
 		g.Facts.Funcs[fi.Key] = fi.Fact
@@ -398,18 +383,12 @@ func calleeAllocates(g *Graph, store *FactStore, c CallSite) (bool, string) {
 // name segment gains a "Ctx" suffix.
 func variantKey(key string) string { return key + "Ctx" }
 
-// hasHotpathDirective reports a //lint:hotpath line in the declaration's
-// doc comment.
-func hasHotpathDirective(fd *ast.FuncDecl) bool {
-	if fd.Doc == nil {
-		return false
-	}
-	for _, c := range fd.Doc.List {
-		if strings.HasPrefix(strings.TrimSpace(c.Text), HotpathDirective) {
-			return true
-		}
-	}
-	return false
+// HasHotpathDirective reports a //lint:hotpath line in the declaration's
+// doc comment: the directive alone, or followed by whitespace and a note.
+// A longer token such as //lint:hotpathological is another directive.
+func HasHotpathDirective(fd *ast.FuncDecl) bool {
+	_, _, found := directiveArgs(fd.Doc, HotpathDirective)
+	return found
 }
 
 // lockedDirective parses the //lint:locked names in the declaration's doc
@@ -780,43 +759,4 @@ func capturedLocal(pass *Pass, decl *ast.FuncDecl, lit *ast.FuncLit) string {
 		return true
 	})
 	return captured
-}
-
-// factsHeader versions the vetx payload; a reader that sees a different
-// header treats the file as having no facts rather than failing the build.
-const factsHeader = "greedlintv4\n"
-
-// factsFile is the serialized form of a FactStore.
-type factsFile struct {
-	Funcs map[string]FuncFact `json:"funcs"`
-}
-
-// EncodeFacts serializes a store for a vetx file: a version header
-// followed by JSON.  encoding/json marshals maps in key order, so equal
-// stores produce identical bytes — the build cache content-compares vetx
-// files, and nondeterminism would defeat caching.
-func EncodeFacts(s *FactStore) ([]byte, error) {
-	data, err := json.Marshal(factsFile{Funcs: s.funcs})
-	if err != nil {
-		return nil, fmt.Errorf("lint: encode facts: %w", err)
-	}
-	return append([]byte(factsHeader), data...), nil
-}
-
-// DecodeFacts parses a vetx payload written by EncodeFacts.  Payloads
-// with an unknown header (including the pre-v3 placeholder vetx files)
-// decode to an empty store.
-func DecodeFacts(data []byte) (*FactStore, error) {
-	s := NewFactStore()
-	if !strings.HasPrefix(string(data), factsHeader) {
-		return s, nil
-	}
-	var ff factsFile
-	if err := json.Unmarshal(data[len(factsHeader):], &ff); err != nil {
-		return nil, fmt.Errorf("lint: decode facts: %w", err)
-	}
-	for k, f := range ff.Funcs {
-		s.funcs[k] = f
-	}
-	return s, nil
 }

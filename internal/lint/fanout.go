@@ -24,9 +24,10 @@ const parallelPath = "greednet/internal/parallel"
 // annotations must not outlive their go statements.  Test files are
 // exempt: tests may spawn helpers freely.
 //
-// parsafe checks that a spawn's captures are race-free; fanout checks that
-// the spawn is *supposed to exist at all*.  The two together are what lets
-// the golden tests trust byte-identical output under any worker count.
+// `go test -race` checks that a spawn's captures are race-free; fanout
+// checks that the spawn is *supposed to exist at all*.  The two together
+// are what lets the golden tests trust byte-identical output under any
+// worker count.
 var Fanout = &Analyzer{
 	Name: FanoutName,
 	Doc: "go statements are only allowed in internal/parallel's worker " +

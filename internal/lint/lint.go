@@ -13,10 +13,10 @@
 //     discarded with `_ =`), errcheck-style.
 //
 // On top of the syntactic set sit the dataflow analyzers (feasguard,
-// detorder, dimcheck, parsafe — built on the intraprocedural CFG in
-// cfg.go), the interprocedural set (allocfree, ctxflow, wsalias — built on
-// the module-wide approximate call graph in callgraph.go, whose
-// per-function summaries travel between packages as facts), and the
+// detorder, dimcheck — built on the intraprocedural CFG in cfg.go), the
+// interprocedural set (allocfree, ctxflow, wsalias — built on the
+// module-wide approximate call graph in callgraph.go, whose per-function
+// summaries travel between packages as facts), and the
 // concurrency-contract set (guardedby, chanown, fanout — built on the
 // lock-held lattice in cfg.go and the same call-graph facts).
 //
@@ -24,8 +24,8 @@
 // golang.org/x/tools/go/analysis API so the analyzers read like standard
 // vet checks, but it is implemented entirely on the standard library
 // (go/ast, go/token, go/types) because this repository builds offline with
-// no third-party modules.  cmd/greedlint drives the suite either as a
-// `go vet -vettool` unitchecker or standalone over `go list` output.
+// no third-party modules.  cmd/greedlint drives the suite over `go list`
+// output, each package once with its test files, in dependency order.
 //
 // Findings are suppressed line-by-line with an annotation comment:
 //
@@ -377,7 +377,7 @@ func RunPkg(analyzers []*Analyzer, fset *token.FileSet, files []*ast.File, pkg *
 func All() []*Analyzer {
 	return []*Analyzer{
 		FloatEq, RNGSource, PanicFree, ErrDrop,
-		FeasGuard, DetOrder, DimCheck, ParSafe,
+		FeasGuard, DetOrder, DimCheck,
 		AllocFree, CtxFlow, WSAlias,
 		GuardedBy, ChanOwn, Fanout,
 	}

@@ -48,10 +48,6 @@ func TestDimCheck(t *testing.T) {
 	linttest.Run(t, "testdata/dimcheck", "fixture/dimcheck", []*lint.Analyzer{lint.DimCheck})
 }
 
-func TestParSafe(t *testing.T) {
-	linttest.Run(t, "testdata/parsafe", "fixture/parsafe", []*lint.Analyzer{lint.ParSafe})
-}
-
 func TestAllocFree(t *testing.T) {
 	linttest.Run(t, "testdata/allocfree", "fixture/allocfree", []*lint.Analyzer{lint.AllocFree})
 }
@@ -100,7 +96,7 @@ func TestAllRegistersEveryAnalyzer(t *testing.T) {
 	}
 	for _, want := range []string{
 		"floateq", "rngsource", "panicfree", "errdrop",
-		"feasguard", "detorder", "dimcheck", "parsafe",
+		"feasguard", "detorder", "dimcheck",
 		"allocfree", "ctxflow", "wsalias",
 		"guardedby", "chanown", "fanout",
 	} {

@@ -12,9 +12,9 @@ import (
 )
 
 // A LoadConfig describes one package to parse and type-check for analysis.
-// Imports are resolved through compiler ("gc") export data, exactly as the
-// go command's own vet driver supplies it, so no source for dependencies
-// is required.
+// Imports are resolved through compiler ("gc") export data, as
+// `go list -export` reports it, so no source for dependencies is
+// required.
 type LoadConfig struct {
 	// ImportPath is the canonical package path.
 	ImportPath string

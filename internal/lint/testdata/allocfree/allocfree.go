@@ -54,6 +54,12 @@ func grows(xs []float64) float64 {
 // ColdAlloc is not reachable from any root: allocating here is fine.
 func ColdAlloc(n int) []float64 { return make([]float64, n) }
 
+// Lookalike carries a longer directive that merely starts with the
+// hot-path token: it is no root, so its make is fine.
+//
+//lint:hotpathological
+func Lookalike(n int) []float64 { return make([]float64, n) }
+
 // HotClosure captures a local — the closure needs a heap environment.
 //
 //lint:hotpath

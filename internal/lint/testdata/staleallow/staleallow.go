@@ -28,5 +28,5 @@ func typoAllow(a, b float64) bool {
 
 // foreignAllow names an analyzer that is not running: left alone.
 func foreignAllow(a, b float64) bool {
-	return a < b //lint:allow parsafe not running in this fixture
+	return a < b //lint:allow detorder not running in this fixture
 }

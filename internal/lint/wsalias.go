@@ -27,9 +27,10 @@ const WSAliasName = "wsalias"
 // literal hands the same backing arrays to two threads.  Per-worker
 // workspace slices (`wss[w]` where wss is []Workspace) are the sanctioned
 // idiom and are not flagged, because the captured variable is the slice,
-// not a workspace.  This composes with parsafe: parsafe flags the unsynced
-// writes, wsalias flags the escape itself even when every access is
-// perfectly locked — a workspace is not a shared resource to begin with.
+// not a workspace.  This composes with the race detector: `go test -race`
+// catches the unsynced accesses it sees run, wsalias flags the escape
+// itself even when every access is perfectly locked — a workspace is not
+// a shared resource to begin with.
 var WSAlias = &Analyzer{
 	Name: WSAliasName,
 	Doc: "*Into implementations must not return or rebind dst as an alias " +
@@ -163,6 +164,12 @@ func checkWorkspaceCapture(pass *Pass, lit *ast.FuncLit) {
 			v.Name())
 		return true
 	})
+}
+
+// capturedVar reports whether v is declared outside the literal (a true
+// capture, including package-level variables).
+func capturedVar(v *types.Var, lit *ast.FuncLit) bool {
+	return v.Pos() < lit.Pos() || v.Pos() > lit.End()
 }
 
 // isWorkspaceType reports whether t is a named type called Workspace, or a

@@ -8,9 +8,9 @@
 // simulations fan out while staying byte-reproducible.
 //
 // The package is stdlib-only and contains the tree's only `go` statements
-// outside tests; the greedlint parsafe analyzer gates the goroutine
-// bodies (workers write exclusively through per-index slice slots and
-// join on a WaitGroup, so there is nothing for it to flag).
+// outside tests and the audited watchdogs (the greedlint fanout analyzer
+// enforces that).  Workers write exclusively through per-index slice
+// slots and join on a WaitGroup; `go test -race` checks that they do.
 package parallel
 
 import (
