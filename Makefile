@@ -15,8 +15,8 @@ $(LINT): cmd/greedlint/*.go internal/lint/*.go
 # go vet's standard checks, then the full in-tree greedlint suite over
 # every package, test files included: floateq, rngsource, panicfree,
 # errdrop, the dataflow-aware feasguard, detorder, dimcheck, the
-# interprocedural allocfree, ctxflow, wsalias, and the concurrency-contract
-# guardedby, chanown, fanout.  Its one sorted listing must be empty.
+# interprocedural allocfree, ctxflow, and the concurrency-contract
+# guardedby, fanout.  Its one sorted listing must be empty.
 lint: $(LINT)
 	$(GO) vet ./...
 	$(LINT) ./...

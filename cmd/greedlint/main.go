@@ -1,13 +1,13 @@
 // Command greedlint runs greednet's in-tree static-analysis suite
 // (internal/lint): the syntactic analyzers floateq, rngsource, panicfree,
 // and errdrop; the dataflow-aware set feasguard, detorder, and dimcheck;
-// the interprocedural set allocfree, ctxflow, and wsalias, which flow
-// per-function call-graph facts (who allocates, who carries a Ctx sibling)
-// across package boundaries; and the concurrency-contract set guardedby,
-// chanown, and fanout, which enforce the //lint:guardedby lock discipline
-// on a CFG lock-held lattice, //lint:chanowner channel close ownership,
-// and the parallel-only goroutine inventory.  A framework-level staleallow
-// check reports //lint:allow directives that no longer suppress anything.
+// the interprocedural pair allocfree and ctxflow, which flow per-function
+// call-graph facts (who allocates, who carries a Ctx sibling) across
+// package boundaries; and the concurrency-contract pair guardedby and
+// fanout, which enforce the //lint:guardedby lock discipline on a CFG
+// Lock/Unlock lattice and the parallel-only goroutine inventory.  A
+// framework-level staleallow check reports //lint:allow directives that
+// no longer suppress anything.
 //
 // It runs over package patterns:
 //

@@ -1,5 +1,5 @@
 // Package conc seeds one violation per concurrency-contract analyzer
-// (guardedby, chanown, fanout) so the golden output pins the v4 set.
+// (guardedby, fanout) so the golden output pins the v4 pair.
 package conc
 
 import "sync"
@@ -23,23 +23,9 @@ func (c *Counter) Snapshot() int {
 	return c.n
 }
 
-// Feed owns its channel through Run.
+// Feed streams counts to watchers.
 type Feed struct {
-	//lint:chanowner Run
 	out chan int
-}
-
-// Run is the declared owner: clean.
-func (f *Feed) Run(n int) {
-	for i := 0; i < n; i++ {
-		f.out <- i
-	}
-	close(f.out)
-}
-
-// Stop closes from outside the owner: a chanown finding.
-func (f *Feed) Stop() {
-	close(f.out)
 }
 
 // Watch spawns an unannotated goroutine: a fanout finding.

@@ -1,7 +1,7 @@
 // Package solver is the dependent half of the interprocedural fixture:
-// every finding below needs alloc's facts — cross-package allocation
-// summaries and Ctx-variant records — so the golden file proves the
-// dependency-ordered fact flow end to end.
+// every finding below but Spawn's needs alloc's facts — cross-package
+// allocation summaries and Ctx-variant records — so the golden file
+// proves the dependency-ordered fact flow end to end.
 package solver
 
 import (
@@ -9,9 +9,6 @@ import (
 
 	"goldenfixture/alloc"
 )
-
-// Workspace is the scratch type the goroutine-capture rule keys off.
-type Workspace struct{ buf []float64 }
 
 // HotScale stays allocation-free through the cross-package call: no
 // finding, because alloc.Scale's summary says it is clean.
@@ -45,21 +42,9 @@ func Iterate(ctx context.Context, xs []float64, rounds int) float64 {
 	return s
 }
 
-// ScaleInto rebinds dst onto its input slice, so the "caller owns dst"
-// contract silently breaks: a wsalias finding.
-func ScaleInto(dst, rates []float64) []float64 {
-	dst = rates[:len(rates)]
-	for i := range dst {
-		dst[i] *= 2
-	}
-	return dst
-}
-
-// Spawn captures the shared Workspace inside a goroutine: a wsalias
-// finding (per-worker slices are the sanctioned shape).
-func Spawn(ws *Workspace, done chan struct{}) {
+// Spawn starts an unannotated goroutine: a fanout finding.
+func Spawn(done chan struct{}) {
 	go func() {
-		ws.buf = ws.buf[:0]
 		close(done)
 	}()
 }

@@ -394,18 +394,17 @@ func HasHotpathDirective(fd *ast.FuncDecl) bool {
 // lockedDirective parses the //lint:locked names in the declaration's doc
 // comment: the locks (receiver fields or package variables, by the same
 // textual paths the lock lattice uses) that every caller must hold around
-// a call.  Names are sorted so the exported fact is canonical.
+// a call.  A longer token such as //lint:lockedmu is another directive.
+// Names are sorted so the exported fact is canonical.
 func lockedDirective(fd *ast.FuncDecl) []string {
 	if fd.Doc == nil {
 		return nil
 	}
 	var out []string
 	for _, c := range fd.Doc.List {
-		text := strings.TrimSpace(c.Text)
-		if !strings.HasPrefix(text, LockedDirective) {
-			continue
+		if names, ok := directiveFields(c.Text, LockedDirective); ok {
+			out = append(out, names...)
 		}
-		out = append(out, strings.Fields(strings.TrimPrefix(text, LockedDirective))...)
 	}
 	sort.Strings(out)
 	return out

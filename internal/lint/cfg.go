@@ -932,31 +932,24 @@ func (ff *funcFlow) dominatorNodes(pos token.Pos) []ast.Node {
 // A forward must-analysis over the CFG: at each program point, the set of
 // locks provably held on *every* path from the function entry.  The join is
 // set intersection (a lock is held only when all incoming paths hold it),
-// acquisitions strengthen the state, releases clear it, and `defer
-// mu.Unlock()` is ignored deliberately — a deferred release runs at return,
-// so the lock stays held for the rest of the body.  Locks are identified by
-// the printed receiver path of the Lock/Unlock call ("s.mu"): two
-// syntactically equal paths are assumed to name the same lock, and paths
-// the printer cannot canonicalize (index expressions, call results) are not
-// tracked at all.  Methods are matched by name (Lock/RLock/TryLock/…), not
-// by receiver type, so sync.Mutex, sync.RWMutex, and any sync.Locker-shaped
-// type all participate.  Untracked paths follow the file's rule of erring
-// toward fewer findings: the analyzers built on the lattice (guardedby)
-// only consult it where the guard and the access share a tracked path.
+// Lock adds a lock, Unlock removes it, and `defer mu.Unlock()` is ignored
+// deliberately — a deferred release runs at return, so the lock stays held
+// for the rest of the body.  Locks are identified by the printed receiver
+// path of the Lock/Unlock call ("s.mu"): two syntactically equal paths are
+// assumed to name the same lock, and paths the printer cannot canonicalize
+// (index expressions, call results) are not tracked at all.  Methods are
+// matched by name, not by receiver type, so any sync.Locker-shaped type
+// participates.  No other method acquires: a lock taken by RLock or
+// TryLock is not held here, so guardedby reports what such a lock guards
+// rather than passing it silently.  Untracked paths follow the file's rule
+// of erring toward fewer findings: the analyzers built on the lattice
+// (guardedby) only consult it where the guard and the access share a
+// tracked path.
 
-// lockKind orders acquisition strength: a shared RLock licenses reads of
-// guarded state, an exclusive Lock licenses writes too.
-type lockKind uint8
-
-const (
-	lockHeldR lockKind = 1 + iota // shared (RLock)
-	lockHeldW                     // exclusive (Lock)
-)
-
-// lockState maps canonical lock paths to the strongest kind held on all
-// paths.  A nil map is the unreached (top) element; an empty map means
-// "reached, nothing held".
-type lockState map[string]lockKind
+// lockState is the set of canonical lock paths held on all paths.  A nil
+// map is the unreached (top) element; an empty map means "reached, nothing
+// held".
+type lockState map[string]bool
 
 func (s lockState) clone() lockState {
 	out := make(lockState, len(s))
@@ -965,19 +958,6 @@ func (s lockState) clone() lockState {
 	}
 	return out
 }
-
-// lockOp classifies what a mutex-method call does to the lattice.
-type lockOp uint8
-
-const (
-	lockOpNone lockOp = iota
-	lockOpAcquireW
-	lockOpAcquireR
-	lockOpRelease  // Unlock
-	lockOpReleaseR // RUnlock
-	lockOpTryW     // TryLock: acquires only on the true branch
-	lockOpTryR     // TryRLock
-)
 
 // lockPath renders the receiver of a mutex-method call as a canonical
 // textual path.  Only parenthesized identifier/selector chains qualify;
@@ -996,37 +976,8 @@ func lockPath(e ast.Expr) string {
 	return ""
 }
 
-// classifyLockCall recognizes zero-argument mutex-method calls by name.
-func classifyLockCall(call *ast.CallExpr) (path string, op lockOp) {
-	sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok || len(call.Args) != 0 {
-		return "", lockOpNone
-	}
-	switch sel.Sel.Name {
-	case "Lock":
-		op = lockOpAcquireW
-	case "RLock":
-		op = lockOpAcquireR
-	case "Unlock":
-		op = lockOpRelease
-	case "RUnlock":
-		op = lockOpReleaseR
-	case "TryLock":
-		op = lockOpTryW
-	case "TryRLock":
-		op = lockOpTryR
-	default:
-		return "", lockOpNone
-	}
-	path = lockPath(sel.X)
-	if path == "" {
-		return "", lockOpNone
-	}
-	return path, op
-}
-
-// lockTransfer applies every lock operation inside node n to state, in
-// source order.  until (when valid) stops before operations that end at or
+// lockTransfer applies every Lock and Unlock call inside node n to state,
+// in source order.  until (when valid) stops before calls that end at or
 // after it, so heldAt can evaluate mid-node.  Deferred statements are
 // skipped (a deferred Unlock runs at return — the lock stays held here) and
 // so are function literals (their bodies execute elsewhere; guardedby
@@ -1040,18 +991,20 @@ func lockTransfer(state lockState, n ast.Node, until token.Pos) {
 			if until.IsValid() && m.End() > until {
 				return true
 			}
-			path, op := classifyLockCall(m)
-			switch op {
-			case lockOpAcquireW:
-				state[path] = lockHeldW
-			case lockOpAcquireR:
-				if state[path] < lockHeldR {
-					state[path] = lockHeldR
-				}
-			case lockOpRelease, lockOpReleaseR:
+			sel, ok := unparen(m.Fun).(*ast.SelectorExpr)
+			if !ok || len(m.Args) != 0 {
+				return true
+			}
+			path := lockPath(sel.X)
+			if path == "" {
+				return true
+			}
+			switch sel.Sel.Name {
+			case "Lock":
+				state[path] = true
+			case "Unlock":
 				delete(state, path)
 			}
-			// Try acquisitions act on branch edges (edgeAdd), not here.
 		}
 		return true
 	})
@@ -1062,16 +1015,12 @@ type lockFlow struct {
 	ff *funcFlow
 	// in[b] is the must-held set at block b's entry; nil marks unreached.
 	in []lockState
-	// edgeAdd refines TryLock: locks acquired only along one CFG edge.
-	edgeAdd map[[2]int]lockState
 }
 
 // newLockFlow solves the lattice.  seed lists locks held on entry (from a
 // //lint:locked annotation); nil means none.
-func newLockFlow(ff *funcFlow, body *ast.BlockStmt, seed lockState) *lockFlow {
-	lf := &lockFlow{ff: ff, edgeAdd: make(map[[2]int]lockState)}
-	lf.collectTryBranches(body)
-	lf.in = make([]lockState, len(ff.cfg.blocks))
+func newLockFlow(ff *funcFlow, seed lockState) *lockFlow {
+	lf := &lockFlow{ff: ff, in: make([]lockState, len(ff.cfg.blocks))}
 	lf.in[cfgEntry] = seed.clone()
 	for changed := true; changed; {
 		changed = false
@@ -1084,16 +1033,7 @@ func newLockFlow(ff *funcFlow, body *ast.BlockStmt, seed lockState) *lockFlow {
 				lockTransfer(out, n, token.NoPos)
 			}
 			for _, s := range blk.succs {
-				eff := out
-				if add := lf.edgeAdd[[2]int{bi, s}]; len(add) > 0 {
-					eff = out.clone()
-					for k, v := range add {
-						if eff[k] < v {
-							eff[k] = v
-						}
-					}
-				}
-				if lf.meetInto(s, eff) {
+				if lf.meetInto(s, out) {
 					changed = true
 				}
 			}
@@ -1102,9 +1042,9 @@ func newLockFlow(ff *funcFlow, body *ast.BlockStmt, seed lockState) *lockFlow {
 	return lf
 }
 
-// meetInto folds an incoming edge state into block b's entry state and
-// reports whether it changed.  After the first visit the state can only
-// shrink or weaken, so the fixpoint terminates.
+// meetInto intersects an incoming edge state into block b's entry state
+// and reports whether it changed.  After the first visit the state can
+// only shrink, so the fixpoint terminates.
 func (lf *lockFlow) meetInto(b int, incoming lockState) bool {
 	cur := lf.in[b]
 	if cur == nil {
@@ -1112,83 +1052,13 @@ func (lf *lockFlow) meetInto(b int, incoming lockState) bool {
 		return true
 	}
 	changed := false
-	for k, v := range cur {
-		w, ok := incoming[k]
-		if !ok {
+	for k := range cur {
+		if !incoming[k] {
 			delete(cur, k)
-			changed = true
-		} else if w < v {
-			cur[k] = w
 			changed = true
 		}
 	}
 	return changed
-}
-
-// collectTryBranches records the conditional acquisitions of
-// `if mu.TryLock() { … }` (held only on the then-edge) and
-// `if !mu.TryLock() { … }` (held on every edge but the then-edge).  The
-// then-entry is identified as the condition block's first successor, which
-// the if-builder guarantees (it wires the then-edge before any other edge
-// out of the condition block).
-func (lf *lockFlow) collectTryBranches(body *ast.BlockStmt) {
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.DeferStmt, *ast.FuncLit:
-			return false
-		case *ast.IfStmt:
-			lf.tryBranch(n)
-		}
-		return true
-	})
-}
-
-func (lf *lockFlow) tryBranch(s *ast.IfStmt) {
-	cond := unparen(s.Cond)
-	negated := false
-	if u, ok := cond.(*ast.UnaryExpr); ok && u.Op == token.NOT {
-		cond, negated = unparen(u.X), true
-	}
-	call, ok := cond.(*ast.CallExpr)
-	if !ok {
-		return
-	}
-	path, op := classifyLockCall(call)
-	var kind lockKind
-	switch op {
-	case lockOpTryW:
-		kind = lockHeldW
-	case lockOpTryR:
-		kind = lockHeldR
-	default:
-		return
-	}
-	condBlk, _, _ := lf.ff.blockFor(s.Cond.Pos())
-	if condBlk < 0 {
-		return
-	}
-	succs := lf.ff.cfg.blocks[condBlk].succs
-	if len(succs) == 0 {
-		return
-	}
-	add := func(from, to int) {
-		key := [2]int{from, to}
-		st := lf.edgeAdd[key]
-		if st == nil {
-			st = lockState{}
-			lf.edgeAdd[key] = st
-		}
-		if st[path] < kind {
-			st[path] = kind
-		}
-	}
-	if negated {
-		for _, s := range succs[1:] {
-			add(condBlk, s)
-		}
-	} else {
-		add(condBlk, succs[0])
-	}
 }
 
 // heldAt returns the lock set provably held just before pos.  reached is

@@ -60,15 +60,10 @@ func runFanout(pass *Pass) error {
 		}
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				text := strings.TrimSpace(c.Text)
-				if !strings.HasPrefix(text, FanoutDirective) {
+				fields, ok := directiveFields(c.Text, FanoutDirective)
+				if !ok {
 					continue
 				}
-				rest := strings.TrimPrefix(text, FanoutDirective)
-				if rest != "" && rest[0] != ' ' && rest[0] != '\t' {
-					continue
-				}
-				fields := strings.Fields(rest)
 				p := pass.Fset.Position(c.Pos())
 				e := &fanoutEntry{file: p.Filename, pos: c.Pos()}
 				if len(fields) > 0 {

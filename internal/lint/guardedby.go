@@ -4,20 +4,19 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
 // GuardedByName is the analyzer's registered name (and //lint:allow token).
 const GuardedByName = "guardedby"
 
 // GuardedBy enforces the lock discipline declared by //lint:guardedby
-// annotations: a struct field marked `//lint:guardedby mu` may only be read
-// while the sibling field mu is at least read-locked and only be written
-// (assigned, inc/dec'd, or address-taken) while mu is exclusively locked.
-// Held locks are computed by the lock-held lattice in cfg.go — a forward
-// must-analysis over the CFG that understands `defer mu.Unlock()` (the lock
-// stays held to the end of the body), RLock versus Lock strength, TryLock
-// branch refinement, and release/re-acquisition in loops.
+// annotations: a struct field marked `//lint:guardedby mu` may only be
+// read or written while the sibling field mu is held.  Held locks are
+// computed by the lock-held lattice in cfg.go — a forward must-analysis
+// over the CFG that tracks Lock and Unlock, understands `defer
+// mu.Unlock()` (the lock stays held to the end of the body), and follows
+// release/re-acquisition in loops.  RLock and TryLock acquire nothing in
+// the lattice, so a guarded access behind one is reported.
 //
 // Functions annotated `//lint:locked mu` declare a locking precondition
 // instead of acquiring: their bodies start with mu held (both "mu" and
@@ -37,29 +36,21 @@ const GuardedByName = "guardedby"
 var GuardedBy = &Analyzer{
 	Name: GuardedByName,
 	Doc: "fields annotated //lint:guardedby mu may only be accessed with mu " +
-		"held (read lock for reads, exclusive for writes), verified by a " +
-		"CFG lock-held lattice; //lint:locked declares a callee's lock " +
-		"precondition, checked at every call site",
+		"held, verified by a CFG lock-held lattice; //lint:locked declares " +
+		"a callee's lock precondition, checked at every call site",
 	Run: runGuardedBy,
 }
 
-// directiveArgs finds the first comment in cg starting with directive and
-// returns its whitespace-separated arguments.  A directive immediately
-// followed by more word characters ("//lint:guardedbyx") does not match.
+// directiveArgs finds the first comment in cg that is the directive (see
+// directiveFields) and returns its whitespace-separated arguments.
 func directiveArgs(cg *ast.CommentGroup, directive string) (args []string, pos token.Pos, found bool) {
 	if cg == nil {
 		return nil, token.NoPos, false
 	}
 	for _, c := range cg.List {
-		text := strings.TrimSpace(c.Text)
-		if !strings.HasPrefix(text, directive) {
-			continue
+		if args, ok := directiveFields(c.Text, directive); ok {
+			return args, c.Pos(), true
 		}
-		rest := strings.TrimPrefix(text, directive)
-		if rest != "" && rest[0] != ' ' && rest[0] != '\t' {
-			continue
-		}
-		return strings.Fields(rest), c.Pos(), true
 	}
 	return nil, token.NoPos, false
 }
@@ -136,7 +127,7 @@ func runGuardedBy(pass *Pass) error {
 }
 
 // lockSeed builds the entry lock state of a //lint:locked function: each
-// declared lock is held exclusively, under both its bare name and the
+// declared lock is held, under both its bare name and the
 // receiver-qualified path, so "n" and "c.n" accesses both see it.
 func lockSeed(fi *FuncInfo) lockState {
 	if len(fi.Locked) == 0 {
@@ -148,9 +139,9 @@ func lockSeed(fi *FuncInfo) lockState {
 		recv = fi.Decl.Recv.List[0].Names[0].Name
 	}
 	for _, l := range fi.Locked {
-		seed[l] = lockHeldW
+		seed[l] = true
 		if recv != "" && recv != "_" {
-			seed[recv+"."+l] = lockHeldW
+			seed[recv+"."+l] = true
 		}
 	}
 	return seed
@@ -162,7 +153,6 @@ type guardedAccess struct {
 	lockKey string // e.g. "c.mu"
 	field   string // display form, e.g. "c.n"
 	lock    string // bare lock name from the annotation
-	write   bool
 }
 
 // lockedCall is one call to a //lint:locked function awaiting a query.
@@ -176,7 +166,6 @@ type lockedCall struct {
 // guarded accesses and locked-callee calls outside nested literals, and —
 // only when there are any — solves the lattice and queries it.
 func checkLockUnit(pass *Pass, fc *flowCache, body *ast.BlockStmt, sig *types.Signature, seed lockState, guards map[*types.Var]string) {
-	writes := writeTargets(body)
 	var accesses []guardedAccess
 	var calls []lockedCall
 	ast.Inspect(body, func(n ast.Node) bool {
@@ -200,7 +189,6 @@ func checkLockUnit(pass *Pass, fc *flowCache, body *ast.BlockStmt, sig *types.Si
 				lockKey: base + "." + lock,
 				field:   base + "." + n.Sel.Name,
 				lock:    lock,
-				write:   writes[unparenKey(n)],
 			})
 		case *ast.CallExpr:
 			fn := calleeFunc(pass, n.Fun)
@@ -228,25 +216,15 @@ func checkLockUnit(pass *Pass, fc *flowCache, body *ast.BlockStmt, sig *types.Si
 		return
 	}
 	ff := fc.flowFor(body, sig)
-	lf := newLockFlow(ff, body, seed)
+	lf := newLockFlow(ff, seed)
 	for _, a := range accesses {
 		held, reached := lf.heldAt(a.sel.Pos())
 		if !reached {
 			continue
 		}
-		kind := held[a.lockKey]
-		switch {
-		case a.write && kind == lockHeldR:
+		if !held[a.lockKey] {
 			pass.Reportf(a.sel.Pos(),
-				"write to %s (//lint:guardedby %s) while holding only the read lock; upgrade %s.RLock() to %s.Lock()",
-				a.field, a.lock, a.lockKey, a.lockKey)
-		case a.write && kind == 0:
-			pass.Reportf(a.sel.Pos(),
-				"write to %s (//lint:guardedby %s) without %s held; acquire %s.Lock(), annotate the enclosing function //lint:locked %s, or //lint:allow guardedby with the reason",
-				a.field, a.lock, a.lockKey, a.lockKey, a.lock)
-		case !a.write && kind == 0:
-			pass.Reportf(a.sel.Pos(),
-				"read of %s (//lint:guardedby %s) without %s held; acquire %s.RLock(), annotate the enclosing function //lint:locked %s, or //lint:allow guardedby with the reason",
+				"access to %s (//lint:guardedby %s) without %s held; acquire %s.Lock(), annotate the enclosing function //lint:locked %s, or //lint:allow guardedby with the reason",
 				a.field, a.lock, a.lockKey, a.lockKey, a.lock)
 		}
 	}
@@ -256,7 +234,7 @@ func checkLockUnit(pass *Pass, fc *flowCache, body *ast.BlockStmt, sig *types.Si
 			continue
 		}
 		for _, key := range c.keys {
-			if held[key] == lockHeldW {
+			if held[key] {
 				continue
 			}
 			pass.Reportf(c.call.Pos(),
@@ -308,30 +286,3 @@ func callRecvPath(pass *Pass, call *ast.CallExpr) string {
 	}
 	return lockPath(sel.X)
 }
-
-// writeTargets marks the expressions a body writes: assignment left-hand
-// sides, inc/dec operands, and address-taken operands (a pointer to a
-// guarded field can be written through at any time, so &x counts as a
-// write).
-func writeTargets(body *ast.BlockStmt) map[ast.Expr]bool {
-	writes := make(map[ast.Expr]bool)
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.AssignStmt:
-			for _, lhs := range n.Lhs {
-				writes[unparenKey(lhs)] = true
-			}
-		case *ast.IncDecStmt:
-			writes[unparenKey(n.X)] = true
-		case *ast.UnaryExpr:
-			if n.Op == token.AND {
-				writes[unparenKey(n.X)] = true
-			}
-		}
-		return true
-	})
-	return writes
-}
-
-// unparenKey strips parens so `(c.n)++` and `c.n++` share a map key.
-func unparenKey(e ast.Expr) ast.Expr { return unparen(e) }

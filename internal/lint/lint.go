@@ -14,11 +14,11 @@
 //
 // On top of the syntactic set sit the dataflow analyzers (feasguard,
 // detorder, dimcheck — built on the intraprocedural CFG in cfg.go), the
-// interprocedural set (allocfree, ctxflow, wsalias — built on the
-// module-wide approximate call graph in callgraph.go, whose per-function
-// summaries travel between packages as facts), and the
-// concurrency-contract set (guardedby, chanown, fanout — built on the
-// lock-held lattice in cfg.go and the same call-graph facts).
+// interprocedural set (allocfree, ctxflow — built on the module-wide
+// approximate call graph in callgraph.go, whose per-function summaries
+// travel between packages as facts), and the concurrency-contract pair
+// (guardedby — built on the Lock/Unlock lattice in cfg.go and the same
+// call-graph facts — and fanout).
 //
 // The framework deliberately mirrors a small slice of the
 // golang.org/x/tools/go/analysis API so the analyzers read like standard
@@ -104,7 +104,7 @@ type Diagnostic struct {
 	Message string
 }
 
-// AllowDirective is the comment prefix that suppresses a finding.
+// AllowDirective is the comment directive that suppresses a finding.
 const AllowDirective = "//lint:allow"
 
 // HotpathDirective marks a function as a zero-allocation hot-path root:
@@ -115,8 +115,8 @@ const HotpathDirective = "//lint:hotpath"
 
 // GuardedByDirective marks a struct field as protected by a sibling mutex
 // field: `//lint:guardedby mu` on (or above) the field declaration means
-// the field may only be read while mu is at least read-locked and only be
-// written while mu is exclusively locked (see the guardedby analyzer).
+// the field may only be read or written while mu is held (see the
+// guardedby analyzer).
 const GuardedByDirective = "//lint:guardedby"
 
 // LockedDirective asserts a function's locking precondition:
@@ -125,12 +125,6 @@ const GuardedByDirective = "//lint:guardedby"
 // held (both bare and receiver-qualified), and the requirement is exported
 // as a NeedsLocks fact so cross-package call sites are checked too.
 const LockedDirective = "//lint:locked"
-
-// ChanOwnerDirective declares the single function allowed to close a
-// channel: `//lint:chanowner Run` on a channel-typed struct field or var
-// declaration restricts close() of that channel to a function named Run
-// (see the chanown analyzer).
-const ChanOwnerDirective = "//lint:chanowner"
 
 // FanoutDirective whitelists one go statement outside internal/parallel:
 // `//lint:fanout <role> <why>` on (or above) the spawning line admits the
@@ -176,13 +170,8 @@ func collectSuppressions(fset *token.FileSet, files []*ast.File) *suppressions {
 	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				text := strings.TrimSpace(c.Text)
-				if !strings.HasPrefix(text, AllowDirective) {
-					continue
-				}
-				rest := strings.TrimPrefix(text, AllowDirective)
-				fields := strings.Fields(rest)
-				if len(fields) == 0 {
+				fields, ok := directiveFields(c.Text, AllowDirective)
+				if !ok || len(fields) == 0 {
 					continue
 				}
 				pos := fset.Position(c.Pos())
@@ -202,6 +191,18 @@ func collectSuppressions(fset *token.FileSet, files []*ast.File) *suppressions {
 		}
 	}
 	return sup
+}
+
+// directiveFields reports whether comment text is the directive — the
+// token alone, or followed by whitespace — and returns the
+// whitespace-separated words after it.  A longer token such as
+// //lint:allowfloateq or //lint:lockedmu is another directive.
+func directiveFields(text, directive string) ([]string, bool) {
+	rest, ok := strings.CutPrefix(strings.TrimSpace(text), directive)
+	if !ok || (rest != "" && rest[0] != ' ' && rest[0] != '\t') {
+		return nil, false
+	}
+	return strings.Fields(rest), true
 }
 
 // onlyCommentOnLine reports whether comment c shares its line with no other
@@ -373,13 +374,13 @@ func RunPkg(analyzers []*Analyzer, fset *token.FileSet, files []*ast.File, pkg *
 // All returns the full greedlint analyzer suite: the syntactic v1
 // analyzers, the dataflow-aware v2 set built on the CFG pass, the
 // interprocedural v3 set built on the call-graph facts, and the v4
-// concurrency-contract set built on the lock-held lattice.
+// concurrency-contract pair.
 func All() []*Analyzer {
 	return []*Analyzer{
 		FloatEq, RNGSource, PanicFree, ErrDrop,
 		FeasGuard, DetOrder, DimCheck,
-		AllocFree, CtxFlow, WSAlias,
-		GuardedBy, ChanOwn, Fanout,
+		AllocFree, CtxFlow,
+		GuardedBy, Fanout,
 	}
 }
 

@@ -56,16 +56,8 @@ func TestCtxFlow(t *testing.T) {
 	linttest.Run(t, "testdata/ctxflow", "fixture/ctxflow", []*lint.Analyzer{lint.CtxFlow})
 }
 
-func TestWSAlias(t *testing.T) {
-	linttest.Run(t, "testdata/wsalias", "fixture/wsalias", []*lint.Analyzer{lint.WSAlias})
-}
-
 func TestGuardedBy(t *testing.T) {
 	linttest.Run(t, "testdata/guardedby", "fixture/guardedby", []*lint.Analyzer{lint.GuardedBy})
-}
-
-func TestChanOwn(t *testing.T) {
-	linttest.Run(t, "testdata/chanown", "fixture/chanown", []*lint.Analyzer{lint.ChanOwn})
 }
 
 func TestFanout(t *testing.T) {
@@ -94,15 +86,19 @@ func TestAllRegistersEveryAnalyzer(t *testing.T) {
 		}
 		names[a.Name] = true
 	}
-	for _, want := range []string{
+	want := []string{
 		"floateq", "rngsource", "panicfree", "errdrop",
 		"feasguard", "detorder", "dimcheck",
-		"allocfree", "ctxflow", "wsalias",
-		"guardedby", "chanown", "fanout",
-	} {
-		if !names[want] {
-			t.Errorf("All() does not register %q", want)
+		"allocfree", "ctxflow",
+		"guardedby", "fanout",
+	}
+	for _, name := range want {
+		if !names[name] {
+			t.Errorf("All() does not register %q", name)
 		}
+	}
+	if len(names) != len(want) {
+		t.Errorf("All() registers %d analyzers, want %d", len(names), len(want))
 	}
 }
 

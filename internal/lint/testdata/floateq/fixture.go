@@ -35,6 +35,9 @@ func compare(x, y float64, n int) bool {
 	if y == 2 {
 		return false
 	}
+	if y == 3 { //lint:allowfloateq a longer token is another directive // want "floateq"
+		return false
+	}
 	return x != y // want "floateq"
 }
 

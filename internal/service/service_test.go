@@ -831,3 +831,73 @@ func TestSolveLargePopulationFeasible(t *testing.T) {
 		t.Errorf("Σc = %v, g(Σr) = %v", sc, g)
 	}
 }
+
+// TestReadersRaceWriters drives every read-only endpoint while two
+// writers loop joins, rate updates, leaves and solves, with a watchdog
+// ticking every millisecond against a 4 ms stall threshold, so health,
+// stats and congestion reads overlap writes of the state they read.
+// Each response must carry a status from its endpoint's typed set, no
+// handler may panic, and the drain must be clean.  Under -race a guarded
+// field read or written without mu is a reported data race.
+func TestReadersRaceWriters(t *testing.T) {
+	s := New(Options{Workers: 2, StallAfter: 4 * time.Millisecond, WatchTick: time.Millisecond})
+	s.Start()
+	h := s.Handler()
+	ids := []string{"a", "b", "c", "d", "e"}
+	call := func(method, path, body string, ok ...int) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(method, path, strings.NewReader(body)))
+		for _, code := range ok {
+			if rec.Code == code {
+				return
+			}
+		}
+		t.Errorf("%s %s: status %d, want one of %v; body %s", method, path, rec.Code, ok, rec.Body.String())
+	}
+
+	const rounds = 150
+	var writers, readers sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		writers.Add(1)
+		go func() {
+			defer writers.Done()
+			for k := 0; k < rounds; k++ {
+				id := ids[(k+w)%len(ids)]
+				body := fmt.Sprintf(`{"client":%q,"rate":%v}`, id, 0.01*float64(1+(k+w)%9))
+				if k%4 == 3 {
+					body = fmt.Sprintf(`{"client":%q,"leave":true}`, id)
+				}
+				call("POST", "/v1/update", body, http.StatusOK, http.StatusTooManyRequests)
+				call("POST", "/v1/solve", fmt.Sprintf(`{"client":%q}`, id),
+					http.StatusOK, http.StatusTooManyRequests, http.StatusServiceUnavailable)
+			}
+		}()
+	}
+	stop := make(chan struct{})
+	for _, path := range []string{"/healthz", "/v1/stats", "/v1/congestion?client=a"} {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				call("GET", path, "", http.StatusOK, http.StatusServiceUnavailable, http.StatusNotFound)
+			}
+		}()
+	}
+	writers.Wait()
+	close(stop)
+	readers.Wait()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := s.Shutdown(ctx); err != nil {
+		t.Errorf("shutdown: %v", err)
+	}
+	if st := s.snapshotStats(); st.Panics != 0 {
+		t.Errorf("%d handler or solver panics", st.Panics)
+	}
+}

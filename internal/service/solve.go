@@ -18,7 +18,6 @@ import (
 // happens-before edge and no lock is needed on the payload.
 type flight struct {
 	// done is closed exactly once, by the worker completing the job.
-	//lint:chanowner runJob
 	done chan struct{}
 	res  *SolveResponse
 	rej  *Rejection
