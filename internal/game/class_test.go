@@ -265,6 +265,51 @@ func TestSolveNashClassFreeHoldsClasses(t *testing.T) {
 	}
 }
 
+// TestSolveNashSeededFallbacks pins the cases where the class seed must
+// not run: a class vector that is not a grouping is refused, and a Free
+// mask (whose pinned users hold their posted rates) or a canceled
+// context leaves the result SolveNashWS's from the posted rates, bit for
+// bit.
+func TestSolveNashSeededFallbacks(t *testing.T) {
+	ctx := context.Background()
+	a := alloc.FairShare{}
+	us := core.Profile{utility.NewLinear(1, 0.3), utility.NewLinear(1, 0.5), utility.NewLinear(1, 0.3)}
+	r := []core.Rate{0.02, 0.03, 0.04}
+	for _, tc := range []struct {
+		class []int
+		want  error
+	}{
+		{[]int{0, 1}, ErrNoProfile},
+		{[]int{0, -1, 0}, ErrBadClass},
+		{[]int{0, 3, 0}, ErrBadClass},
+		{[]int{0, 2, 0}, ErrBadClass}, // class 1 has no member
+	} {
+		if _, err := SolveNashSeededWS(ctx, nil, a, us, tc.class, r, NashOptions{}); err != tc.want {
+			t.Errorf("class %v: error %v, want %v", tc.class, err, tc.want)
+		}
+	}
+	canceled, cancel := context.WithCancel(ctx)
+	cancel()
+	for _, run := range []struct {
+		ctx context.Context
+		opt NashOptions
+	}{
+		{ctx, NashOptions{Free: []bool{false, true, true}}},
+		{canceled, NashOptions{}},
+	} {
+		got, gerr := SolveNashSeededWS(run.ctx, nil, a, us, []int{0, 1, 0}, r, run.opt)
+		want, werr := SolveNashWS(run.ctx, nil, a, us, r, run.opt)
+		if gerr != werr || got.Iters != want.Iters || got.Converged != want.Converged {
+			t.Fatalf("free %v: seeded (%v, %d rounds), unseeded (%v, %d rounds)", run.opt.Free, gerr, got.Iters, werr, want.Iters)
+		}
+		for i := range want.R {
+			if math.Float64bits(got.R[i]) != math.Float64bits(want.R[i]) {
+				t.Errorf("free %v, user %d: seeded rate %v, unseeded %v", run.opt.Free, i, got.R[i], want.R[i])
+			}
+		}
+	}
+}
+
 // TestSolveNashClassCancel pins the ctx contract: cancellation mid-solve
 // returns the typed error with the partial iterate, exactly like
 // SolveNashWS.

@@ -99,3 +99,55 @@ func solveNashClassExpanded(ctx context.Context, ws *Workspace, a core.Allocatio
 	}
 	return out, err
 }
+
+// SolveNashSeededWS is SolveNashWS for a per-user game whose users carry
+// a class index: class[i] in [0, K) with every index in use, and users
+// of one class share a utility (greedd groups its clients by utility
+// spec).  Under a discipline with class arithmetic, Fair Share or
+// Proportional, and with fewer classes than users, it first solves the
+// K-class game from each class's mean rate in r0 and starts the per-user
+// round loop at that answer expanded to every member.  Under Fair Share
+// the Nash point depends only on the multiset of utilities (Theorem 4),
+// so same-utility users share a rate and the class equilibrium is the
+// per-user one; under Proportional the class solve's within-class
+// symmetric fixed point is a per-user Nash point too.  Otherwise —
+// another discipline, one class per user, a Free mask, or a class solve
+// that errs or does not converge — it is SolveNashWS from r0.  The seed
+// only moves the start: Converged, Iters and MaxGain report the per-user
+// solve and its deviation audit, so a poor seed (a class of mixed
+// utilities, the class solver's large-N miss) costs rounds, not a
+// weaker check.
+func SolveNashSeededWS(ctx context.Context, ws *Workspace, a core.Allocation, us core.Profile, class []int, r0 []core.Rate, opt NashOptions) (NashResult, error) {
+	n := len(r0)
+	if len(us) != n || len(class) != n {
+		return NashResult{}, ErrNoProfile
+	}
+	cg := ClassGame{Classes: make([]Class, n)}
+	k := 0
+	for i, c := range class {
+		if c < 0 || c >= n {
+			return NashResult{}, ErrBadClass
+		}
+		cg.Classes[c].U = us[i]
+		cg.Classes[c].Rate += r0[i]
+		cg.Classes[c].Count++
+		k = max(k, c+1)
+	}
+	cg.Classes = cg.Classes[:k]
+	for j := range cg.Classes {
+		if cg.Classes[j].Count == 0 {
+			return NashResult{}, ErrBadClass
+		}
+		cg.Classes[j].Rate /= float64(cg.Classes[j].Count)
+	}
+	if kind := kernelOf(a); (kind == fairShare || kind == proportional) && k < n && opt.Free == nil {
+		if cr, err := SolveNashClassWS(ctx, ws, a, cg, nil, opt); err == nil && cr.Converged {
+			seed := make([]core.Rate, n)
+			for i, c := range class {
+				seed[i] = cr.R[c]
+			}
+			r0 = seed
+		}
+	}
+	return SolveNashWS(ctx, ws, a, us, r0, opt)
+}

@@ -14,7 +14,8 @@
 // leave, a changed rate or a changed utility, the service keeps the
 // answer of the current generation and serves every solve at that
 // generation from it, and concurrent solves of a generation still being
-// solved coalesce into a single SolveNashCtx call.
+// solved coalesce into a single Nash solve, seeded at its utility-class
+// equilibrium.
 // Overload degrades by shedding, never by stalling: the work queue is
 // bounded, enqueueing rejects the newest request once the queue's head
 // has aged past the request's deadline, each client spends a token

@@ -31,14 +31,14 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// contain wraps a handler with panic containment.
+// contain wraps a handler with panic containment.  It counts the panic
+// without taking mu: every handler section that holds mu releases it by
+// defer, so mu is free again by the time a panic reaches the recover.
 func (s *Server) contain(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		defer func() {
 			if v := recover(); v != nil {
-				s.mu.Lock()
-				s.stats.Panics++
-				s.mu.Unlock()
+				s.panics.Add(1)
 				writeJSON(w, http.StatusInternalServerError,
 					Rejection{Status: "FAILED(panic)", Reason: ReasonPanic, Detail: fmt.Sprint(v)})
 			}
@@ -119,7 +119,12 @@ func writeBody(w http.ResponseWriter, code int, body []byte) {
 
 // reject renders a typed rejection.
 func reject(w http.ResponseWriter, code int, reason, detail string) {
-	writeJSON(w, code, Rejection{Status: "REJECTED", Reason: reason, Detail: detail})
+	writeJSON(w, code, rejected(reason, detail))
+}
+
+// rejected is the typed REJECTED body for reason.
+func rejected(reason, detail string) *Rejection {
+	return &Rejection{Status: "REJECTED", Reason: reason, Detail: detail}
 }
 
 // decodeUpdate parses and validates an update body.  Validation reuses
@@ -160,20 +165,22 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		reject(w, http.StatusBadRequest, ReasonMalformed, err.Error())
 		return
 	}
-	now := s.opt.Clock()
+	code, body := s.applyUpdate(req, s.opt.Clock())
+	writeJSON(w, code, body)
+}
 
+// applyUpdate applies a decoded update under mu and returns the status
+// and body to answer with.
+func (s *Server) applyUpdate(req UpdateRequest, now time.Time) (int, any) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.draining {
 		s.stats.ShedDraining++
-		s.mu.Unlock()
-		reject(w, http.StatusServiceUnavailable, ReasonDraining, "service is draining")
-		return
+		return http.StatusServiceUnavailable, rejected(ReasonDraining, "service is draining")
 	}
 	if c, known := s.clients[req.Client]; known && !s.takeToken(c, now) {
 		s.stats.ShedOverload++
-		s.mu.Unlock()
-		reject(w, http.StatusTooManyRequests, ReasonOverload, "token bucket empty; slow down")
-		return
+		return http.StatusTooManyRequests, rejected(ReasonOverload, "token bucket empty; slow down")
 	}
 	if req.Leave {
 		if _, known := s.clients[req.Client]; known {
@@ -182,17 +189,12 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 			s.bump()
 			s.stats.Leaves++
 		}
-		n := len(s.clients)
-		s.mu.Unlock()
-		writeJSON(w, http.StatusOK, UpdateResponse{Admitted: true, Clients: n})
-		return
+		return http.StatusOK, UpdateResponse{Admitted: true, Clients: len(s.clients)}
 	}
 	ad := s.admit(req.Client, req.Rate)
 	if !ad.ok {
 		s.stats.RejectedAdmission++
-		s.mu.Unlock()
-		reject(w, http.StatusTooManyRequests, ReasonAdmission, ad.detail)
-		return
+		return http.StatusTooManyRequests, rejected(ReasonAdmission, ad.detail)
 	}
 	c, known := s.clients[req.Client]
 	if !known {
@@ -216,10 +218,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		s.bump()
 	}
 	s.stats.Updates++
-	n := len(s.clients)
-	s.mu.Unlock()
-
-	writeJSON(w, http.StatusOK, UpdateResponse{Admitted: true, Clients: n, Bound: ad.bound})
+	return http.StatusOK, UpdateResponse{Admitted: true, Clients: len(s.clients), Bound: ad.bound}
 }
 
 // solveBudget maps the requested deadline to the server's policy:
@@ -264,48 +263,64 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		reject(w, http.StatusServiceUnavailable, ReasonDeadline, err.Error())
 		return
 	}
-	now := s.opt.Clock()
+	rt := s.routeSolve(req.Client, budget, s.opt.Clock())
+	switch {
+	case rt.rej != nil:
+		writeJSON(w, rt.code, rt.rej)
+	case rt.answer != nil:
+		code, body := rt.answer.hit()
+		writeBody(w, code, body)
+	default:
+		if !rt.joined {
+			select {
+			case s.wake <- struct{}{}:
+			default: // a worker is already awake
+			}
+		}
+		s.awaitFlight(w, r, rt.fl, budget, rt.joined)
+	}
+}
 
+// solveRoute is where routeSolve sends a solve request: refused (rej,
+// with status code), answered from the generation's answer, or waiting
+// on a flight it joined or enqueued.
+type solveRoute struct {
+	code   int
+	rej    *Rejection
+	answer *answer
+	fl     *flight
+	joined bool
+}
+
+// routeSolve decides a solve request under mu.
+func (s *Server) routeSolve(id string, budget time.Duration, now time.Time) solveRoute {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.draining || s.stalled {
 		s.stats.ShedDraining++
-		s.mu.Unlock()
-		reject(w, http.StatusServiceUnavailable, ReasonDraining, "service is draining")
-		return
+		return solveRoute{code: http.StatusServiceUnavailable, rej: rejected(ReasonDraining, "service is draining")}
 	}
-	if c, known := s.clients[req.Client]; known && !s.takeToken(c, now) {
+	if c, known := s.clients[id]; known && !s.takeToken(c, now) {
 		s.stats.ShedOverload++
-		s.mu.Unlock()
-		reject(w, http.StatusTooManyRequests, ReasonOverload, "token bucket empty; slow down")
-		return
+		return solveRoute{code: http.StatusTooManyRequests, rej: rejected(ReasonOverload, "token bucket empty; slow down")}
 	}
 	if len(s.clients) == 0 {
-		s.mu.Unlock()
-		reject(w, http.StatusTooManyRequests, ReasonAdmission, "no admitted clients to solve for")
-		return
+		return solveRoute{code: http.StatusTooManyRequests, rej: rejected(ReasonAdmission, "no admitted clients to solve for")}
 	}
 	s.stats.Solves++
-	if a := s.answer; a != nil {
+	if s.answer != nil {
 		s.stats.CacheHits++
-		s.mu.Unlock()
-		code, body := a.hit()
-		writeBody(w, code, body)
-		return
+		return solveRoute{answer: s.answer}
 	}
-	fl, inFlight := s.flights[s.gen]
-	if inFlight {
+	if fl, inFlight := s.flights[s.gen]; inFlight {
 		s.stats.Coalesced++
-		s.mu.Unlock()
-		s.awaitFlight(w, r, fl, budget, true)
-		return
+		return solveRoute{fl: fl, joined: true}
 	}
 	// No flight to join: this request pays the queue admission checks.
 	if len(s.queue) >= s.opt.QueueCap {
 		s.stats.ShedOverload++
-		s.mu.Unlock()
-		reject(w, http.StatusServiceUnavailable, ReasonOverload,
-			fmt.Sprintf("solve queue full (%d deep)", s.opt.QueueCap))
-		return
+		return solveRoute{code: http.StatusServiceUnavailable, rej: rejected(ReasonOverload,
+			fmt.Sprintf("solve queue full (%d deep)", s.opt.QueueCap))}
 	}
 	if len(s.queue) > 0 {
 		if age := now.Sub(s.queue[0].enqueued); age > budget {
@@ -314,10 +329,8 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 			// impossible; shedding now is strictly kinder than timing out
 			// later with the queue even deeper.
 			s.stats.ShedDeadline++
-			s.mu.Unlock()
-			reject(w, http.StatusServiceUnavailable, ReasonDeadline,
-				fmt.Sprintf("queue head is %v old, past the %v deadline", age, budget))
-			return
+			return solveRoute{code: http.StatusServiceUnavailable, rej: rejected(ReasonDeadline,
+				fmt.Sprintf("queue head is %v old, past the %v deadline", age, budget))}
 		}
 	}
 	j := s.snapshotJob(now)
@@ -326,14 +339,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	if d := len(s.queue); d > s.stats.QueueMax {
 		s.stats.QueueMax = d
 	}
-	fl = j.fl
-	s.mu.Unlock()
-
-	select {
-	case s.wake <- struct{}{}:
-	default: // a worker is already awake
-	}
-	s.awaitFlight(w, r, fl, budget, false)
+	return solveRoute{fl: j.fl}
 }
 
 // awaitFlight waits for a flight to complete within the request's

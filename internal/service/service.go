@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"greednet/internal/alloc"
@@ -27,7 +28,7 @@ type Options struct {
 	QueueCap int
 	// Workers is the solve worker count; default 2.
 	Workers int
-	// SolveTimeout caps each SolveNashCtx call; default 2s.
+	// SolveTimeout caps each Nash solve; default 2s.
 	SolveTimeout time.Duration
 	// DefaultDeadline is the request budget assumed when a solve request
 	// carries none; default 1s.
@@ -149,6 +150,9 @@ type Server struct {
 	draining bool
 	//lint:guardedby mu
 	stalled bool
+	// panics counts contained handler and solver panics.  It is atomic,
+	// not under mu, so that counting a panic never waits on mu.
+	panics atomic.Int64
 
 	// wake nudges an idle worker after an enqueue.  Capacity 1, never
 	// closed: workers exit via ctx, so there is no close-ownership to
@@ -242,13 +246,14 @@ func (s *Server) checkStall(now time.Time) {
 	s.mu.Unlock()
 }
 
-// snapshotStats returns the counters with the point-in-time gauge
-// filled in.
+// snapshotStats returns the counters with the point-in-time gauge and
+// the panic count filled in.
 func (s *Server) snapshotStats() Stats {
 	s.mu.Lock()
 	st := s.stats
 	st.QueueDepth = len(s.queue)
 	s.mu.Unlock()
+	st.Panics = s.panics.Load()
 	return st
 }
 

@@ -16,7 +16,9 @@ import (
 	"testing"
 	"time"
 
+	"greednet/internal/cliutil"
 	"greednet/internal/core"
+	"greednet/internal/game"
 	"greednet/internal/mm1"
 )
 
@@ -407,6 +409,61 @@ func TestHandlerPanicContained(t *testing.T) {
 	}
 }
 
+// TestPanicUnderLockReleasesMu plants a nil client, so an update or a
+// solve for it panics while the handler holds mu.  Each panic must be
+// answered as a 500 FAILED(panic) and counted, and mu must be free again
+// afterwards: /healthz answers.  Every request runs under a bounded wait,
+// so a mutex left held fails the test instead of hanging it.
+func TestPanicUnderLockReleasesMu(t *testing.T) {
+	s := New(Options{Workers: 1})
+	s.Start()
+	s.mu.Lock()
+	s.clients["ghost"] = nil
+	s.mu.Unlock()
+	h := s.Handler()
+	call := func(method, path, body string) *httptest.ResponseRecorder {
+		t.Helper()
+		done := make(chan *httptest.ResponseRecorder, 1)
+		go func() {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(method, path, strings.NewReader(body)))
+			done <- rec
+		}()
+		select {
+		case rec := <-done:
+			return rec
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s %s: no answer within 5 s", method, path)
+			return nil
+		}
+	}
+	for k, req := range []struct{ path, body string }{
+		{"/v1/update", `{"client":"ghost","rate":0.1}`},
+		{"/v1/solve", `{"client":"ghost"}`},
+	} {
+		rec := call("POST", req.path, req.body)
+		var rej Rejection
+		if err := json.Unmarshal(rec.Body.Bytes(), &rej); err != nil {
+			t.Fatalf("%s: undecodable body %q: %v", req.path, rec.Body.String(), err)
+		}
+		if rec.Code != http.StatusInternalServerError || rej.Status != "FAILED(panic)" || rej.Reason != ReasonPanic {
+			t.Errorf("%s: rendered %d %+v, want 500 FAILED(panic)", req.path, rec.Code, rej)
+		}
+		if rec := call("GET", "/healthz", ""); rec.Code != http.StatusOK {
+			t.Errorf("healthz after a %s panic: %d", req.path, rec.Code)
+		}
+		if st := s.snapshotStats(); st.Panics != int64(k+1) {
+			t.Errorf("after the %s panic: %d panics counted, want %d", req.path, st.Panics, k+1)
+		}
+	}
+	s.mu.Lock()
+	delete(s.clients, "ghost")
+	s.mu.Unlock()
+	if err := s.Shutdown(context.Background()); err != nil {
+		t.Errorf("shutdown: %v", err)
+	}
+}
+
 // An answer that cannot be encoded — here a non-finite rate — must not
 // go out as an empty 200: it is refused with a typed 500.
 func TestWriteJSONRefusesUnencodableAnswer(t *testing.T) {
@@ -789,9 +846,12 @@ func waitFor(t *testing.T, cond func() bool) {
 // protection bound c_i ≤ r_i/(1−N·r_i).  At this size a client's
 // feasible best-response interval is narrower than one search grid cell;
 // the search once returned a "converged" all-+Inf profile there, which
-// encoding/json cannot render, leaving a 200 with an empty body.  An
-// N = 512 solve takes seconds under the race detector, so the solve
-// timeout, the request deadline and the stall watchdog are all raised.
+// encoding/json cannot render, leaving a 200 with an empty body.  The
+// solve starts at the four specs' class equilibrium, so the per-user
+// pass must confirm it within two rounds (from the posted rates it took
+// six).  An N = 512 solve takes seconds under the race detector, so the
+// solve timeout, the request deadline and the stall watchdog are all
+// raised.
 func TestSolveLargePopulationFeasible(t *testing.T) {
 	const n = 512
 	const budget = 2 * time.Minute
@@ -816,6 +876,9 @@ func TestSolveLargePopulationFeasible(t *testing.T) {
 	if !sol.Converged || len(sol.R) != n || len(sol.C) != n {
 		t.Fatalf("bad solve: converged %v, %d rates, %d congestions", sol.Converged, len(sol.R), len(sol.C))
 	}
+	if sol.Iters > 2 {
+		t.Errorf("solve took %d rounds from the class seed, want at most 2", sol.Iters)
+	}
 	sr, sc := 0.0, 0.0
 	for i := range sol.R {
 		sr += sol.R[i]
@@ -829,6 +892,94 @@ func TestSolveLargePopulationFeasible(t *testing.T) {
 	}
 	if g := mm1.G(sr); math.Abs(sc-g) > 1e-9*g {
 		t.Errorf("Σc = %v, g(Σr) = %v", sc, g)
+	}
+}
+
+// TestSeededSolveMatchesUnseeded admits generated profiles of the four
+// climb specs, with rates inside admission, and checks the served answer
+// of each discipline against what the class seed may change.  Under Fair
+// Share the equilibrium is unique (Theorem 4), so the seeded answer must
+// lie within the solver tolerance of SolveNashWS from the posted rates,
+// and with fewer specs than clients the per-user pass must confirm the
+// seed in one round.  Under Proportional the unseeded solve is no
+// reference (it can miss Converged at N = 128 and beyond), so the answer
+// must be converged with no profitable unilateral deviation.  hol and
+// blend:0.5 have no class arithmetic: their answers must be the unseeded
+// solve's bit for bit.  The generic disciplines re-evaluate the whole
+// allocation per probe, so they stop at N = 64.
+func TestSeededSolveMatchesUnseeded(t *testing.T) {
+	const budget = 2 * time.Minute
+	specs := []string{"linear:1,4", "linear:1,2", "log:2,1", "sqrt:1,2"}
+	rng := rand.New(rand.NewSource(5))
+	for _, disc := range []string{"fair-share", "proportional", "hol", "blend:0.5"} {
+		al, err := cliutil.ParseAlloc(disc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sizes := []int{2, 3, 5, 16, 128, 512}
+		if disc == "hol" || disc == "blend:0.5" {
+			sizes = []int{2, 3, 5, 16, 64}
+		}
+		for _, n := range sizes {
+			s := New(Options{Alloc: al, Workers: 1, Burst: 1e9, Refill: 1e9,
+				SolveTimeout: budget, DefaultDeadline: budget, MaxDeadline: budget, StallAfter: budget})
+			s.Start()
+			h := s.Handler()
+			us := make(core.Profile, n)
+			rates := make([]core.Rate, n)
+			distinct := map[string]bool{}
+			for i := range n {
+				spec := specs[rng.Intn(len(specs))]
+				distinct[spec] = true
+				rates[i] = (0.2 + 0.75*rng.Float64()) / float64(n)
+				if us[i], err = cliutil.ParseUtility(spec); err != nil {
+					t.Fatal(err)
+				}
+				update(t, h, fmt.Sprintf("c%04d", i), rates[i], spec)
+			}
+			var sol SolveResponse
+			if code := doJSON(t, h, "POST", "/v1/solve", SolveRequest{Client: "c0000", DeadlineMS: budget.Milliseconds()}, &sol); code != http.StatusOK {
+				t.Fatalf("%s N=%d: solve status %d", disc, n, code)
+			}
+			if err := s.Shutdown(context.Background()); err != nil {
+				t.Errorf("shutdown: %v", err)
+			}
+			if len(sol.R) != n || len(sol.C) != n {
+				t.Fatalf("%s N=%d: %d rates, %d congestions", disc, n, len(sol.R), len(sol.C))
+			}
+			seeded := len(distinct) < n
+			switch disc {
+			case "proportional":
+				if !sol.Converged {
+					t.Errorf("%s N=%d: not converged after %d rounds", disc, n, sol.Iters)
+				}
+				for i := range n {
+					if gain := game.DeviationGain(al, us[i], sol.R, i, s.opt.Nash.BR); gain > 1e-6 {
+						t.Errorf("%s N=%d: client %s gains %v by deviating", disc, n, sol.Clients[i], gain)
+					}
+				}
+				continue
+			case "fair-share":
+				if !sol.Converged || (seeded && sol.Iters != 1) {
+					t.Errorf("%s N=%d (%d specs): converged %v in %d rounds, want 1", disc, n, len(distinct), sol.Converged, sol.Iters)
+				}
+			}
+			ref, err := game.SolveNashWS(context.Background(), nil, al, us, rates, s.opt.Nash)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range n {
+				exact := math.Float64bits(sol.R[i]) == math.Float64bits(ref.R[i]) &&
+					math.Float64bits(sol.C[i]) == math.Float64bits(ref.C[i])
+				if disc == "fair-share" && seeded {
+					exact = math.Abs(sol.R[i]-ref.R[i]) <= s.opt.Nash.Tol
+				}
+				if !exact {
+					t.Errorf("%s N=%d, client %s: served (%v, %v), unseeded (%v, %v)",
+						disc, n, sol.Clients[i], sol.R[i], sol.C[i], ref.R[i], ref.C[i])
+				}
+			}
+		}
 	}
 }
 

@@ -29,6 +29,9 @@ type job struct {
 	ids   []string // canonical (sorted) client order
 	us    core.Profile
 	rates []core.Rate
+	// class groups the clients by utility spec: class[i] numbers
+	// client i's spec in order of first appearance along ids.
+	class []int
 	gen   int64
 	// enqueued stamps the shedding clock: the head job's age is the
 	// queue's age.
@@ -71,14 +74,22 @@ func (s *Server) snapshotJob(now time.Time) *job {
 		ids:      ids,
 		us:       make(core.Profile, len(ids)),
 		rates:    make([]core.Rate, len(ids)),
+		class:    make([]int, len(ids)),
 		gen:      s.gen,
 		enqueued: now,
 		fl:       &flight{done: make(chan struct{})},
 	}
+	classOf := make(map[string]int)
 	for i, id := range ids {
 		c := s.clients[id]
 		j.us[i] = c.u
 		j.rates[i] = c.rate
+		k, seen := classOf[c.spec]
+		if !seen {
+			k = len(classOf)
+			classOf[c.spec] = k
+		}
+		j.class[i] = k
 	}
 	return j
 }
@@ -98,7 +109,7 @@ func (s *Server) dequeue() *job {
 
 // worker drains the solve queue.  It exits only once the queue is empty
 // AND ctx is done — with ctx canceled mid-drain the remaining jobs
-// fast-fail (SolveNashCtx observes the canceled context immediately),
+// fast-fail (the solver observes the canceled context immediately),
 // so every queued flight still closes and no waiter is left hanging.
 func (s *Server) worker(ctx context.Context) {
 	defer s.wg.Done()
@@ -140,7 +151,7 @@ func (s *Server) runJob(ctx context.Context, j *job, ws *game.Workspace) {
 	} else {
 		s.stats.SolveFails++
 		if rej.Reason == ReasonPanic {
-			s.stats.Panics++
+			s.panics.Add(1)
 		}
 	}
 	delete(s.flights, j.gen)
@@ -152,8 +163,8 @@ func (s *Server) runJob(ctx context.Context, j *job, ws *game.Workspace) {
 	close(j.fl.done)
 }
 
-// solveContained runs SolveNashCtx with panic containment and maps the
-// outcome to a response or a typed rejection.
+// solveContained runs the seeded Nash solve with panic containment and
+// maps the outcome to a response or a typed rejection.
 func (s *Server) solveContained(ctx context.Context, j *job, ws *game.Workspace) (res *SolveResponse, rej *Rejection) {
 	defer func() {
 		if v := recover(); v != nil {
@@ -164,7 +175,7 @@ func (s *Server) solveContained(ctx context.Context, j *job, ws *game.Workspace)
 	}()
 	sctx, cancel := context.WithTimeout(ctx, s.opt.SolveTimeout)
 	defer cancel()
-	nr, err := game.SolveNashWS(sctx, ws, s.opt.Alloc, j.us, j.rates, s.opt.Nash)
+	nr, err := game.SolveNashSeededWS(sctx, ws, s.opt.Alloc, j.us, j.class, j.rates, s.opt.Nash)
 	if err != nil {
 		reason := ReasonDraining // canceled by shutdown
 		detail := "solve canceled: " + err.Error()
@@ -172,7 +183,7 @@ func (s *Server) solveContained(ctx context.Context, j *job, ws *game.Workspace)
 			reason = ReasonDeadline
 			detail = fmt.Sprintf("solve exceeded the %v solver timeout after %d rounds", s.opt.SolveTimeout, nr.Iters)
 		}
-		return nil, &Rejection{Status: "REJECTED", Reason: reason, Detail: detail}
+		return nil, rejected(reason, detail)
 	}
 	return &SolveResponse{
 		Gen:       j.gen,
