@@ -2,7 +2,9 @@ package game
 
 import (
 	"context"
+	"errors"
 	"math"
+	"math/rand"
 	"testing"
 
 	"greednet/internal/alloc"
@@ -308,6 +310,172 @@ func TestSolveNashSeededFallbacks(t *testing.T) {
 			}
 		}
 	}
+}
+
+// seededGame draws a per-user game of n users from the four service
+// specs, with rates inside admission; each user's class numbers its spec
+// in order of first appearance, as greedd groups its clients.
+func seededGame(rng *rand.Rand, n int) (core.Profile, []int, []core.Rate) {
+	specs := []core.Utility{utility.NewLinear(1, 4), utility.NewLinear(1, 2), utility.Log{W: 2, Gamma: 1}, utility.Sqrt{W: 1, Gamma: 2}}
+	us := make(core.Profile, n)
+	class := make([]int, n)
+	r := make([]core.Rate, n)
+	number := map[int]int{}
+	for i := range us {
+		s := rng.Intn(len(specs))
+		k, seen := number[s]
+		if !seen {
+			k = len(number)
+			number[s] = k
+		}
+		us[i], class[i] = specs[s], k
+		r[i] = (0.2 + 0.75*rng.Float64()) / float64(n)
+	}
+	return us, class, r
+}
+
+// classSeed is the point SolveNashSeededWS starts from: the class game
+// with each class at its members' mean rate and its last member's
+// utility, solved and expanded to every member.
+func classSeed(t *testing.T, ctx context.Context, a core.Allocation, us core.Profile, class []int, r []core.Rate, opt NashOptions) []core.Rate {
+	t.Helper()
+	k := 0
+	for _, c := range class {
+		k = max(k, c+1)
+	}
+	cg := ClassGame{Classes: make([]Class, k)}
+	for i, c := range class {
+		cg.Classes[c].U = us[i]
+		cg.Classes[c].Rate += r[i]
+		cg.Classes[c].Count++
+	}
+	for j := range cg.Classes {
+		cg.Classes[j].Rate /= float64(cg.Classes[j].Count)
+	}
+	cr, err := SolveNashClassWS(ctx, nil, a, cg, nil, opt)
+	if err != nil || !cr.Converged {
+		t.Fatalf("class solve: converged %v, err %v", cr.Converged, err)
+	}
+	seed := make([]core.Rate, len(class))
+	for i, c := range class {
+		seed[i] = cr.R[c]
+	}
+	return seed
+}
+
+// TestSolveNashSeededSweep pins the path greedd takes under Fair Share
+// with fewer classes than users: the answer is the class solve's,
+// expanded bit for bit, with the per-user congestion of that point,
+// Converged in one round, and a MaxGain that is the largest unilateral
+// deviation gain over every user.
+func TestSolveNashSeededSweep(t *testing.T) {
+	a := alloc.FairShare{}
+	opt := NashOptions{MaxIter: 200, Tol: 1e-6}
+	rng := rand.New(rand.NewSource(9))
+	for _, n := range []int{5, 16, 64, 128} {
+		us, class, r := seededGame(rng, n)
+		got, err := SolveNashSeededWS(context.Background(), nil, a, us, class, r, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Converged || got.Iters != 1 {
+			t.Errorf("N=%d: converged %v in %d rounds, want one", n, got.Converged, got.Iters)
+		}
+		seed := classSeed(t, context.Background(), a, us, class, r, opt)
+		c := a.Congestion(got.R)
+		worst := 0.0
+		for i := range us {
+			if math.Float64bits(got.R[i]) != math.Float64bits(seed[i]) {
+				t.Errorf("N=%d, user %d: rate %v, class answer %v", n, i, got.R[i], seed[i])
+			}
+			if math.Float64bits(got.C[i]) != math.Float64bits(c[i]) {
+				t.Errorf("N=%d, user %d: congestion %v, C(R) %v", n, i, got.C[i], c[i])
+			}
+			worst = max(worst, DeviationGain(a, us[i], got.R, i, opt.BR))
+		}
+		if math.Abs(got.MaxGain-worst) > 1e-15 {
+			t.Errorf("N=%d: MaxGain %v, largest deviation gain %v", n, got.MaxGain, worst)
+		}
+	}
+}
+
+// TestSolveNashSeededSweepFallbacks pins the two ways the sweep fails.
+// A class that mixes two utilities, far apart or within 1e-4 of each
+// other, seeds a point that is no per-user fixed point, so the answer
+// must be SolveNashWS's from that seed, bit for bit.  A context that
+// fires mid-sweep, after the class solve, must return the typed error
+// with the class point and no rounds.
+func TestSolveNashSeededSweepFallbacks(t *testing.T) {
+	ctx := context.Background()
+	a := alloc.FairShare{}
+	opt := NashOptions{MaxIter: 200, Tol: 1e-6}
+	lo, hi := utility.NewLinear(1, 0.3), utility.NewLinear(1, 0.5)
+	class := []int{0, 0, 0, 1, 1, 1}
+	r := []core.Rate{0.05, 0.06, 0.07, 0.04, 0.08, 0.05}
+	for _, odd := range []core.Utility{utility.Log{W: 2, Gamma: 1}, utility.NewLinear(1, 0.5*(1+1e-4))} {
+		us := core.Profile{lo, lo, lo, hi, odd, hi}
+		seed := classSeed(t, ctx, a, us, class, r, opt)
+		got, gerr := SolveNashSeededWS(ctx, nil, a, us, class, r, opt)
+		want, werr := SolveNashWS(ctx, nil, a, us, seed, opt)
+		if gerr != nil || werr != nil {
+			t.Fatalf("%v: errors: seeded %v, from the seed %v", odd, gerr, werr)
+		}
+		if got.Converged != want.Converged || got.Iters != want.Iters ||
+			math.Float64bits(got.MaxGain) != math.Float64bits(want.MaxGain) {
+			t.Errorf("%v: seeded (%v, %d rounds, gain %v), from the seed (%v, %d rounds, gain %v)",
+				odd, got.Converged, got.Iters, got.MaxGain, want.Converged, want.Iters, want.MaxGain)
+		}
+		moved := false
+		for i := range want.R {
+			if math.Float64bits(got.R[i]) != math.Float64bits(want.R[i]) || math.Float64bits(got.C[i]) != math.Float64bits(want.C[i]) {
+				t.Errorf("%v, user %d: seeded (%v, %v), from the seed (%v, %v)", odd, i, got.R[i], got.C[i], want.R[i], want.C[i])
+			}
+			moved = moved || math.Abs(want.R[i]-seed[i]) > opt.Tol
+		}
+		if !moved {
+			t.Fatalf("%v: the mixed-class seed is a per-user fixed point; the sweep would pass", odd)
+		}
+	}
+
+	// Count the class solve's polls of a live context, then cancel at the
+	// sixth user of the sweep.
+	us, class, r := seededGame(rand.New(rand.NewSource(4)), 32)
+	live, stop := context.WithCancel(ctx)
+	defer stop()
+	counter := &pollCtx{Context: live}
+	seed := classSeed(t, counter, a, us, class, r, opt)
+	canceled, cancel := context.WithCancel(ctx)
+	defer cancel()
+	mid := &pollCtx{Context: canceled, cancel: cancel, at: counter.calls + 2*5 + 1}
+	got, err := SolveNashSeededWS(mid, nil, a, us, class, r, opt)
+	if !errors.Is(err, core.ErrCanceled) {
+		t.Fatalf("canceled mid-sweep: error %v, want %v", err, core.ErrCanceled)
+	}
+	if got.Converged || got.Iters != 0 || got.C != nil {
+		t.Errorf("canceled mid-sweep: converged %v, %d rounds, C %v", got.Converged, got.Iters, got.C)
+	}
+	for i := range seed {
+		if math.Float64bits(got.R[i]) != math.Float64bits(seed[i]) {
+			t.Errorf("canceled mid-sweep, user %d: rate %v, class answer %v", i, got.R[i], seed[i])
+		}
+	}
+}
+
+// pollCtx counts the calls of its Done method, two per core.CtxErr poll
+// of a live context, and cancels itself at call number at (never when at
+// is 0).
+type pollCtx struct {
+	context.Context
+	cancel    context.CancelFunc
+	at, calls int
+}
+
+func (c *pollCtx) Done() <-chan struct{} {
+	c.calls++
+	if c.calls == c.at {
+		c.cancel()
+	}
+	return c.Context.Done()
 }
 
 // TestSolveNashClassCancel pins the ctx contract: cancellation mid-solve

@@ -105,18 +105,24 @@ func solveNashClassExpanded(ctx context.Context, ws *Workspace, a core.Allocatio
 // of one class share a utility (greedd groups its clients by utility
 // spec).  Under a discipline with class arithmetic, Fair Share or
 // Proportional, and with fewer classes than users, it first solves the
-// K-class game from each class's mean rate in r0 and starts the per-user
-// round loop at that answer expanded to every member.  Under Fair Share
-// the Nash point depends only on the multiset of utilities (Theorem 4),
-// so same-utility users share a rate and the class equilibrium is the
+// K-class game from each class's mean rate in r0.  Under Fair Share the
+// Nash point depends only on the multiset of utilities (Theorem 4), so
+// same-utility users share a rate and the class equilibrium is the
 // per-user one; under Proportional the class solve's within-class
-// symmetric fixed point is a per-user Nash point too.  Otherwise —
-// another discipline, one class per user, a Free mask, or a class solve
-// that errs or does not converge — it is SolveNashWS from r0.  The seed
-// only moves the start: Converged, Iters and MaxGain report the per-user
-// solve and its deviation audit, so a poor seed (a class of mixed
-// utilities, the class solver's large-N miss) costs rounds, not a
-// weaker check.
+// symmetric fixed point is a per-user Nash point too.
+//
+// A converged class answer, expanded to every member, is then checked by
+// one per-user sweep: each user's best response at that point is both
+// the round loop's convergence test, |BR − r| ≤ Tol, and the user's
+// deviation gain.  When every user passes, the point is the answer, with
+// Converged, Iters 1 and the sweep's MaxGain.  When one fails (a class
+// of mixed utilities, the class solver's large-N miss), the per-user
+// round loop and its audit run from that point and report as SolveNashWS
+// does, so a poor seed costs rounds, never a weaker check; a context
+// fired mid-sweep returns its typed error with the class point as R,
+// Iters 0 and C nil, as a loop canceled in its first round does.  Every
+// other case (another discipline, one class per user, a Free mask, or a
+// class solve that errs or does not converge) is SolveNashWS from r0.
 func SolveNashSeededWS(ctx context.Context, ws *Workspace, a core.Allocation, us core.Profile, class []int, r0 []core.Rate, opt NashOptions) (NashResult, error) {
 	n := len(r0)
 	if len(us) != n || len(class) != n {
@@ -140,11 +146,21 @@ func SolveNashSeededWS(ctx context.Context, ws *Workspace, a core.Allocation, us
 		}
 		cg.Classes[j].Rate /= float64(cg.Classes[j].Count)
 	}
+	if ws == nil {
+		ws = NewWorkspace()
+	}
 	if kind := kernelOf(a); (kind == fairShare || kind == proportional) && k < n && opt.Free == nil {
 		if cr, err := SolveNashClassWS(ctx, ws, a, cg, nil, opt); err == nil && cr.Converged {
 			seed := make([]core.Rate, n)
 			for i, c := range class {
 				seed[i] = cr.R[c]
+			}
+			g := ws.finite(kind, a, us, ws.units(n), opt.BR)
+			cong := make([]core.Congestion, n)
+			g.congestion(cong, seed)
+			gain, still, err := g.audit(ctx, seed, cong, ws.allFree(n), opt.withDefaults().Tol)
+			if err == nil && still {
+				return NashResult{R: seed, C: cong, Converged: true, Iters: 1, MaxGain: gain}, nil
 			}
 			r0 = seed
 		}

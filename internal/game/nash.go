@@ -127,9 +127,9 @@ func SolveNashWS(ctx context.Context, ws *Workspace, a core.Allocation, us core.
 // class solvers: Gauss–Seidel or Jacobi rounds from r0 with
 // damping r ← (1−d)·r + d·BR, stopping when the ∞-norm rate change falls
 // to Tol, with ctx polled once per round; then the congestion report and
-// the deviation audit, MaxGain = max over free players of best response
-// payoff minus current payoff.  rdst and cdst (one entry per player)
-// receive the final point and are returned as R and C.
+// the deviation audit (audit), MaxGain = max over free players of best
+// response payoff minus current payoff.  rdst and cdst (one entry per
+// player) receive the final point and are returned as R and C.
 //
 // On cancellation mid-rounds it returns the last iterate's rates and the
 // rounds completed, with C nil (the point was never accepted, so no
@@ -194,19 +194,39 @@ func (ws *Workspace) solve(ctx context.Context, g *finiteGame, r0 []float64, opt
 	copy(rdst, r)
 	g.congestion(cdst, rdst)
 	res := NashResult{R: rdst, C: cdst, Converged: converged, Iters: iters}
-	for d := 0; d < k; d++ {
+	var err error
+	res.MaxGain, _, err = g.audit(ctx, rdst, cdst, free, opt.Tol)
+	return res, err
+}
+
+// audit is the deviation audit: one pass of best responses at the point
+// r, whose congestion is c, over the free players, with ctx polled
+// before each.  maxGain is the largest best-response payoff minus the
+// player's payoff at r.  still reports whether every best response lies
+// within tol of the player's rate, the round loop's convergence test
+// taken undamped, so a point that passes is a fixed point of the loop.
+// Cancellation stops the pass: maxGain then covers only the players
+// audited so far, a lower bound.
+//
+//lint:hotpath
+func (g *finiteGame) audit(ctx context.Context, r, c []float64, free []bool, tol float64) (maxGain float64, still bool, err error) {
+	still = true
+	for d := range r {
 		if !free[d] {
 			continue
 		}
 		if err := core.CtxErr(ctx); err != nil {
-			return res, err
+			return maxGain, false, err
 		}
-		_, best := g.bestResponse(d, rdst)
-		if gain := best - g.us[d].Value(rdst[d], cdst[d]); gain > res.MaxGain {
-			res.MaxGain = gain
+		br, best := g.bestResponse(d, r)
+		if !(math.Abs(br-r[d]) <= tol) {
+			still = false
+		}
+		if gain := best - g.us[d].Value(r[d], c[d]); gain > maxGain {
+			maxGain = gain
 		}
 	}
-	return res, nil
+	return maxGain, still, nil
 }
 
 // finiteGame is a finite game as the round loop sees it: players with

@@ -82,6 +82,16 @@ func climbGame(n int) (core.Profile, []float64, game.NashOptions, error) {
 	return us, r0, game.NashOptions{MaxIter: 200, Tol: 1e-6}, nil
 }
 
+// climbClasses groups climbGame's n users by spec, numbered in order of
+// first appearance, as greedd groups its clients.
+func climbClasses(n int) []int {
+	class := make([]int, n)
+	for i := range class {
+		class[i] = i % len(climbSpecs)
+	}
+	return class
+}
+
 // Cases returns the hot-path benchmark suite in emission order.  The
 // class solver's scales are the classes layer's (classes.go).
 func Cases() []Case {
@@ -184,9 +194,10 @@ func Cases() []Case {
 		},
 		{
 			Name: "solvenash_fairshare_n128",
-			// The climb-shaped solve greedd runs on every /v1/solve of its
-			// benchmark's closed loop; budgeted like solvenash_fairshare_n8
-			// (R and C).
+			// The per-user solve of the climb-shaped game from its posted
+			// rates, the solve perfbench's traced climb replays; greedd's
+			// own solve is solvenash_seeded_fairshare_n128.  Budgeted like
+			// solvenash_fairshare_n8 (R and C).
 			Budget: 2,
 			Bench: func(b *testing.B) {
 				us, r0, opt, err := climbGame(128)
@@ -198,6 +209,30 @@ func Cases() []Case {
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					if _, err := game.SolveNashWS(context.Background(), ws, alloc.FairShare{}, us, r0, opt); err != nil {
+						b.Fatal(err)
+					}
+				}
+			},
+		},
+		{
+			Name: "solvenash_seeded_fairshare_n128",
+			// greedd's solve stage on climb's profile: the class solve over
+			// the four specs, then one per-user certifying sweep at its
+			// answer.  Per solve: the class game, the class solve's R and
+			// C and the mean rates it starts from, and the per-user R and
+			// C.
+			Budget: 6,
+			Bench: func(b *testing.B) {
+				us, r0, opt, err := climbGame(128)
+				if err != nil {
+					b.Fatal(err)
+				}
+				class := climbClasses(128)
+				ws := game.NewWorkspace()
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := game.SolveNashSeededWS(context.Background(), ws, alloc.FairShare{}, us, class, r0, opt); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -47,6 +47,7 @@ func TestGatedCasesWithinAllocBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	cws := game.NewWorkspace()
+	cclass := climbClasses(128)
 
 	checks := map[string]func(){
 		"fairshare_congestion_into_n64": func() {
@@ -62,6 +63,11 @@ func TestGatedCasesWithinAllocBudget(t *testing.T) {
 		},
 		"solvenash_fairshare_n128": func() {
 			if _, err := game.SolveNashWS(context.Background(), cws, alloc.FairShare{}, cus, cr0, copt); err != nil {
+				t.Fatal(err)
+			}
+		},
+		"solvenash_seeded_fairshare_n128": func() {
+			if _, err := game.SolveNashSeededWS(context.Background(), cws, alloc.FairShare{}, cus, cclass, cr0, copt); err != nil {
 				t.Fatal(err)
 			}
 		},

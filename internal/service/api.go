@@ -14,8 +14,9 @@
 // leave, a changed rate or a changed utility, the service keeps the
 // answer of the current generation and serves every solve at that
 // generation from it, and concurrent solves of a generation still being
-// solved coalesce into a single Nash solve, seeded at its utility-class
-// equilibrium.
+// solved coalesce into a single Nash solve: the equilibrium of the
+// clients' utility classes, served once one per-client sweep has
+// certified it (game.SolveNashSeededWS).
 // Overload degrades by shedding, never by stalling: the work queue is
 // bounded, enqueueing rejects the newest request once the queue's head
 // has aged past the request's deadline, each client spends a token
@@ -75,7 +76,9 @@ type UpdateRequest struct {
 	Rate float64 `json:"rate"`
 	// Utility is a cliutil spec ("linear:1,4", "log:2,1", …).  Empty
 	// keeps the client's previous utility (or the server default on
-	// first contact).  Changing it starts a new profile generation.
+	// first contact).  Naming a different utility starts a new profile
+	// generation; a respelling of the same one ("LINEAR:1.0,4" for
+	// "linear:1,4") does not.
 	Utility string `json:"utility,omitempty"`
 	// Leave, when true, removes the client; Rate is ignored.
 	Leave bool `json:"leave,omitempty"`
@@ -118,9 +121,12 @@ type SolveResponse struct {
 	// Coalesced is true when this request joined an in-flight solve
 	// instead of enqueueing its own.
 	Coalesced bool `json:"coalesced"`
-	// Converged and Iters mirror game.NashResult.
-	Converged bool `json:"converged"`
-	Iters     int  `json:"iters"`
+	// Converged, Iters and MaxGain mirror game.NashResult.  MaxGain is
+	// the deviation audit of the served point: the most any client could
+	// gain by changing its rate alone.
+	Converged bool    `json:"converged"`
+	Iters     int     `json:"iters"`
+	MaxGain   float64 `json:"max_gain"`
 	// Clients lists the profile's client ids in canonical (sorted)
 	// order; R and C are the equilibrium rates and congestions in the
 	// same order.

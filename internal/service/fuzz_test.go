@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"greednet/internal/cliutil"
+	"greednet/internal/game"
 )
 
 // FuzzDecodeUpdate throws arbitrary bytes at the update decoder and pins
@@ -43,6 +44,9 @@ func FuzzDecodeUpdate(f *testing.F) {
 				if _, uerr := cliutil.ParseUtility(dec.Utility); uerr != nil {
 					t.Fatalf("decoder admitted unparseable utility %q from %q", dec.Utility, data)
 				}
+			}
+			if (dec.u == nil) != (dec.Utility == "") || (dec.u != nil && dec.spec != game.UtilitySpec(dec.u)) {
+				t.Fatalf("decoder parsed utility %q as %v with spec %q", dec.Utility, dec.u, dec.spec)
 			}
 		}
 

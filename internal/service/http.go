@@ -11,6 +11,8 @@ import (
 	"time"
 
 	"greednet/internal/cliutil"
+	"greednet/internal/core"
+	"greednet/internal/game"
 )
 
 // maxBodyBytes bounds request bodies; a malformed-payload injector
@@ -127,15 +129,24 @@ func rejected(reason, detail string) *Rejection {
 	return &Rejection{Status: "REJECTED", Reason: reason, Detail: detail}
 }
 
+// parsedUpdate is a decoded, validated update body.  When the request
+// names a utility, u is that utility parsed and spec its canonical form
+// (game.UtilitySpec), by which clients are compared and grouped.
+type parsedUpdate struct {
+	UpdateRequest
+	u    core.Utility
+	spec string
+}
+
 // decodeUpdate parses and validates an update body.  Validation reuses
 // the cliutil rules: rates must be positive and finite (NaN/Inf smuggled
 // through json.Number-ish tricks die here, not in the solver), utility
 // specs must parse.
-func decodeUpdate(r *http.Request) (UpdateRequest, error) {
-	var req UpdateRequest
+func decodeUpdate(r *http.Request) (parsedUpdate, error) {
+	var req parsedUpdate
 	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := dec.Decode(&req.UpdateRequest); err != nil {
 		return req, fmt.Errorf("bad update body: %w", err)
 	}
 	if req.Client == "" || len(req.Client) > 64 {
@@ -148,9 +159,11 @@ func decodeUpdate(r *http.Request) (UpdateRequest, error) {
 		return req, err
 	}
 	if req.Utility != "" {
-		if _, err := cliutil.ParseUtility(req.Utility); err != nil {
+		u, err := cliutil.ParseUtility(req.Utility)
+		if err != nil {
 			return req, err
 		}
+		req.u, req.spec = u, game.UtilitySpec(u)
 	}
 	return req, nil
 }
@@ -171,7 +184,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 
 // applyUpdate applies a decoded update under mu and returns the status
 // and body to answer with.
-func (s *Server) applyUpdate(req UpdateRequest, now time.Time) (int, any) {
+func (s *Server) applyUpdate(req parsedUpdate, now time.Time) (int, any) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.draining {
@@ -198,21 +211,17 @@ func (s *Server) applyUpdate(req UpdateRequest, now time.Time) (int, any) {
 	}
 	c, known := s.clients[req.Client]
 	if !known {
-		c = &client{u: s.opt.DefaultUtility, tokens: s.opt.Burst - 1, lastRefill: now}
+		c = &client{u: s.opt.DefaultUtility, spec: game.UtilitySpec(s.opt.DefaultUtility), tokens: s.opt.Burst - 1, lastRefill: now}
 		s.clients[req.Client] = c
 	}
 	// A re-post of the same rate bits and utility leaves the game as it
-	// was, and with it the current answer.
+	// was, and with it the current answer.  Utilities compare by
+	// canonical spec, so a respelling of the same utility is no change.
 	changed := !known || math.Float64bits(c.rate) != math.Float64bits(req.Rate)
 	c.rate = req.Rate
-	if req.Utility != "" && req.Utility != c.spec {
-		// Parse errors were rejected in decodeUpdate; this cannot fail.
-		u, perr := cliutil.ParseUtility(req.Utility)
-		if perr == nil {
-			c.spec = req.Utility
-			c.u = u
-			changed = true
-		}
+	if req.u != nil && req.spec != c.spec {
+		c.u, c.spec = req.u, req.spec
+		changed = true
 	}
 	if changed {
 		s.bump()

@@ -104,7 +104,7 @@ func (o Options) withDefaults() Options {
 // through Server.clients, so Server.mu guards them transitively.
 type client struct {
 	rate float64
-	spec string // cliutil utility spec, "" for the server default
+	spec string // game.UtilitySpec(u): the client's class key
 	u    core.Utility
 
 	// token bucket

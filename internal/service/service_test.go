@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"greednet/internal/alloc"
 	"greednet/internal/cliutil"
 	"greednet/internal/core"
 	"greednet/internal/game"
@@ -665,6 +666,92 @@ func TestUnchangedRepostKeepsAnswer(t *testing.T) {
 	}
 	if st := stats(t, h); st.SolvesRun != 1 || st.CacheHits != 1 {
 		t.Errorf("stats: %d runs, %d hits; want 1, 1", st.SolvesRun, st.CacheHits)
+	}
+}
+
+// TestRespelledRepostKeepsAnswer pins that clients compare utilities
+// by their parsed spec, not the text they sent: re-posting linear:1,4 as
+// LINEAR:1.0,4 at the same rate is the same game, so the next solve is
+// the generation's cached answer.
+func TestRespelledRepostKeepsAnswer(t *testing.T) {
+	h := startServer(t)
+	update(t, h, "a", 0.1, "linear:1,4")
+	update(t, h, "b", 0.15, "log:2,1")
+	first := solve(t, h, "a")
+	update(t, h, "a", 0.1, "LINEAR:1.0,4")
+	next := solve(t, h, "a")
+	if !next.Cached || next.Gen != first.Gen {
+		t.Errorf("solve after a respelled re-post: cached %v, gen %d (first gen %d)", next.Cached, next.Gen, first.Gen)
+	}
+	if st := stats(t, h); st.SolvesRun != 1 {
+		t.Errorf("solves run = %d after a respelled re-post, want 1", st.SolvesRun)
+	}
+}
+
+// TestDefaultUtilityJoinsItsSpecClass pins that a client on the default
+// utility and one that sent the default's spec are one class: they get
+// the same rate, bit for bit, and the answer is the one served when the
+// default client sends that spec itself.
+func TestDefaultUtilityJoinsItsSpecClass(t *testing.T) {
+	var sols [2]SolveResponse
+	for k, spec := range []string{"", "linear:1,4"} {
+		h := startServer(t)
+		update(t, h, "a", 0.05, spec)
+		update(t, h, "b", 0.09, "linear:1,4")
+		update(t, h, "c", 0.07, "log:2,1")
+		sols[k] = solve(t, h, "a")
+	}
+	def, explicit := sols[0], sols[1]
+	if !def.Converged || def.Iters != 1 {
+		t.Errorf("converged %v in %d rounds; two classes over three clients confirm in one", def.Converged, def.Iters)
+	}
+	if math.Float64bits(def.R[0]) != math.Float64bits(def.R[1]) {
+		t.Errorf("default client rate %v, explicit linear:1,4 client rate %v", def.R[0], def.R[1])
+	}
+	for i := range explicit.R {
+		if math.Float64bits(def.R[i]) != math.Float64bits(explicit.R[i]) || math.Float64bits(def.C[i]) != math.Float64bits(explicit.C[i]) {
+			t.Errorf("client %s: (%v, %v) with the default utility, (%v, %v) with its spec sent",
+				def.Clients[i], def.R[i], def.C[i], explicit.R[i], explicit.C[i])
+		}
+	}
+}
+
+// TestServedMaxGain requires the served answer's deviation audit on the
+// four climb specs, round-robin at rates inside admission: max_gain is in
+// the body, it is the largest unilateral deviation gain over the
+// clients, and no client can gain more than 1e-9.
+func TestServedMaxGain(t *testing.T) {
+	specs := []string{"linear:1,4", "linear:1,2", "log:2,1", "sqrt:1,2"}
+	rng := rand.New(rand.NewSource(7))
+	for _, n := range []int{128, 512} {
+		h := startServer(t)
+		us := make(core.Profile, n)
+		for i := range us {
+			spec := specs[i%len(specs)]
+			u, err := cliutil.ParseUtility(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			us[i] = u
+			update(t, h, fmt.Sprintf("c%04d", i), (0.2+0.75*rng.Float64())/float64(n), spec)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/solve", strings.NewReader(`{"client":"c0000"}`)))
+		var sol SolveResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &sol); rec.Code != http.StatusOK || err != nil {
+			t.Fatalf("N=%d: solve status %d, body %.200q", n, rec.Code, rec.Body.String())
+		}
+		if !strings.Contains(rec.Body.String(), `"max_gain":`) {
+			t.Errorf("N=%d: solve body has no max_gain", n)
+		}
+		worst := 0.0
+		for i := range us {
+			worst = max(worst, game.DeviationGain(alloc.FairShare{}, us[i], sol.R, i, game.BROptions{}))
+		}
+		if !sol.Converged || math.Abs(sol.MaxGain-worst) > 1e-15 || sol.MaxGain > 1e-9 {
+			t.Errorf("N=%d: converged %v, max_gain %v, largest deviation gain %v; want at most 1e-9",
+				n, sol.Converged, sol.MaxGain, worst)
+		}
 	}
 }
 

@@ -29,8 +29,8 @@ type job struct {
 	ids   []string // canonical (sorted) client order
 	us    core.Profile
 	rates []core.Rate
-	// class groups the clients by utility spec: class[i] numbers
-	// client i's spec in order of first appearance along ids.
+	// class groups the clients by canonical utility spec: class[i]
+	// numbers client i's spec in order of first appearance along ids.
 	class []int
 	gen   int64
 	// enqueued stamps the shedding clock: the head job's age is the
@@ -54,7 +54,7 @@ func (s *Server) sortedClientIDs() []string {
 }
 
 // bump records a real change to the solve's inputs — a join, a leave, a
-// rate whose bits differ or a new utility spec — by starting a new
+// rate whose bits differ or a different utility — by starting a new
 // profile generation.  The current answer no longer describes the
 // profile, so it goes.  mu must be held.
 //
@@ -189,6 +189,7 @@ func (s *Server) solveContained(ctx context.Context, j *job, ws *game.Workspace)
 		Gen:       j.gen,
 		Converged: nr.Converged,
 		Iters:     nr.Iters,
+		MaxGain:   nr.MaxGain,
 		Clients:   j.ids,
 		R:         nr.R,
 		C:         nr.C,
