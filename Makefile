@@ -83,6 +83,7 @@ fuzz:
 	$(GO) test ./internal/alloc -run='^$$' -fuzz=FuzzFairShareInvariants -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/alloc -run='^$$' -fuzz=FuzzTablePriorityGMatchesFairShareAtCV1 -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/chaos -run='^$$' -fuzz=FuzzAllocationPassThrough -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/cliutil -run='^$$' -fuzz=FuzzParseUtility -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/core -run='^$$' -fuzz=FuzzAscendingSequence -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/game -run='^$$' -fuzz=FuzzAggregateExpand -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/game -run='^$$' -fuzz=FuzzBlockPos -fuzztime=$(FUZZTIME)

@@ -1,25 +1,10 @@
-// Command greedsweep generates the reproduction's parameter-sweep data
-// series — the figure data — as CSV, optionally rendering an ASCII chart.
-//
-// Usage:
-//
-//	greedsweep -sweep eigen -n 5 -chart
-//	greedsweep -sweep protection -csv protection.csv
-//	greedsweep -sweep newton -workers 8
-//	greedsweep -list
-//
-// With -timeout the sweep runs under a deadline; one that exceeds it
-// prints FAILED(deadline) and exits non-zero (partial rows are
-// discarded — a truncated figure is worse than none).
 package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 
 	"greednet/internal/alloc"
 	"greednet/internal/core"
@@ -28,24 +13,26 @@ import (
 	"greednet/internal/utility"
 )
 
-func main() {
+// runSweep is greedsim sweep: it generates the reproduction's
+// parameter-sweep data series — the figure data — as CSV, or renders
+// one as an ASCII chart.  The per-row work fans out over GOMAXPROCS;
+// the rows are the same for any core count.
+func runSweep(args []string) {
+	fs := flag.NewFlagSet("greedsim sweep", flag.ExitOnError)
 	var (
-		name    = flag.String("sweep", "eigen", "eigen|gap|protection|ghc|delay|newton|reaction")
-		n       = flag.Int("n", 4, "number of users (eigen, gap upper bound, ghc, newton)")
-		out     = flag.String("csv", "", "write CSV to this path (default stdout)")
-		chart   = flag.Bool("chart", false, "render an ASCII chart instead of CSV")
-		list    = flag.Bool("list", false, "list sweeps and exit")
-		workers = flag.Int("workers", runtime.GOMAXPROCS(0), "worker pool size for per-row sweep work (1 runs sequentially; output is identical either way)")
-		timeout = flag.Duration("timeout", 0, "deadline for the sweep; exceeding it prints FAILED(deadline) and exits 1 (0 disables)")
+		name    = fs.String("sweep", "eigen", "eigen|gap|protection|ghc|delay|newton|reaction")
+		n       = fs.Int("n", 4, "number of users (eigen, ghc, newton)")
+		out     = fs.String("csv", "", "write CSV to this path (default stdout)")
+		chart   = fs.Bool("chart", false, "render an ASCII chart instead of CSV")
+		list    = fs.Bool("list", false, "list sweeps and exit")
+		timeout = fs.Duration("timeout", 0, "deadline for the sweep; exceeding it prints FAILED(deadline) and exits 1 (0 disables)")
 	)
-	flag.Parse()
-
-	ctx := context.Background()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
+	parse(fs, args)
+	if *n < 1 {
+		check(fmt.Errorf("-n %d: need at least 1 user", *n))
 	}
+	ctx, cancel := withTimeout(*timeout)
+	defer cancel()
 
 	if *list {
 		fmt.Println("eigen       ρ(A) vs γ under FIFO (§4.2.3 instability)")
@@ -58,18 +45,8 @@ func main() {
 		return
 	}
 
-	tab, series, logY, err := build(ctx, *name, *n, *workers)
-	if err != nil {
-		if errors.Is(err, core.ErrDeadline) && *timeout > 0 {
-			fmt.Fprintf(os.Stderr, "greedsweep: FAILED(deadline): sweep exceeded the %v deadline\n", *timeout)
-		} else if errors.Is(err, core.ErrDeadline) || errors.Is(err, core.ErrCanceled) {
-			fmt.Fprintf(os.Stderr, "greedsweep: FAILED: %v\n", err)
-		} else {
-			fmt.Fprintln(os.Stderr, "greedsweep:", err)
-		}
-		os.Exit(1)
-	}
-
+	tab, series, logY, err := build(ctx, *name, *n)
+	checkRun(err, "sweep", *timeout)
 	if *chart {
 		fmt.Printf("sweep %s\n", tab.Name)
 		fmt.Print(plot.Chart{Width: 64, Height: 14, LogY: logY}.Render(series...))
@@ -78,39 +55,28 @@ func main() {
 	w := os.Stdout
 	if *out != "" {
 		f, err := os.Create(*out)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "greedsweep:", err)
-			os.Exit(1)
-		}
-		defer func() {
-			// A short write can surface only at close; don't report success
-			// for a truncated CSV.
-			if err := f.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "greedsweep:", err)
-				os.Exit(1)
-			}
-		}()
+		check(err)
+		// A short write can surface only at close; don't report success
+		// for a truncated CSV.
+		defer func() { check(f.Close()) }()
 		w = f
 	}
-	if err := tab.WriteCSV(w); err != nil {
-		fmt.Fprintln(os.Stderr, "greedsweep:", err)
-		os.Exit(1)
-	}
+	check(tab.WriteCSV(w))
 }
 
 // build constructs the requested sweep plus chart series.
-func build(ctx context.Context, name string, n, workers int) (sweep.Table, []plot.Series, bool, error) {
+func build(ctx context.Context, name string, n int) (sweep.Table, []plot.Series, bool, error) {
 	switch name {
 	case "eigen":
 		gammas := []float64{0.8, 0.5, 0.3, 0.2, 0.1, 0.05, 0.02, 0.01, 0.004}
-		tab, err := sweep.EigenvalueCtx(ctx, workers, n, gammas)
+		tab, err := sweep.EigenvalueCtx(ctx, 0, n, gammas)
 		return tab, []plot.Series{
 			{Name: "rho(A)", Y: tab.Column("rho")},
 			{Name: "limit N-1", Y: tab.Column("limit")},
 		}, false, err
 	case "gap":
 		ns := []int{2, 3, 4, 6, 8, 12, 16}
-		tab, err := sweep.EfficiencyGapCtx(ctx, workers, 0.2, ns)
+		tab, err := sweep.EfficiencyGapCtx(ctx, 0, 0.2, ns)
 		return tab, []plot.Series{
 			{Name: "relative loss", Y: tab.Column("relative_loss")},
 		}, false, err
@@ -142,7 +108,7 @@ func build(ctx context.Context, name string, n, workers int) (sweep.Table, []plo
 			{Name: "Fair Share delay", Y: tab.Column("delay_fairshare")},
 		}, true, err
 	case "newton":
-		tab, err := sweep.NewtonResidualsCtx(ctx, workers, n, 8)
+		tab, err := sweep.NewtonResidualsCtx(ctx, 0, n, 8)
 		return tab, []plot.Series{
 			{Name: "Fair Share residual", Y: tab.Column("resid_fairshare")},
 			{Name: "FIFO residual", Y: tab.Column("resid_fifo")},

@@ -59,6 +59,11 @@ func ParseRates(s string) ([]float64, error) {
 //	sqrt:W,GAMMA       U = W·√r − GAMMA·c
 //	power:A,GAMMA,P    U = A·r − GAMMA·c^P
 //	delay:A,GAMMA      U = A·r − GAMMA·(c/r)
+//
+// Every parameter must be positive and finite, and P at least 1: only
+// then is the utility in the paper's class AU, increasing in r and
+// decreasing in c.  It is the one utility boundary the greedd service
+// and the command line share.
 func ParseUtility(s string) (core.Utility, error) {
 	name, argstr, found := strings.Cut(s, ":")
 	if !found {
@@ -69,6 +74,9 @@ func ParseUtility(s string) (core.Utility, error) {
 		v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
 		if err != nil {
 			return nil, fmt.Errorf("cliutil: bad utility parameter %q: %w", p, err)
+		}
+		if v <= 0 || math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("cliutil: utility %q: parameter %v must be positive and finite", s, v)
 		}
 		args = append(args, v)
 	}
@@ -97,6 +105,9 @@ func ParseUtility(s string) (core.Utility, error) {
 	case "power":
 		if err := need(3); err != nil {
 			return nil, err
+		}
+		if args[2] < 1 {
+			return nil, fmt.Errorf("cliutil: utility %q: exponent %v must be at least 1", s, args[2])
 		}
 		return utility.Power{A: args[0], Gamma: args[1], P: args[2]}, nil
 	case "delay":

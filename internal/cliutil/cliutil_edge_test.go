@@ -64,6 +64,39 @@ func TestParseUtilityEdgeCases(t *testing.T) {
 	}
 }
 
+// TestParseUtilityRejectsOutsideAU pins the class-AU boundary: each
+// family refuses a NaN, infinite, zero or negative value in every
+// parameter slot, and power refuses an exponent below 1, although each
+// such spec parses as floats of the right arity.
+func TestParseUtilityRejectsOutsideAU(t *testing.T) {
+	good := map[string][]string{
+		"linear": {"1", "0.2"},
+		"log":    {"0.3", "1"},
+		"sqrt":   {"1", "2"},
+		"power":  {"1", "0.8", "1.4"},
+		"delay":  {"1", "2"},
+	}
+	for family, params := range good {
+		spec := family + ":" + strings.Join(params, ",")
+		if _, err := ParseUtility(spec); err != nil {
+			t.Fatalf("ParseUtility(%q): %v", spec, err)
+		}
+		for k := range params {
+			for _, bad := range []string{"NaN", "Inf", "-Inf", "0", "-0.5"} {
+				ps := append([]string(nil), params...)
+				ps[k] = bad
+				in := family + ":" + strings.Join(ps, ",")
+				if got, err := ParseUtility(in); err == nil {
+					t.Errorf("ParseUtility(%q) = %v, want error", in, got)
+				}
+			}
+		}
+	}
+	if got, err := ParseUtility("power:1,1,0.5"); err == nil {
+		t.Errorf("ParseUtility(power:1,1,0.5) = %v, want error (exponent below 1)", got)
+	}
+}
+
 func TestParseProfileEdgeCases(t *testing.T) {
 	for _, in := range []string{"", " ; ; ", "linear:1,2;bogus:1"} {
 		if got, err := ParseProfile(in); err == nil {

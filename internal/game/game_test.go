@@ -293,6 +293,37 @@ func TestStackelbergFairShareEqualsNash(t *testing.T) {
 	}
 }
 
+// TestStackelbergKeepsHeldUsers pins that the followers' Nash solve
+// honours the caller's Free mask: on the §5.2 mix (two bulk users, two
+// interactive users held at 0.01) the held users stay put, so under Fair
+// Share the Stackelberg point is the Nash point (Theorem 5), and a
+// leader that is held or out of range is an error, not a panic.
+func TestStackelbergKeepsHeldUsers(t *testing.T) {
+	us := core.Profile{
+		utility.NewLinear(1, 0.06), utility.NewLinear(1, 0.10),
+		utility.NewLinear(1, 0.50), utility.NewLinear(1, 0.50),
+	}
+	r0 := []float64{0.1, 0.1, 0.01, 0.01}
+	opt := StackOptions{Nash: NashOptions{Free: []bool{true, true, false, false}}}
+	adv, st, nash, err := LeaderAdvantage(alloc.FairShare{}, us, 0, r0, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 2; i < 4; i++ {
+		if st.R[i] != r0[i] || nash.R[i] != r0[i] {
+			t.Errorf("held user %d moved: Stackelberg %v, Nash %v, want %v", i, st.R[i], nash.R[i], r0[i])
+		}
+	}
+	if math.Abs(adv) > 1e-5 || numeric.VecDist(st.R, nash.R) > 1e-3 {
+		t.Errorf("FS leader advantage %v, Stackelberg %v vs Nash %v; want the Nash point", adv, st.R, nash.R)
+	}
+	for _, leader := range []int{-1, 2, 4} {
+		if _, err := SolveStackelberg(alloc.FairShare{}, us, leader, r0, opt); err == nil {
+			t.Errorf("leader %d: no error, want one (held or out of range)", leader)
+		}
+	}
+}
+
 func TestStackelbergProportionalLeaderGains(t *testing.T) {
 	us := core.Profile{utility.NewLinear(1, 0.2), utility.NewLinear(1, 0.2)}
 	adv, st, nash, err := LeaderAdvantage(alloc.Proportional{}, us, 0, []float64{0.1, 0.1}, StackOptions{})

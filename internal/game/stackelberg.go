@@ -2,6 +2,7 @@ package game
 
 import (
 	"context"
+	"fmt"
 	"math"
 
 	"greednet/internal/alloc"
@@ -49,13 +50,18 @@ func (o StackOptions) withDefaults() StackOptions {
 // equilibrium of the induced subsystem, and the leader picks the rate whose
 // induced outcome she likes best.  Under Fair Share the result coincides
 // with the Nash equilibrium (Theorem 5); under proportional allocations the
-// leader generally gains.
+// leader generally gains.  Users that opt.Nash.Free holds fixed stay at
+// their r0 rates as followers too; the leader must be a free user.
 func SolveStackelberg(a core.Allocation, us core.Profile, leader int, r0 []core.Rate, opt StackOptions) (StackelbergResult, error) {
 	opt = opt.withDefaults()
 	n := len(r0)
+	held := func(i int) bool { return opt.Nash.Free != nil && !opt.Nash.Free[i] }
+	if leader < 0 || leader >= n || held(leader) {
+		return StackelbergResult{}, fmt.Errorf("game: Stackelberg leader %d is not a free user of %d", leader, n)
+	}
 	free := make([]bool, n)
 	for i := range free {
-		free[i] = i != leader
+		free[i] = i != leader && !held(i)
 	}
 	inner := opt.Nash
 	inner.Free = free

@@ -28,8 +28,11 @@ type Chart struct {
 	LogY bool
 }
 
-// seriesGlyphs mark successive series.
+// seriesGlyphs mark successive series; overlapGlyph marks a cell that
+// more than one series hits, so no series hides another.
 var seriesGlyphs = []byte{'*', 'o', '+', 'x', '#', '@'}
+
+const overlapGlyph = '&'
 
 // Render draws the chart.
 func (c Chart) Render(series ...Series) string {
@@ -75,6 +78,7 @@ func (c Chart) Render(series ...Series) string {
 	for row := range grid {
 		grid[row] = []byte(strings.Repeat(" ", w))
 	}
+	overlap := false
 	for si, s := range series {
 		glyph := seriesGlyphs[si%len(seriesGlyphs)]
 		for k, v := range s.Y {
@@ -93,7 +97,11 @@ func (c Chart) Render(series ...Series) string {
 			if row >= h {
 				row = h - 1
 			}
-			grid[row][col] = glyph
+			if cell := grid[row][col]; cell != ' ' && cell != glyph {
+				grid[row][col], overlap = overlapGlyph, true
+			} else {
+				grid[row][col] = glyph
+			}
 		}
 	}
 	yLabel := func(t float64) string {
@@ -118,6 +126,9 @@ func (c Chart) Render(series ...Series) string {
 	b.WriteString(strings.Repeat(" ", 9) + " +" + strings.Repeat("-", w) + "\n")
 	for si, s := range series {
 		fmt.Fprintf(&b, "%s %c = %s\n", strings.Repeat(" ", 9), seriesGlyphs[si%len(seriesGlyphs)], s.Name)
+	}
+	if overlap {
+		fmt.Fprintf(&b, "%s %c = more than one series\n", strings.Repeat(" ", 9), overlapGlyph)
 	}
 	return b.String()
 }

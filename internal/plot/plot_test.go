@@ -17,9 +17,29 @@ func TestChartRender(t *testing.T) {
 		t.Errorf("missing legend:\n%s", out)
 	}
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	// 8 plot rows + axis + 2 legend lines.
-	if len(lines) != 11 {
-		t.Errorf("got %d lines, want 11:\n%s", len(lines), out)
+	// 8 plot rows + axis + 2 legend lines + the overlap line: the two
+	// series cross at (2, 2).
+	if len(lines) != 12 {
+		t.Errorf("got %d lines, want 12:\n%s", len(lines), out)
+	}
+}
+
+// TestChartOverlapShowsBothSeries pins that a later series does not
+// hide an earlier one: every cell two series share is drawn with the
+// overlap glyph, which the legend lists only when some cell is shared.
+func TestChartOverlapShowsBothSeries(t *testing.T) {
+	y := []float64{1, 0.5, 0.25, 0.125}
+	out := Chart{Width: 20, Height: 6}.Render(Series{Name: "a", Y: y}, Series{Name: "b", Y: y})
+	plotArea := out[:strings.Index(out, "+---")]
+	if strings.Count(plotArea, "&") != len(y) || strings.ContainsAny(plotArea, "*o") {
+		t.Errorf("identical series: want %d overlap cells and no lone glyph:\n%s", len(y), out)
+	}
+	if !strings.Contains(out, "& = more than one series") {
+		t.Errorf("overlap missing from the legend:\n%s", out)
+	}
+	apart := Chart{Width: 20, Height: 6}.Render(Series{Name: "a", Y: y}, Series{Name: "b", Y: []float64{9, 9, 9, 9}})
+	if strings.Contains(apart, "&") {
+		t.Errorf("disjoint series drew or listed an overlap:\n%s", apart)
 	}
 }
 

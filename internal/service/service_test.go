@@ -216,6 +216,29 @@ func TestMalformedRejections(t *testing.T) {
 	}
 }
 
+// TestUpdateRejectsUtilityOutsideAU pins that a utility spec outside
+// the paper's class AU (here a NaN congestion weight, which the solver
+// would otherwise serve as converged) is a malformed update: 400, the
+// malformed counter moves, and the admitted profile's generation does
+// not.
+func TestUpdateRejectsUtilityOutsideAU(t *testing.T) {
+	h := startServer(t)
+	update(t, h, "a", 0.1, "linear:1,4")
+	update(t, h, "b", 0.15, "")
+	first := solve(t, h, "a")
+	var rej Rejection
+	code := doJSON(t, h, "POST", "/v1/update", []byte(`{"client":"c","rate":0.1,"utility":"linear:1,NaN"}`), &rej)
+	if code != http.StatusBadRequest || rej.Reason != ReasonMalformed {
+		t.Errorf("NaN utility: status %d reason %q, want 400 %q", code, rej.Reason, ReasonMalformed)
+	}
+	if st := stats(t, h); st.RejectedMalformed != 1 {
+		t.Errorf("malformed counter %d, want 1", st.RejectedMalformed)
+	}
+	if next := solve(t, h, "a"); !next.Cached || next.Gen != first.Gen {
+		t.Errorf("solve after the rejected update: cached %v, gen %d; want the cached answer of gen %d", next.Cached, next.Gen, first.Gen)
+	}
+}
+
 func TestTokenBucketSheds(t *testing.T) {
 	clk := newFakeClock()
 	s := New(Options{Burst: 3, Refill: 1, Clock: clk.now})

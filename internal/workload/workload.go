@@ -6,6 +6,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -115,63 +116,66 @@ func Random(n int, seed int64) Scenario {
 	return s
 }
 
+// maxUsers bounds a parsed scenario's population: the per-user solvers
+// are for small games, and a bound keeps a typo such as
+// symmetric:10000000000000,0.2 from asking for memory no host has.
+const maxUsers = 1 << 20
+
 // Parse resolves a scenario spec:
 //
 //	symmetric:N,GAMMA | ftptelnet | cheater:VICTIMS,RATE | mixed | random:N,SEED
+//
+// N and VICTIMS must be whole numbers from 1 to 2^20, SEED a whole
+// number, and GAMMA and RATE positive and finite.
 func Parse(spec string) (Scenario, error) {
 	name, argstr, _ := strings.Cut(strings.TrimSpace(spec), ":")
 	args := strings.Split(argstr, ",")
-	num := func(k int) (float64, error) {
-		if k >= len(args) {
-			return 0, fmt.Errorf("workload: %s needs %d args", name, k+1)
+	var err error // the first bad argument's
+	arg := func(k int) string {
+		if k < len(args) {
+			return strings.TrimSpace(args[k])
 		}
-		return strconv.ParseFloat(strings.TrimSpace(args[k]), 64)
+		if err == nil {
+			err = fmt.Errorf("workload: %s needs %d args", name, k+1)
+		}
+		return ""
+	}
+	whole := func(k int, lo, hi int64) int64 {
+		v, perr := strconv.ParseInt(arg(k), 10, 64)
+		if (perr != nil || v < lo || v > hi) && err == nil {
+			err = fmt.Errorf("workload: %s argument %d is %q, want a whole number in [%d, %d]", name, k+1, arg(k), lo, hi)
+		}
+		return v
+	}
+	positive := func(k int) float64 {
+		v, perr := strconv.ParseFloat(arg(k), 64)
+		if (perr != nil || !(v > 0) || math.IsInf(v, 1)) && err == nil {
+			err = fmt.Errorf("workload: %s argument %d is %q, want a positive finite number", name, k+1, arg(k))
+		}
+		return v
 	}
 	switch strings.ToLower(name) {
 	case "symmetric":
-		n, err := num(0)
-		if err != nil {
-			return Scenario{}, err
+		n, g := whole(0, 1, maxUsers), positive(1)
+		if err == nil {
+			return Symmetric(int(n), g), nil
 		}
-		g, err := num(1)
-		if err != nil {
-			return Scenario{}, err
-		}
-		if n < 1 {
-			return Scenario{}, fmt.Errorf("workload: need n ≥ 1")
-		}
-		return Symmetric(int(n), g), nil
 	case "ftptelnet":
 		return FTPTelnet(), nil
 	case "cheater":
-		v, err := num(0)
-		if err != nil {
-			return Scenario{}, err
+		v, r := whole(0, 1, maxUsers), positive(1)
+		if err == nil {
+			return Cheater(int(v), r), nil
 		}
-		r, err := num(1)
-		if err != nil {
-			return Scenario{}, err
-		}
-		if v < 1 || r <= 0 {
-			return Scenario{}, fmt.Errorf("workload: cheater needs victims ≥ 1 and rate > 0")
-		}
-		return Cheater(int(v), r), nil
 	case "mixed":
 		return Mixed(), nil
 	case "random":
-		n, err := num(0)
-		if err != nil {
-			return Scenario{}, err
+		n, seed := whole(0, 1, maxUsers), whole(1, math.MinInt64, math.MaxInt64)
+		if err == nil {
+			return Random(int(n), seed), nil
 		}
-		seed, err := num(1)
-		if err != nil {
-			return Scenario{}, err
-		}
-		if n < 1 {
-			return Scenario{}, fmt.Errorf("workload: need n ≥ 1")
-		}
-		return Random(int(n), int64(seed)), nil
 	default:
-		return Scenario{}, fmt.Errorf("workload: unknown scenario %q", name)
+		err = fmt.Errorf("workload: unknown scenario %q", name)
 	}
+	return Scenario{}, err
 }

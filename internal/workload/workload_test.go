@@ -54,7 +54,9 @@ func TestParse(t *testing.T) {
 			t.Errorf("Parse(%q): %v", spec, err)
 		}
 	}
-	for _, bad := range []string{"", "nope", "symmetric:0,0.2", "symmetric:3", "cheater:0,0.1", "random:2"} {
+	for _, bad := range []string{"", "nope", "symmetric:0,0.2", "symmetric:3", "cheater:0,0.1", "random:2",
+		"symmetric:NaN,0.2", "symmetric:3,NaN", "symmetric:3,-0.2", "symmetric:3,Inf", "symmetric:1e300,0.2",
+		"symmetric:2097152,0.2", "random:2.7,1", "random:2,1.5", "cheater:2,0", "cheater:2,NaN", "cheater:1.5,0.1"} {
 		if _, err := Parse(bad); err == nil {
 			t.Errorf("Parse(%q) should fail", bad)
 		}
